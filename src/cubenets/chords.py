@@ -7,6 +7,10 @@ rotation and reflection therefore count spanning cycles up to relabelling.
 Spanning paths close up into cycles with one marked boundary edge, which makes
 diagrams with exactly one loop (a chord across a single boundary edge) count
 them the same way.
+
+Class counts come from Burnside's lemma (`count_diagram_classes`) and never
+list a matching; `enumerate_diagrams` lists the classes themselves, which
+only small polygons allow.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import ceil
+from math import ceil, comb, gcd
 
 import numpy as np
 
@@ -173,7 +177,8 @@ def cycle_from_diagram(d: ChordDiagram, n: int) -> SpanningSubgraph:
     )
     cyc = SpanningSubgraph(n, "cycle", edges)
     problem = validate(cyc)
-    assert problem is None, f"diagram reassembly broke: {problem}"
+    if problem is not None:
+        raise RuntimeError(f"diagram reassembly broke: {problem}")
     return cyc
 
 
@@ -201,7 +206,8 @@ def path_from_diagram(d: ChordDiagram, marked: int, n: int) -> SpanningSubgraph:
     )
     path = SpanningSubgraph(n, "path", edges)
     problem = validate(path)
-    assert problem is None, f"diagram reassembly broke: {problem}"
+    if problem is not None:
+        raise RuntimeError(f"diagram reassembly broke: {problem}")
     return path
 
 
@@ -231,7 +237,10 @@ def insert_loop(d: ChordDiagram, edge: int) -> ChordDiagram:
         mate[a], mate[b] = b, a
     mate[edge + 1], mate[edge + 2] = edge + 2, edge + 1
     out = ChordDiagram(m + 2, tuple(mate))
-    assert out.loops() == 1, "insertion must leave exactly the new loop"
+    if out.loops() != 1:
+        raise RuntimeError(
+            f"insertion left {out.loops()} loops; it must leave exactly the new one"
+        )
     return out
 
 
@@ -312,6 +321,118 @@ def enumerate_diagrams(m: int, loop_count: int) -> tuple[ChordDiagram, ...]:
         return ()
     cap = max(1, loop_count)
     return _diagram_classes_by_loops(m, cap)[loop_count]
+
+
+# ---------------------------------------------------------------------------
+# counting up to symmetry
+#
+# Burnside: the number of classes is the average, over the 2m polygon
+# symmetries g, of the matchings g fixes.  Loops are handled by
+# inclusion-exclusion over g-invariant sets of loop chords, i.e. unions of
+# <g>-orbits of boundary edges; once those chords are placed, the rest of the
+# fixed matching only depends on the vertex orbits left over.
+
+
+def _comb(n: int, k: int) -> int:
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+def _invariant_matchings(size: int, orbits: int) -> int:
+    """Perfect matchings fixed by a cyclic group with `orbits` vertex orbits,
+    all of `size` vertices.  The last orbit pairs with itself (vertex to its
+    antipode in the orbit, so only for even size) or with one of the others,
+    in `size` ways: A(c) = [size even]*A(c-1) + (c-1)*size*A(c-2)."""
+    self_match = 1 - size % 2
+    prev, cur = 0, 1  # A(-1), A(0)
+    for c in range(1, orbits + 1):
+        prev, cur = cur, self_match * cur + (c - 1) * size * prev
+    return cur
+
+
+def _cycle_independent_sets(d: int, s: int) -> int:
+    """Sets of s pairwise non-adjacent vertices on the d-cycle."""
+    if s == 0:
+        return 1
+    if s >= d:
+        return 0
+    return d * _comb(d - s, s) // (d - s)
+
+
+def _rotation_fixed(m: int, k: int, loops: int) -> int:
+    """Matchings with exactly `loops` loops fixed by rotation through k.
+
+    The rotation splits the boundary edges into d = gcd(k, m) orbits lying
+    around a d-cycle; placing s non-adjacent orbits as loop chords leaves
+    d - 2s vertex orbits of size m/d.  No loop is fixed by a non-trivial
+    rotation, so one-loop matchings only count for the identity.
+    """
+    d = gcd(k, m)
+    size = m // d
+    if loops == 0:
+        return sum(
+            (-1) ** s
+            * _cycle_independent_sets(d, s)
+            * _invariant_matchings(size, d - 2 * s)
+            for s in range(d // 2 + 1)
+        )
+    if k:
+        return 0
+    return sum(
+        (-1) ** (s - 1) * s * _cycle_independent_sets(m, s) * _invariant_matchings(1, m - 2 * s)
+        for s in range(1, m // 2 + 1)
+    )
+
+
+def _reflection_fixed(m: int, loops: int) -> int:
+    """Matchings with exactly `loops` loops summed over one reflection of
+    each kind: the axis through two edge midpoints and the axis through two
+    vertices.  Both leave vertex pairs {v, g(v)} strung along a path.
+
+    Edge axis: m/2 pairs; each end pair is itself a fixed boundary edge (an
+    end loop), and each orbit of two edges joining neighbouring pairs covers
+    both.  Vertex axis: the two fixed vertices can only be matched together,
+    m/2 - 1 pairs lie between them, and the edges at the fixed vertices can
+    never be loops.  Choosing a end loops and b inner edge orbits leaves
+    pairs - a - 2b pairs to match among themselves.
+    """
+    pairs = m // 2
+    total = 0
+    for a, ends in ((0, 1), (1, 2), (2, 1)):
+        for b in range(pairs // 2 + 1):
+            left = pairs - a - 2 * b
+            if left < 0:
+                continue
+            fixed = ends * _comb(pairs - a - b, b) * _invariant_matchings(2, left)
+            sign = (-1) ** (a + b)
+            total += sign * fixed if loops == 0 else -sign * a * fixed
+    if loops == 0:
+        pairs -= 1
+        total += sum(
+            (-1) ** b * _comb(pairs - b, b) * _invariant_matchings(2, pairs - 2 * b)
+            for b in range(pairs // 2 + 1)
+        )
+    return total
+
+
+def count_diagram_classes(m: int, loops: int) -> int:
+    """Number of chord diagrams on m vertices with exactly `loops` (0 or 1)
+    loops, up to rotation and reflection, by Burnside's lemma.  Agrees with
+    len(enumerate_diagrams(m, loops)) but lists no matching."""
+    if m < 2 or m % 2:
+        raise ValueError(f"vertex count must be even and positive, got {m}")
+    if loops not in (0, 1):
+        raise ValueError(f"can count diagrams with 0 or 1 loops, got {loops}")
+    if m == 2:
+        # both boundary edges of the 2-gon are the one chord, which is a loop
+        return loops
+    total = sum(_rotation_fixed(m, k, loops) for k in range(m))
+    total += m // 2 * _reflection_fixed(m, loops)
+    classes, rest = divmod(total, 2 * m)
+    if rest:
+        raise RuntimeError(
+            f"Burnside sum {total} for m={m}, loops={loops} is not a multiple of {2 * m}"
+        )
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ import json
 import os
 import sys
 
-from .chords import ChordDiagram, edge_orbit_count, enumerate_diagrams
+from .chords import count_diagram_classes, edge_orbit_count, enumerate_diagrams
 from .core import FacetLabel, SpanningSubgraph, validate
 from .enumeration import (
-    CHORDS_LIMIT,
+    CHORDS_COUNT_LIMIT,
+    CHORDS_LIST_LIMIT,
+    CountMismatchError,
     ResourceLimitError,
     build_table,
     classify_path,
@@ -32,9 +34,16 @@ from .rolling import RevisitError, develop_path, develop_tree
 def _default_jobs() -> int:
     raw = os.environ.get("CUBENETS_JOBS", "1")
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
+        jobs = 0
+    if jobs < 1:
+        print(
+            f"ignoring CUBENETS_JOBS={raw!r}: not a positive integer; using 1 job",
+            file=sys.stderr,
+        )
         return 1
+    return jobs
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -116,11 +125,14 @@ _ENUMERATORS = {"trees": enumerate_trees, "paths": enumerate_paths, "cycles": en
 
 
 def _chord_count(kind: str, n: int) -> int:
-    if n > CHORDS_LIMIT:
-        raise ResourceLimitError(f"chord counts are budgeted up to n={CHORDS_LIMIT}")
+    if n > CHORDS_COUNT_LIMIT:
+        raise ResourceLimitError(
+            f"chord counts are budgeted up to n={CHORDS_COUNT_LIMIT} "
+            f"(CHORDS_COUNT_LIMIT), got n={n}"
+        )
     if kind == "cycles":
-        return len(enumerate_diagrams(2 * n, 0))
-    return len(enumerate_diagrams(2 * n + 2, 1))
+        return count_diagram_classes(2 * n, 0)
+    return count_diagram_classes(2 * n + 2, 1)
 
 
 def _cmd_enumerate(args) -> int:
@@ -207,8 +219,12 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_chords(args) -> int:
     n = args.dim
-    if n > CHORDS_LIMIT + 1:
-        print(f"diagram listings are budgeted up to --dim {CHORDS_LIMIT + 1}", file=sys.stderr)
+    if n > CHORDS_LIST_LIMIT:
+        print(
+            f"diagram listings are budgeted up to --dim {CHORDS_LIST_LIMIT} "
+            f"(CHORDS_LIST_LIMIT), got --dim {n}",
+            file=sys.stderr,
+        )
         return 2
     diagrams = enumerate_diagrams(2 * n, args.loops)
     doc = {"n": n, "loops": args.loops, "count": len(diagrams)}
@@ -231,13 +247,21 @@ def _cmd_table(args) -> int:
     except ResourceLimitError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except CountMismatchError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     if args.format == "json":
         _emit(json.dumps(table.to_json(), indent=2), args.output)
         return 0
-    header = f"{'n':>3} {'cycles':>8} {'paths':>8} {'ter':>8} {'ext':>8}"
-    lines = [header, "-" * len(header)]
-    for r in table.rows:
-        lines.append(f"{r.n:>3} {r.cycles:>8} {r.paths:>8} {r.ter:>8} {r.ext:>8}")
+    names = ("n", "cycles", "paths", "ter", "ext")
+    cells = [[str(getattr(r, name)) for name in names] for r in table.rows]
+    widths = [
+        max([3 if name == "n" else 8] + [len(row[k]) for row in cells])
+        for k, name in enumerate(names)
+    ]
+    fmt = lambda row: " ".join(v.rjust(w) for v, w in zip(row, widths))
+    header = fmt(names)
+    lines = [header, "-" * len(header)] + [fmt(row) for row in cells]
     _emit("\n".join(lines), args.output)
     return 0
 

@@ -348,7 +348,7 @@ def group_order(n: int) -> int:
     return out
 
 
-_FULL_EXPANSION_MAX = 5  # 2^5 * 5! = 3840 label maps; n=6 would be 46080
+_FULL_EXPANSION_MAX = 6  # 2^6 * 6! = 46080 label maps, about 22 MB of edge maps
 
 
 @cache

@@ -7,8 +7,8 @@ The diagram route counts symmetry classes of chord diagrams instead and
 never touches the graph.  Their agreement on small dimensions is one of the
 package's main checks.
 
-Every orbit of spanning trees has a member using edge rank 0, and every
-orbit of paths or cycles has a member touching vertex 0, because the
+Every orbit of spanning trees or cycles has a member using edge rank 0, and
+every orbit of paths has a member ending at vertex 0, because the
 relabelling group moves any vertex (indeed any non-antipodal vertex pair)
 anywhere.  The generators therefore only emit those members, which shrinks
 the raw stream by an order of magnitude before deduplication.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chords import enumerate_diagrams
+from .chords import _BULK_MAX_M, count_diagram_classes
 from .core import (
     FacetLabel,
     SpanningSubgraph,
@@ -44,8 +44,16 @@ class ResourceLimitError(Exception):
     """A requested dimension is past what the chosen method can finish."""
 
 
+class CountMismatchError(Exception):
+    """Two counts that must agree do not: the two methods, or ter(n) against
+    paths(n-1)."""
+
+
 DIRECT_LIMITS = {"trees": 5, "paths": 5, "cycles": 6}
-CHORDS_LIMIT = 7
+# diagram class counts are closed-form sums: the whole table to n=20 takes ms
+CHORDS_COUNT_LIMIT = 20
+# listing diagram classes holds every matching key in 4-bit packing
+CHORDS_LIST_LIMIT = _BULK_MAX_M // 2
 # in combined runs the direct side stays small so agreement checks finish fast
 DUAL_CHECK_LIMIT = 5
 
@@ -168,8 +176,9 @@ def _raw_path_masks(n: int, shard: tuple[int, int] = (0, 1)):
 
 
 def _raw_cycle_masks(n: int, shard: tuple[int, int] = (0, 1)):
-    """Masks of spanning cycles, one per undirected cycle: walks start at
-    vertex 0 and orientation is fixed by first-step < last-step."""
+    """Masks of spanning cycles through edge rank 0, the edge 0-1, one per
+    undirected cycle: walks start 0 -> 1, which fixes the orientation, and
+    are sharded by their second step."""
     which, of = shard
     two_n = 2 * n
     grid = _edge_rank_grid(n)
@@ -179,26 +188,27 @@ def _raw_cycle_masks(n: int, shard: tuple[int, int] = (0, 1)):
     ]
     closers = set(neighbours[0])
 
-    def rec(v, first, visited, depth, mask):
+    def rec(v, visited, depth, mask):
         if depth == two_n:
-            if v in closers and first < v:
+            if v in closers:
                 yield mask | (1 << grid[0][v])
             return
         row = grid[v]
         for u in neighbours[v]:
             bit = 1 << u
             if not visited & bit:
-                yield from rec(u, first, visited | bit, depth + 1, mask | (1 << row[u]))
+                yield from rec(u, visited | bit, depth + 1, mask | (1 << row[u]))
 
-    for k, v1 in enumerate(neighbours[0]):
+    seconds = [u for u in neighbours[1] if u != 0]
+    for k, v2 in enumerate(seconds):
         if k % of == which:
-            yield from rec(v1, v1, 1 | (1 << v1), 2, 1 << grid[0][v1])
+            yield from rec(v2, 0b11 | (1 << v2), 3, 1 | (1 << grid[1][v2]))
 
 
 def _dedup_restricted(n: int, masks) -> list[int]:
     """Orbit dedup for streams whose every member holds edge rank 0; only
-    those orbit images are remembered, which is what keeps tree runs at the
-    budget ceiling inside memory."""
+    those orbit images are remembered, which is what keeps tree and cycle
+    runs at the budget ceiling inside memory."""
     seen: set[int] = set()
     out = []
     one = np.uint64(1)
@@ -231,7 +241,7 @@ def _path_shard_job(args):
 
 def _cycle_shard_job(args):
     n, which, of = args
-    return dedup_canonical_masks(n, _raw_cycle_masks(n, (which, of)))
+    return _dedup_restricted(n, _raw_cycle_masks(n, (which, of)))
 
 
 _SHARD_JOBS = {
@@ -355,9 +365,9 @@ class EnumerationTable:
 
 
 def _chord_counts(n: int) -> tuple[int, int, int, int]:
-    cycles = len(enumerate_diagrams(2 * n, 0))
-    ter = len(enumerate_diagrams(2 * n, 1))
-    paths = len(enumerate_diagrams(2 * n + 2, 1))
+    cycles = count_diagram_classes(2 * n, 0)
+    ter = count_diagram_classes(2 * n, 1)
+    paths = count_diagram_classes(2 * n + 2, 1)
     return cycles, paths, ter, paths - ter
 
 
@@ -373,15 +383,16 @@ def build_table(max_n: int, method: str = "chords", jobs: int = 1) -> Enumeratio
 
     method "direct" walks the Roberts graph (small n only), "chords" counts
     diagram classes, "both" computes the two independently and refuses to
-    return on any disagreement.
+    return on any disagreement (CountMismatchError).
     """
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
     if method not in ("direct", "chords", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "direct" and max_n > CHORDS_LIMIT:
+    if method != "direct" and max_n > CHORDS_COUNT_LIMIT:
         raise ResourceLimitError(
-            f"chord-diagram table rows are budgeted up to n={CHORDS_LIMIT}"
+            f"chord-diagram table rows are budgeted up to n={CHORDS_COUNT_LIMIT} "
+            f"(CHORDS_COUNT_LIMIT), got n={max_n}"
         )
     if method == "direct" and max_n > DUAL_CHECK_LIMIT:
         raise ResourceLimitError(
@@ -397,12 +408,12 @@ def build_table(max_n: int, method: str = "chords", jobs: int = 1) -> Enumeratio
             if method == "both" and n <= DUAL_CHECK_LIMIT:
                 direct = _direct_counts(n, jobs)
                 if direct != (cycles, paths, ter, ext):
-                    raise AssertionError(
+                    raise CountMismatchError(
                         f"method disagreement at n={n}: "
                         f"direct {direct} vs chords {(cycles, paths, ter, ext)}"
                     )
         if prev_paths is not None and ter != prev_paths:
-            raise AssertionError(
+            raise CountMismatchError(
                 f"ter({n}) = {ter} but the n={n - 1} path count is {prev_paths}"
             )
         prev_paths = paths

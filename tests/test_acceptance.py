@@ -133,9 +133,6 @@ def test_c4_partition_realization_roundtrip():
 
 
 def test_c5_headline_table_via_diagrams():
-    from cubenets.chords import _diagram_classes_by_loops
-
-    _diagram_classes_by_loops.cache_clear()
     t0 = time.perf_counter()
     table = build_table(7, "chords")
     dt = time.perf_counter() - t0

@@ -2,12 +2,15 @@
 and the correspondences with spanning cycles and paths."""
 
 import random
+import time
 
 import pytest
 
+from cubenets import chords
 from cubenets.chords import (
     ChordDiagram,
     canonical_diagram,
+    count_diagram_classes,
     cycle_from_diagram,
     diagram_from_cycle,
     diagram_from_path,
@@ -22,6 +25,7 @@ from cubenets.chords import (
     _dihedral_maps,
 )
 from cubenets.core import SpanningSubgraph, canonical_form
+from cubenets.enumeration import build_table
 
 
 def square_cycle():
@@ -254,3 +258,77 @@ def test_maxnet_profile_dimension_five():
     assert hist[10] == 6
     for absent in (4, 7, 8, 9):
         assert hist[absent] == 0
+
+
+# ---------------------------------------------------------------------------
+# Burnside counts against the listing
+
+
+def test_burnside_matches_listing():
+    # the m=16 listing (15!! matchings) runs once here, for both loop counts
+    for m in range(4, 18, 2):
+        for loops in (0, 1):
+            assert count_diagram_classes(m, loops) == len(enumerate_diagrams(m, loops))
+
+
+def test_burnside_first_row_past_the_listing_table():
+    # n=8 as the m=16 listing gives it: cycles(8), and ter(8), which must
+    # equal the n=7 path count 24252 of the headline table
+    assert count_diagram_classes(16, 0) == 21994
+    assert count_diagram_classes(16, 1) == 24252
+
+
+def test_burnside_two_gon():
+    # the 2-gon's two boundary edges are the same chord, which is a loop
+    assert count_diagram_classes(2, 1) == 1
+    assert count_diagram_classes(2, 0) == 0
+
+
+def test_burnside_rejects_bad_requests():
+    for m in (0, 3, -4):
+        with pytest.raises(ValueError):
+            count_diagram_classes(m, 0)
+    for loops in (-1, 2):
+        with pytest.raises(ValueError):
+            count_diagram_classes(8, loops)
+
+
+def test_burnside_indivisible_sum_is_an_error(monkeypatch):
+    real = chords._reflection_fixed
+    monkeypatch.setattr(chords, "_reflection_fixed", lambda m, loops: real(m, loops) + 1)
+    with pytest.raises(RuntimeError, match="not a multiple"):
+        count_diagram_classes(8, 0)
+
+
+def test_table_to_twenty_is_fast_and_consistent():
+    t0 = time.perf_counter()
+    table = build_table(20, "chords")
+    dt = time.perf_counter() - t0
+    assert dt < 1.0
+    assert [r.n for r in table.rows] == list(range(2, 21))
+    assert table.row(8).cycles == 21994
+    for prev, row in zip(table.rows, table.rows[1:]):
+        assert row.ter == prev.paths
+        assert row.ext == row.paths - row.ter
+
+
+# ---------------------------------------------------------------------------
+# output guards that must survive python -O
+
+
+def test_cycle_reassembly_failure_raises(monkeypatch):
+    monkeypatch.setattr(chords, "validate", lambda sub: "forced problem")
+    with pytest.raises(RuntimeError, match="forced problem"):
+        cycle_from_diagram(ChordDiagram(4, (2, 3, 0, 1)), 2)
+
+
+def test_path_reassembly_failure_raises(monkeypatch):
+    monkeypatch.setattr(chords, "validate", lambda sub: "forced problem")
+    with pytest.raises(RuntimeError, match="forced problem"):
+        path_from_diagram(ChordDiagram(4, (2, 3, 0, 1)), 3, 2)
+
+
+def test_insert_loop_loop_check_raises(monkeypatch):
+    monkeypatch.setattr(ChordDiagram, "loops", lambda self: 2)
+    with pytest.raises(RuntimeError, match="exactly the new one"):
+        insert_loop(ChordDiagram(4, (2, 3, 0, 1)), 3)

@@ -1,9 +1,11 @@
 """End-to-end command behaviors: output shapes, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
+from cubenets import enumeration
 from cubenets.cli import main
 
 
@@ -134,6 +136,29 @@ def test_enumerate_budget(capsys):
     assert "budget" in err
 
 
+def test_enumerate_cycles_budget(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--dim", "7", "--kind", "cycles", "--count-only"
+    )
+    assert code == 2
+    assert "budgeted up to n=6" in err
+
+
+def test_enumerate_chords_count_budget(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--dim", "20", "--kind", "paths",
+        "--method", "chords", "--count-only",
+    )
+    assert code == 0
+    assert len(str(json.loads(out)["count"])) == 23
+    code, out, err = run(
+        capsys, "enumerate", "--dim", "21", "--kind", "paths",
+        "--method", "chords", "--count-only",
+    )
+    assert code == 2
+    assert "CHORDS_COUNT_LIMIT" in err and "n=20" in err
+
+
 def test_verify_exhaustive(capsys):
     code, out, err = run(capsys, "verify", "--dim", "3", "--exhaustive")
     assert code == 0
@@ -192,6 +217,12 @@ def test_chords_listing(capsys):
     assert all(len(row["matching"]) == 4 for row in doc["diagrams"])
 
 
+def test_chords_listing_budget(capsys):
+    code, out, err = run(capsys, "chords", "--dim", "9")
+    assert code == 2
+    assert "CHORDS_LIST_LIMIT" in err and "--dim 8" in err
+
+
 def test_chords_net_counts(capsys):
     code, out, err = run(capsys, "chords", "--dim", "4", "--ext-net-counts")
     assert code == 0
@@ -218,8 +249,74 @@ def test_table_json_full_range(capsys):
     assert [r["paths"] for r in rows] == [1, 4, 24, 184, 1911, 24252]
 
 
+def test_table_text_full_range_unchanged(capsys):
+    code, out, err = run(capsys, "table", "--max-dim", "7")
+    assert code == 0
+    assert out == (
+        "  n   cycles    paths      ter      ext\n"
+        "---------------------------------------\n"
+        "  2        1        1        0        1\n"
+        "  3        2        4        1        3\n"
+        "  4        7       24        4       20\n"
+        "  5       29      184       24      160\n"
+        "  6      196     1911      184     1727\n"
+        "  7     1788    24252     1911    22341\n"
+    )
+
+
+def test_table_to_twenty_widens_columns(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "table", "--max-dim", "20")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    lines = out.splitlines()
+    assert len({len(line) for line in lines}) == 1  # columns line up
+    assert lines[0].split() == ["n", "cycles", "paths", "ter", "ext"]
+    last = lines[-1].split()
+    assert last[0] == "20" and len(last[2]) == 23
+    code, out, err = run(capsys, "table", "--max-dim", "20", "--format", "json")
+    rows = json.loads(out)["rows"]
+    for prev, row in zip(rows, rows[1:]):
+        assert row["ter"] == prev["paths"]
+
+
 def test_table_budget(capsys):
-    assert run(capsys, "table", "--max-dim", "9")[0] == 2
+    code, out, err = run(capsys, "table", "--max-dim", "21")
+    assert code == 2
+    assert "CHORDS_COUNT_LIMIT" in err and "n=20" in err
+
+
+def test_table_method_disagreement_exits_one(capsys, monkeypatch):
+    real = enumeration._direct_counts
+
+    def off_by_one(n, jobs):
+        cycles, paths, ter, ext = real(n, jobs)
+        return cycles + (n == 3), paths, ter, ext
+
+    monkeypatch.setattr(enumeration, "_direct_counts", off_by_one)
+    code, out, err = run(capsys, "table", "--max-dim", "4", "--method", "both")
+    assert code == 1
+    assert out == ""
+    assert "method disagreement at n=3" in err
+
+
+def test_table_ter_check_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "_direct_counts", lambda n, jobs: (1, 5, 0, 5))
+    code, out, err = run(capsys, "table", "--max-dim", "3", "--method", "direct")
+    assert code == 1
+    assert "ter(3) = 0" in err
+
+
+def test_bad_jobs_environment_warns(capsys, monkeypatch):
+    monkeypatch.setenv("CUBENETS_JOBS", "abc")
+    code, out, err = run(
+        capsys, "enumerate", "--dim", "3", "--kind", "trees", "--count-only"
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == 11
+    assert "CUBENETS_JOBS='abc'" in err
+    monkeypatch.setenv("CUBENETS_JOBS", "2")
+    assert run(capsys, "table", "--max-dim", "3")[2] == ""
 
 
 def test_bad_usage_exits_two():

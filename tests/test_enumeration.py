@@ -15,7 +15,9 @@ from cubenets.core import (
     random_signed_permutation,
     roberts_edges,
 )
+from cubenets.chords import count_diagram_classes
 from cubenets.enumeration import (
+    CHORDS_COUNT_LIMIT,
     DIRECT_LIMITS,
     EnumerationTable,
     ResourceLimitError,
@@ -122,6 +124,22 @@ def test_direct_limits_enforced():
         enumerate_cycles(7)
 
 
+def test_direct_cycles_at_the_budget_ceiling():
+    # n=6 is the largest direct cycle budget; both routes give 196 classes
+    assert DIRECT_LIMITS["cycles"] == 6
+    cycles = enumerate_cycles(6)
+    assert len(cycles) == 196 == count_diagram_classes(12, 0)
+    assert all(c.mask() & 1 for c in cycles)  # each holds edge rank 0
+
+
+def test_parallel_cycles_match_serial():
+    from cubenets.enumeration import _CLASS_CACHE, _class_masks
+
+    serial = [c.mask() for c in enumerate_cycles(4)]
+    _CLASS_CACHE.pop(("cycles", 4), None)
+    assert list(_class_masks("cycles", 4, jobs=2)) == serial
+
+
 def test_parallel_generation_matches_serial():
     serial = [t.mask() for t in enumerate_trees(3)]
     from cubenets.enumeration import _CLASS_CACHE, _class_masks
@@ -179,8 +197,9 @@ def test_table_row_lookup_and_json():
 
 
 def test_table_budget_errors():
-    with pytest.raises(ResourceLimitError):
-        build_table(8, "chords")
+    assert CHORDS_COUNT_LIMIT == 20
+    with pytest.raises(ResourceLimitError, match="n=20"):
+        build_table(21, "chords")
     with pytest.raises(ResourceLimitError):
         build_table(6, "direct")
     with pytest.raises(ValueError):
