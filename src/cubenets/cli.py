@@ -185,20 +185,17 @@ def _cmd_verify(args) -> int:
     if not args.exhaustive and not args.samples:
         print("need --exhaustive or --samples K", file=sys.stderr)
         return 2
-    if args.exhaustive and args.dim > 4:
-        print(
-            "exhaustive verification is budgeted up to --dim 4; "
-            "use --samples for higher dimensions",
-            file=sys.stderr,
+    try:
+        report = verify_unfoldings(
+            args.dim,
+            exhaustive=args.exhaustive,
+            samples=args.samples or 0,
+            seed=args.seed,
+            jobs=args.jobs,
         )
+    except ResourceLimitError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
-    report = verify_unfoldings(
-        args.dim,
-        exhaustive=args.exhaustive,
-        samples=args.samples or 0,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
     _emit(json.dumps(report.to_json(), indent=2), args.output)
     return 0 if report.ok else 1
 

@@ -56,6 +56,8 @@ CHORDS_COUNT_LIMIT = 20
 CHORDS_LIST_LIMIT = _BULK_MAX_M // 2
 # in combined runs the direct side stays small so agreement checks finish fast
 DUAL_CHECK_LIMIT = 5
+# exhaustive verification develops every tree class; n=5 has 9694 of them
+EXHAUSTIVE_VERIFY_LIMIT = 4
 
 
 def _check_direct(kind: str, n: int) -> None:
@@ -429,6 +431,7 @@ def build_table(max_n: int, method: str = "chords", jobs: int = 1) -> Enumeratio
 class VerifyReport:
     n: int
     mode: str
+    seed: int | None = None
     trees_checked: int = 0
     failures: list = field(default_factory=list)
     partition_counts: Counter = field(default_factory=Counter)
@@ -443,16 +446,16 @@ class VerifyReport:
         self.partition_counts.update(other.partition_counts)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "trees_checked": self.trees_checked,
-            "failures": self.failures,
-            "partitions": {
-                str(tuple(parts)): count
-                for parts, count in sorted(self.partition_counts.items())
-            },
+        doc = {"n": self.n, "mode": self.mode}
+        if self.mode == "samples":
+            doc["seed"] = self.seed
+        doc["trees_checked"] = self.trees_checked
+        doc["failures"] = self.failures
+        doc["partitions"] = {
+            str(tuple(parts)): count
+            for parts, count in sorted(self.partition_counts.items())
         }
+        return doc
 
 
 def _check_tree(report: VerifyReport, tree: SpanningSubgraph) -> None:
@@ -466,9 +469,9 @@ def _check_tree(report: VerifyReport, tree: SpanningSubgraph) -> None:
 
 
 def _sample_shard_job(args):
-    n, count, seed_token = args
-    rng = random.Random(seed_token)
-    report = VerifyReport(n, "samples")
+    n, count, seed, shard = args
+    rng = random.Random(f"{seed}:{shard}")
+    report = VerifyReport(n, "samples", seed)
     for _ in range(count):
         _check_tree(report, random_spanning_tree(n, rng))
     return report
@@ -483,24 +486,32 @@ def verify_unfoldings(
     jobs: int = 1,
 ) -> VerifyReport:
     """Develop spanning trees and confirm each yields a net with a legal
-    box partition.  Exhaustive mode walks every class; otherwise `samples`
-    random trees are drawn from the given seed."""
+    box partition.  Exhaustive mode walks every class, up to
+    n = EXHAUSTIVE_VERIFY_LIMIT; otherwise `samples` random trees are drawn
+    from the given seed, or from a fresh one that the report names."""
     if exhaustive:
+        if n > EXHAUSTIVE_VERIFY_LIMIT:
+            raise ResourceLimitError(
+                f"exhaustive verification is budgeted up to n={EXHAUSTIVE_VERIFY_LIMIT} "
+                f"(EXHAUSTIVE_VERIFY_LIMIT), got n={n}; sample above that"
+            )
         report = VerifyReport(n, "exhaustive")
         for tree in enumerate_trees(n, jobs):
             _check_tree(report, tree)
         return report
     if samples <= 0:
         raise ValueError("need exhaustive=True or samples > 0")
+    if seed is None:
+        seed = random.SystemRandom().randrange(2**32)
     if jobs <= 1:
-        return _sample_shard_job((n, samples, f"{seed}:0"))
+        return _sample_shard_job((n, samples, seed, 0))
     base = samples // jobs
     counts = [base + (1 if w < samples % jobs else 0) for w in range(jobs)]
-    report = VerifyReport(n, "samples")
+    report = VerifyReport(n, "samples", seed)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = pool.map(
             _sample_shard_job,
-            [(n, c, f"{seed}:{w}") for w, c in enumerate(counts) if c],
+            [(n, c, seed, w) for w, c in enumerate(counts) if c],
         )
         for part in parts:
             report.merge(part)

@@ -32,8 +32,10 @@ def enumerate_cube_partitions(n: int) -> tuple[CubePartition, ...]:
             if remaining == 0:
                 out.append(CubePartition(tuple(prefix)))
             return
+        # parts descend, so the first one left is at least the mean of the rest
+        lo = max(2, -(-remaining // parts_left))
         hi = min(cap, remaining - 2 * (parts_left - 1))
-        for p in range(hi, 1, -1):
+        for p in range(hi, lo - 1, -1):
             prefix.append(p)
             gen(prefix, remaining - p, parts_left - 1, p)
             prefix.pop()
@@ -108,30 +110,37 @@ def initial_board(p: CubePartition) -> TokenBoard:
     return TokenBoard(p.n, res, (False,) * k, (False,) * k, False)
 
 
-def slide(board: TokenBoard, d: int) -> TokenBoard:
-    """Move every token on track d one place up and pull a fresh one from the
-    reservoir: far <- transfer <- near <- reservoir."""
-    if not 1 <= d <= board.n - 1:
+def _slide(res: list, near: list, far: list, transfer: bool, d: int) -> bool:
+    """Slide track d in place: far <- transfer <- near <- reservoir.
+    Returns the new transfer occupancy."""
+    if not 1 <= d <= len(res):
         raise IllegalSlideError(f"direction {d} out of range")
     i = d - 1
-    if board.reservoirs[i] < 1:
+    if res[i] < 1:
         raise IllegalSlideError(f"reservoir for direction {d} is empty")
-    if board.far[i]:
+    if far[i]:
         raise IllegalSlideError(f"direction {d} is finished (end slot occupied)")
-    far = list(board.far)
-    near = list(board.near)
-    res = list(board.reservoirs)
-    far[i] = board.transfer
+    far[i] = transfer
     transfer = near[i]
     near[i] = True
     res[i] -= 1
+    return transfer
+
+
+def slide(board: TokenBoard, d: int) -> TokenBoard:
+    """Move every token on track d one place up and pull a fresh one from the
+    reservoir: far <- transfer <- near <- reservoir."""
+    res, near, far = list(board.reservoirs), list(board.near), list(board.far)
+    transfer = _slide(res, near, far, board.transfer, d)
     return TokenBoard(board.n, tuple(res), tuple(near), tuple(far), transfer)
 
 
 def realization_slides(p: CubePartition) -> tuple[int, ...]:
     """Slide word realizing the partition, by the three-phase schedule:
     one bottom slide per tower, middles alternating with singletons, one top
-    slide per tower.  Phase legality is asserted against a simulated board."""
+    slide per tower.  The word is played on a board before it is returned;
+    an illegal slide raises IllegalSlideError, and a broken phase, a lost
+    token or a board left unfilled raises RuntimeError."""
     cls = classify_tokens(p)
     step1 = list(cls.towers)
     flat_middles = [d for d, count in cls.middles for _ in range(count)]
@@ -143,19 +152,24 @@ def realization_slides(p: CubePartition) -> tuple[int, ...]:
     step3 = list(cls.towers)
     word = step1 + step2 + step3
 
-    board = initial_board(p)
-    total = board.token_total
+    res = list(reservoir_parts(p))
+    near = [False] * len(res)
+    far = [False] * len(res)
+    transfer = False
+    total = sum(res)
+    towers = set(cls.towers)
+    step2_range = range(len(step1), len(step1) + len(step2))
     for idx, d in enumerate(word):
-        in_step2 = len(step1) <= idx < len(step1) + len(step2)
-        if in_step2:
-            is_middle = d in cls.towers
-            assert board.transfer != is_middle, (
+        if idx in step2_range and transfer == (d in towers):
+            raise RuntimeError(
                 f"phase discipline broken at slide {idx}: transfer must be "
-                f"{'empty' if is_middle else 'occupied'}"
+                f"{'empty' if d in towers else 'occupied'}"
             )
-        board = slide(board, d)
-        assert board.token_total == total, "token conservation broken"
-    assert board.full, f"board not full after realizing {p}"
+        transfer = _slide(res, near, far, transfer, d)
+        if sum(res) + sum(near) + sum(far) + transfer != total:
+            raise RuntimeError(f"token conservation broken at slide {idx}")
+    if any(res) or not (all(near) and all(far) and transfer):
+        raise RuntimeError(f"board not full after realizing {p}")
     return tuple(word)
 
 

@@ -1,11 +1,17 @@
 """Rolling the n-cube across the floor of lattice cells.
 
-A RollState records which facet label sits in each of the 2n slots of the
-cube's current orientation: the base (floor) facet, its antipode, and one
-slot per signed lattice direction +-1..+-( n-1).  Rolling in direction d is a
-4-cycle on the slots {base, +d, base*, -d}; every other slot keeps its label.
-Developing a spanning tree repeats that move along tree edges, dropping each
-facet onto the lattice cell where it first becomes the base.
+The cube's orientation records which facet label sits in each of its 2n
+slots: the base (floor) facet, its antipode, and one slot per signed lattice
+direction +-1..+-(n-1).  Rolling in direction d is a 4-cycle on the slots
+{base, +d, base*, -d}; every other slot keeps its label.  Developing a roll
+word or a spanning tree repeats that move, dropping each facet onto the
+lattice cell where it first becomes the base.
+
+One engine does the developing: `_roll_in_place` turns a mutable slot list,
+and `develop_path`, `RollSequence.develop` and `develop_tree` all call it.
+The immutable `RollState` with `roll` and `initial_state` is the reference
+that the tests check the engine against; `initial_state` also fixes every
+development's start orientation.
 """
 
 from __future__ import annotations
@@ -35,12 +41,6 @@ def _check_direction(n: int, d: int) -> int:
     if d == 0 or abs(d) > n - 1:
         raise ValueError(f"direction {d} out of range for dimension {n}")
     return d
-
-
-def _unit(n: int, d: int) -> tuple[int, ...]:
-    v = [0] * (n - 1)
-    v[abs(d) - 1] = 1 if d > 0 else -1
-    return tuple(v)
 
 
 # slot layout: 0 = base, 1 = base antipode, 2d = +d, 2d+1 = -d
@@ -113,11 +113,17 @@ def roll(state: RollState, d: int) -> RollState:
     s = list(state.slots)
     p, m = _slot_index(d), _slot_index(-d)
     s[0], s[p], s[1], s[m] = s[p], s[1], s[m], s[0]
-    out = RollState(state.n, tuple(s))
-    if __debug__:
-        i, j = out.slots[0], out.slots[1]
-        assert j == antipode_index(i, state.n), "roll broke antipodality"
-    return out
+    if s[1] != antipode_index(s[0], state.n):
+        raise RuntimeError(f"roll {d} broke antipodality: slots {s}")
+    return RollState(state.n, tuple(s))
+
+
+def _roll_in_place(slots: list[int], d: int) -> None:
+    """Tip the cube in direction d by permuting the slot list in place:
+    base <- +d <- base* <- -d <- base, the same 4-cycle as `roll`."""
+    p = _slot_index(d)
+    m = p ^ 1
+    slots[0], slots[p], slots[1], slots[m] = slots[p], slots[1], slots[m], slots[0]
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class RollSequence:
     moves: tuple[int, ...]
 
     def develop(self) -> "Development":
-        return _develop_from_state(self.start, self.moves)
+        return _develop_word(self.n, self.start.slots, self.moves)
 
 
 @dataclass(frozen=True)
@@ -215,27 +221,35 @@ def development_json(dev: Development) -> dict:
     return doc
 
 
-def _develop_from_state(state: RollState, dirs) -> Development:
-    n = state.n
-    pos = (0,) * (n - 1)
-    order = [state.slots[0]]
-    coords = [pos]
+def _develop_word(n: int, start_slots, dirs) -> Development:
+    two_n = 2 * n
+    slots = list(start_slots)
+    base = slots[0]
+    order = [base]
+    coords = [(0,) * (n - 1)]
     parents = [-1]
     entry = [0]
-    seen = {state.slots[0]}
+    placed = [False] * two_n
+    placed[base] = True
+    pos = [0] * (n - 1)
     for step, d in enumerate(dirs):
         _check_direction(n, d)
-        prev_base = state.slots[0]
-        state = roll(state, d)
-        new_base = state.slots[0]
-        if new_base in seen:
+        _roll_in_place(slots, d)
+        new_base = slots[0]
+        if slots[1] != antipode_index(new_base, n):
+            raise RuntimeError(f"roll {d} at step {step} broke antipodality")
+        if placed[new_base]:
             raise RevisitError(FacetLabel.from_index(new_base, n), step)
-        seen.add(new_base)
-        pos = tuple(a + b for a, b in zip(pos, _unit(n, d)))
+        placed[new_base] = True
+        if d > 0:
+            pos[d - 1] += 1
+        else:
+            pos[-d - 1] -= 1
         order.append(new_base)
-        coords.append(pos)
-        parents.append(prev_base)
+        coords.append(tuple(pos))
+        parents.append(base)
         entry.append(d)
+        base = new_base
     return Development(n, tuple(order), tuple(coords), tuple(parents), tuple(entry))
 
 
@@ -243,7 +257,7 @@ def develop_path(n: int, base: FacetLabel, dirs) -> Development:
     """Roll from the start orientation through a word of directions, placing
     each facet as it lands.  Words shorter than 2n-1 leave the development
     partial; revisits raise RevisitError."""
-    return _develop_from_state(initial_state(n, base), dirs)
+    return _develop_word(n, initial_state(n, base).slots, dirs)
 
 
 def develop_tree(
@@ -276,12 +290,7 @@ def develop_tree(
     for row in adj:
         row.sort()
 
-    start = initial_state(n, base)
-    slots = list(start.slots)
-    inv = [0] * two_n
-    for k, lab in enumerate(slots):
-        inv[lab] = k
-
+    slots = list(initial_state(n, base).slots)
     order = [b]
     coords = [(0,) * (n - 1)]
     parents = [-1]
@@ -290,13 +299,6 @@ def develop_tree(
     placed[b] = True
     pos = [0] * (n - 1)
 
-    def roll_in_place(d):
-        p = _slot_index(d)
-        m = p + 1 if p % 2 == 0 else p - 1
-        a, b2, c, e = slots[0], slots[p], slots[1], slots[m]
-        slots[0], slots[p], slots[1], slots[m] = b2, c, e, a
-        inv[b2], inv[c], inv[e], inv[a] = 0, p, 1, m
-
     def visit(lab):
         children = [c for c in adj[lab] if not placed[c]]
         if child_order is not None:
@@ -304,8 +306,11 @@ def develop_tree(
         for c in children:
             if placed[c]:
                 continue
-            slot = inv[c]
-            assert slot >= 2, "tree child cannot sit at the base antipode"
+            slot = slots.index(c)
+            if slot < 2:
+                raise RuntimeError(
+                    f"tree child {c} of {lab} sits at the base antipode"
+                )
             d = _slot_direction(slot)
             axis = abs(d) - 1
             step = 1 if d > 0 else -1
@@ -315,9 +320,9 @@ def develop_tree(
             coords.append(tuple(pos))
             parents.append(lab)
             entry.append(d)
-            roll_in_place(d)
+            _roll_in_place(slots, d)
             visit(c)
-            roll_in_place(-d)
+            _roll_in_place(slots, -d)
             pos[axis] -= step
 
     visit(b)

@@ -180,6 +180,35 @@ def test_verify_samples_deterministic(capsys):
     assert json.loads(out1)["trees_checked"] == 40
 
 
+def test_verify_names_drawn_seed(capsys):
+    runs = [run(capsys, "verify", "--dim", "5", "--samples", "20") for _ in range(2)]
+    seeds = [json.loads(out)["seed"] for _code, out, _err in runs]
+    assert all(isinstance(seed, int) for seed in seeds)
+    assert seeds[0] != seeds[1]
+    for (code, out, _err), seed in zip(runs, seeds):
+        replay = run(
+            capsys, "verify", "--dim", "5", "--samples", "20", "--seed", str(seed)
+        )
+        assert replay == (code, out, "")
+
+
+def test_verify_exhaustive_has_no_seed(capsys):
+    code, out, _err = run(capsys, "verify", "--dim", "2", "--exhaustive")
+    assert code == 0
+    assert "seed" not in json.loads(out)
+
+
+def test_verify_exhaustive_budget_is_the_library_constant(capsys, monkeypatch):
+    limit = enumeration.EXHAUSTIVE_VERIFY_LIMIT
+    code, out, err = run(capsys, "verify", "--dim", str(limit + 1), "--exhaustive")
+    assert code == 2 and out == ""
+    assert "EXHAUSTIVE_VERIFY_LIMIT" in err and f"n={limit}" in err
+    monkeypatch.setattr(enumeration, "EXHAUSTIVE_VERIFY_LIMIT", 2)
+    code, _out, err = run(capsys, "verify", "--dim", "3", "--exhaustive")
+    assert code == 2
+    assert "EXHAUSTIVE_VERIFY_LIMIT" in err and "n=2" in err
+
+
 def test_verify_usage(capsys):
     assert run(capsys, "verify", "--dim", "3")[0] == 2
     assert run(

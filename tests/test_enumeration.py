@@ -19,6 +19,7 @@ from cubenets.chords import count_diagram_classes
 from cubenets.enumeration import (
     CHORDS_COUNT_LIMIT,
     DIRECT_LIMITS,
+    EXHAUSTIVE_VERIFY_LIMIT,
     EnumerationTable,
     ResourceLimitError,
     build_table,
@@ -228,10 +229,17 @@ def test_verify_samples_deterministic():
 def test_verify_samples_parallel_merge():
     report = verify_unfoldings(4, samples=50, seed=3, jobs=2)
     assert report.ok
+    assert report.to_json()["seed"] == 3
     assert report.trees_checked == 50
     assert sum(report.partition_counts.values()) == 50
     again = verify_unfoldings(4, samples=50, seed=3, jobs=2)
     assert again.to_json() == report.to_json()
+
+
+def test_verify_exhaustive_budget():
+    assert EXHAUSTIVE_VERIFY_LIMIT == 4
+    with pytest.raises(ResourceLimitError, match="EXHAUSTIVE_VERIFY_LIMIT"):
+        verify_unfoldings(EXHAUSTIVE_VERIFY_LIMIT + 1, exhaustive=True)
 
 
 def test_verify_argument_errors():

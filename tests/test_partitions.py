@@ -1,13 +1,17 @@
 """Partition enumeration and the token-game realization."""
 
+import hashlib
 import itertools
 from collections import Counter
 
 import pytest
 
+from cubenets import partitions
+from cubenets.cli import main
 from cubenets.nets import CubePartition, bounding_box, cube_partition_of
 from cubenets.partitions import (
     IllegalSlideError,
+    TokenClassification,
     classify_tokens,
     enumerate_cube_partitions,
     initial_board,
@@ -44,9 +48,28 @@ def test_enumerate_small_dimensions():
     ]
 
 
+def composition_partitions(n):
+    """Second oracle: every composition of 3n-2 into n-1 parts >= 2, by
+    stars and bars, kept when non-increasing, then sorted descending."""
+    slack, parts = n, n - 1  # 3n-2 minus the 2 every part must hold
+    found = []
+    for bars in itertools.combinations(range(slack + parts - 1), parts - 1):
+        cuts = (-1,) + bars + (slack + parts - 1,)
+        comp = tuple(b - a + 1 for a, b in zip(cuts, cuts[1:]))
+        if all(x >= y for x, y in zip(comp, comp[1:])):
+            found.append(comp)
+    return sorted(found, reverse=True)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_enumerate_matches_brute_force(n):
     assert [p.parts for p in enumerate_cube_partitions(n)] == brute_partitions(n)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_enumerate_matches_compositions(n):
+    got = tuple(p.parts for p in enumerate_cube_partitions(n))
+    assert got == tuple(composition_partitions(n))
 
 
 def test_extreme_partitions_present():
@@ -162,3 +185,58 @@ def test_realization_roundtrip(n):
         assert cube_partition_of(dev) == p
         # direction k spans exactly part k cells
         assert bounding_box(dev) == p.parts
+
+
+def test_realize_dim12_golden(capsys):
+    # stdout of `partitions --dim 12 --realize`, pinned from the immutable
+    # roll engine and tuple token board this output used to come from
+    assert main(["partitions", "--dim", "12", "--realize"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8b7aa4a07608c08b87b93d6f159b4c5e253743f2593a4c305fcd36b348a5b306"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the schedule checks raise, so they survive python -O
+
+
+def fake_classification(**fields):
+    def classify(p):
+        return TokenClassification(p.n, **fields)
+
+    return classify
+
+
+def test_phase_check(monkeypatch):
+    # a second "tower" slides in step 2 while the transfer point is occupied
+    monkeypatch.setattr(
+        partitions,
+        "classify_tokens",
+        fake_classification(singletons=(2,), towers=(1, 2), middles=((1, 2),)),
+    )
+    with pytest.raises(RuntimeError, match="phase discipline broken at slide 3"):
+        realization_slides(CubePartition((5, 2)))
+
+
+def test_conservation_check(monkeypatch):
+    real = partitions._slide
+
+    def leaky(res, near, far, transfer, d):
+        real(res, near, far, transfer, d)
+        return False  # the token pushed onto the transfer point vanishes
+
+    monkeypatch.setattr(partitions, "_slide", leaky)
+    with pytest.raises(RuntimeError, match="token conservation broken at slide 1"):
+        realization_slides(CubePartition((5, 2)))
+
+
+def test_full_board_check(monkeypatch):
+    # legal slides that never reach direction 2 leave its track empty
+    monkeypatch.setattr(
+        partitions,
+        "classify_tokens",
+        fake_classification(singletons=(), towers=(1,), middles=()),
+    )
+    with pytest.raises(RuntimeError, match="board not full"):
+        realization_slides(CubePartition((5, 2)))

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubenets import rolling
 from cubenets.core import FacetLabel, SpanningSubgraph
 from cubenets.rolling import (
     Development,
@@ -59,6 +62,63 @@ def reference_develop(tree, base):
 
     rec(initial_state(n, base), base.index(n), (0,) * (n - 1))
     return placements
+
+
+def reference_develop_path(n, base, dirs):
+    """Immutable-state oracle for develop_path: roll, then place the new base."""
+    state = initial_state(n, base)
+    order, coords, parents, entry = [state.slots[0]], [(0,) * (n - 1)], [-1], [0]
+    for step, d in enumerate(dirs):
+        prev = state.slots[0]
+        state = roll(state, d)
+        lab = state.slots[0]
+        if lab in order:
+            raise RevisitError(FacetLabel.from_index(lab, n), step)
+        unit = [0] * (n - 1)
+        unit[abs(d) - 1] = 1 if d > 0 else -1
+        order.append(lab)
+        coords.append(tuple(a + b for a, b in zip(coords[-1], unit)))
+        parents.append(prev)
+        entry.append(d)
+    return Development(n, tuple(order), tuple(coords), tuple(parents), tuple(entry))
+
+
+def outcome(fn, *args):
+    """Result of a call, or the identifying parts of the error it raised."""
+    try:
+        return fn(*args)
+    except RevisitError as exc:
+        return ("revisit", str(exc.facet), exc.step)
+    except ValueError as exc:
+        return ("value", str(exc))
+
+
+@st.composite
+def roll_words(draw):
+    """A dimension, a base, and a word that mostly avoids revisits: each step
+    is a random direction, or one chosen by the oracle to land on a fresh
+    facet, or (rarely) out of range."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    base = FacetLabel(draw(st.integers(1, n)), draw(st.booleans()))
+    state = initial_state(n, base)
+    seen = {state.slots[0]}
+    word = []
+    length = draw(st.one_of(st.just(2 * n - 1), st.integers(0, 2 * n + 1)))
+    for _ in range(length):
+        dirs = [d for k in range(1, n) for d in (k, -k)]
+        fresh = [d for d in dirs if roll(state, d).slots[0] not in seen]
+        mode = draw(st.sampled_from(["fresh"] * 14 + ["any", "out"]))
+        if mode == "out":
+            word.append(draw(st.sampled_from([0, n, -n, n + 3])))
+            break
+        if mode == "fresh" and fresh:
+            d = draw(st.sampled_from(fresh))
+        else:
+            d = draw(st.sampled_from(dirs))
+        word.append(d)
+        state = roll(state, d)
+        seen.add(state.slots[0])
+    return n, base, word
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +180,18 @@ def test_roll_inverse_and_order_four():
 
 
 def test_direction_bounds():
-    st = initial_state(3, L("1"))
+    state = initial_state(3, L("1"))
     for d in (0, 3, -3):
         with pytest.raises(ValueError):
-            roll(st, d)
+            roll(state, d)
+
+
+def test_roll_antipodality_check(monkeypatch):
+    # send -d to the slot of another direction: the old base would land
+    # opposite a facet that is not its antipode
+    monkeypatch.setattr(rolling, "_slot_index", lambda d: 2 if d > 0 else 5)
+    with pytest.raises(RuntimeError, match="antipodality"):
+        roll(initial_state(3, L("1")), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +242,39 @@ def test_line_development_dim2():
         "1*",
         "2*",
     ]
+
+
+def test_word_engine_antipodality_check(monkeypatch):
+    def half_roll(slots, d):
+        p = 2 * d if d > 0 else 1 - 2 * d
+        slots[0], slots[p] = slots[p], slots[0]
+
+    monkeypatch.setattr(rolling, "_roll_in_place", half_roll)
+    with pytest.raises(RuntimeError, match="antipodality"):
+        develop_path(3, L("1"), [1, 2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(roll_words())
+def test_develop_path_matches_roll_oracle(case):
+    n, base, word = case
+    got = outcome(develop_path, n, base, word)
+    assert got == outcome(reference_develop_path, n, base, word)
+    if isinstance(got, Development):
+        seq = RollSequence(n, initial_state(n, base), tuple(word))
+        assert seq.develop() == got
+
+
+def test_roll_oracle_cases_cover_every_outcome():
+    # the word strategy above reaches spanning words, revisits and bad
+    # directions; pin one of each so the comparison never runs vacuously
+    spanning = [1, 2, 3, 1, 1, 2, 3]
+    cases = [(4, L("2*"), spanning), (3, L("1"), [1, 2, -2]), (3, L("1"), [1, 0])]
+    got = [outcome(develop_path, *c) for c in cases]
+    assert got[0].is_spanning
+    assert got[1] == ("revisit", "2", 2)
+    assert got[2] == ("value", "direction 0 out of range for dimension 3")
+    assert got == [outcome(reference_develop_path, *c) for c in cases]
 
 
 def test_roll_sequence_develops_like_path():
@@ -230,6 +331,15 @@ def test_develop_tree_rejects_invalid():
     cyc = SpanningSubgraph.from_text(2, "1-2,2-1*,1*-2*,2*-1", kind="cycle")
     with pytest.raises(ValueError):
         develop_tree(cyc, L("1"))
+
+
+def test_develop_tree_slot_check(monkeypatch):
+    # an edge between antipodes is not a Roberts edge; with validation
+    # switched off, the child 1* sits in the base-antipode slot
+    monkeypatch.setattr(rolling, "validate", lambda tree: None)
+    bad = SpanningSubgraph.from_text(2, "1-1*,1-2,1-2*")
+    with pytest.raises(RuntimeError, match="base antipode"):
+        develop_tree(bad, L("1"))
 
 
 def test_develop_tree_child_order_invariance():
