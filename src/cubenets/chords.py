@@ -22,7 +22,7 @@ from math import ceil, comb, gcd
 
 import numpy as np
 
-from .core import FacetLabel, SpanningSubgraph, antipode_index, validate
+from .core import SpanningSubgraph, antipode_index, path_endpoints, validate
 
 _BULK_MAX_M = 16  # packed 4-bit keys; plenty for every table this tool builds
 
@@ -104,16 +104,24 @@ def diagram_orbit_size(d: ChordDiagram) -> int:
 # cycles and paths of the Roberts graph <-> diagrams
 
 
-def _cycle_vertex_order(c: SpanningSubgraph) -> list[int]:
-    adj = {}
-    for i, j in c.edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    order = [0, min(adj[0])]
-    while len(order) < 2 * c.n:
-        nxt = [v for v in adj[order[-1]] if v != order[-2]]
-        order.append(nxt[0])
-    return order
+def _diagram_along(sub: SpanningSubgraph, start: int) -> ChordDiagram:
+    """Walk sub from facet `start`, taking the smaller neighbour where the
+    walk could go either way (a cycle's first step), and join the polygon
+    positions of antipodal facets along the walk."""
+    two_n = 2 * sub.n
+    adj = [[] for _ in range(two_n)]
+    for i, j in sub.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    order = [start]
+    while len(order) < two_n:
+        prev = order[-2] if len(order) > 1 else -1
+        order.append(min(v for v in adj[order[-1]] if v != prev))
+    pos = [0] * two_n
+    for k, lab in enumerate(order):
+        pos[lab] = k
+    mate = tuple(pos[antipode_index(lab, sub.n)] for lab in order)
+    return ChordDiagram(two_n, mate)
 
 
 def diagram_from_cycle(c: SpanningSubgraph) -> ChordDiagram:
@@ -121,13 +129,7 @@ def diagram_from_cycle(c: SpanningSubgraph) -> ChordDiagram:
     problem = validate(c)
     if c.kind != "cycle" or problem is not None:
         raise ValueError(f"need a valid spanning cycle: {problem}")
-    order = _cycle_vertex_order(c)
-    pos = {lab: k for k, lab in enumerate(order)}
-    n = c.n
-    mate = [0] * (2 * n)
-    for lab, k in pos.items():
-        mate[k] = pos[antipode_index(lab, n)]
-    return ChordDiagram(2 * n, tuple(mate))
+    return _diagram_along(c, 0)
 
 
 def diagram_from_path(p: SpanningSubgraph) -> tuple[ChordDiagram, int]:
@@ -136,26 +138,27 @@ def diagram_from_path(p: SpanningSubgraph) -> tuple[ChordDiagram, int]:
     problem = validate(p)
     if p.kind != "path" or problem is not None:
         raise ValueError(f"need a valid spanning path: {problem}")
-    n = p.n
-    deg = [0] * (2 * n)
-    adj = {i: [] for i in range(2 * n)}
-    for i, j in p.edges:
-        deg[i] += 1
-        deg[j] += 1
-        adj[i].append(j)
-        adj[j].append(i)
-    start = min(k for k in range(2 * n) if deg[k] == 1)
-    order = [start]
-    prev = -1
-    while len(order) < 2 * n:
-        nxt = [v for v in adj[order[-1]] if v != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    pos = {lab: k for k, lab in enumerate(order)}
-    mate = [0] * (2 * n)
-    for lab, k in pos.items():
-        mate[k] = pos[antipode_index(lab, n)]
-    return ChordDiagram(2 * n, tuple(mate)), 2 * n - 1
+    return _diagram_along(p, path_endpoints(p)[0]), 2 * p.n - 1
+
+
+def _reassemble(d: ChordDiagram, n: int, kind: str, marked: int) -> SpanningSubgraph:
+    """Label the polygon (a chord's first vertex gets the next axis, its mate
+    the antipode) and join polygon neighbours, except across edge `marked`."""
+    label = [-1] * d.m
+    axis = 0
+    for i in range(d.m):
+        if label[i] < 0:
+            label[i] = axis
+            label[d.mate[i]] = axis + n
+            axis += 1
+    edges = tuple(
+        (label[i], label[(i + 1) % d.m]) for i in range(d.m) if i != marked
+    )
+    sub = SpanningSubgraph(n, kind, edges)
+    problem = validate(sub)
+    if problem is not None:
+        raise RuntimeError(f"diagram reassembly broke: {problem}")
+    return sub
 
 
 def cycle_from_diagram(d: ChordDiagram, n: int) -> SpanningSubgraph:
@@ -165,21 +168,7 @@ def cycle_from_diagram(d: ChordDiagram, n: int) -> SpanningSubgraph:
         raise ValueError(f"diagram on {d.m} vertices does not fit dimension {n}")
     if d.loops():
         raise ValueError("diagram has a loop; no spanning cycle produces one")
-    label = [-1] * d.m
-    axis = 1
-    for i in range(d.m):
-        if label[i] < 0:
-            label[i] = axis - 1
-            label[d.mate[i]] = axis - 1 + n
-            axis += 1
-    edges = tuple(
-        (label[i], label[(i + 1) % d.m]) for i in range(d.m)
-    )
-    cyc = SpanningSubgraph(n, "cycle", edges)
-    problem = validate(cyc)
-    if problem is not None:
-        raise RuntimeError(f"diagram reassembly broke: {problem}")
-    return cyc
+    return _reassemble(d, n, "cycle", -1)
 
 
 def path_from_diagram(d: ChordDiagram, marked: int, n: int) -> SpanningSubgraph:
@@ -192,23 +181,7 @@ def path_from_diagram(d: ChordDiagram, marked: int, n: int) -> SpanningSubgraph:
     loops = d.loop_chords()
     if loops and set(loops) != {_edge_endpoints_chord(d.m, marked)}:
         raise ValueError("loop must sit across the marked edge")
-    label = [-1] * d.m
-    axis = 1
-    for i in range(d.m):
-        if label[i] < 0:
-            label[i] = axis - 1
-            label[d.mate[i]] = axis - 1 + n
-            axis += 1
-    edges = tuple(
-        (label[i], label[(i + 1) % d.m])
-        for i in range(d.m)
-        if i != marked
-    )
-    path = SpanningSubgraph(n, "path", edges)
-    problem = validate(path)
-    if problem is not None:
-        raise RuntimeError(f"diagram reassembly broke: {problem}")
-    return path
+    return _reassemble(d, n, "path", marked)
 
 
 def _edge_endpoints_chord(m: int, e: int) -> tuple[int, int]:

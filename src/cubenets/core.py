@@ -412,12 +412,10 @@ def _orbit_arrays(n: int, mask: int):
 
 
 def canonical_mask(n: int, mask: int) -> int:
-    if mask == 0:
-        return 0
-    if n <= _FULL_EXPANSION_MAX:
-        masks, keys = _orbit_arrays(n, mask)
-        return int(masks[int(np.argmax(keys))])
-    return _canonical_mask_search(n, mask)
+    """Canonical image of an edge mask, by expanding the whole group; past
+    n = _FULL_EXPANSION_MAX this raises ValueError."""
+    masks, keys = _orbit_arrays(n, mask)
+    return int(masks[int(np.argmax(keys))])
 
 
 def canonical_form(sub: SpanningSubgraph) -> SpanningSubgraph:
@@ -443,7 +441,9 @@ def stabilizer_order(n: int, mask: int) -> int:
 def dedup_canonical_masks(n: int, masks) -> list[int]:
     """Collapse an iterable of edge masks to sorted canonical orbit
     representatives.  Every orbit present in the input is emitted once; the
-    input need not contain the representative itself."""
+    input need not contain the representative itself.  This is the
+    full-memory reference that tests compare the enumeration's restricted
+    dedup against: it remembers every image of every orbit it meets."""
     seen = set()
     out = []
     for mask in masks:
@@ -454,71 +454,3 @@ def dedup_canonical_masks(n: int, masks) -> list[int]:
         out.append(int(images[int(np.argmax(keys))]))
     out.sort()
     return out
-
-
-def _canonical_mask_search(n: int, mask: int) -> int:
-    """Canonical mask by branch-and-bound over label assignments.
-
-    Builds the inverse relabelling one target label at a time (assigning
-    target t also fixes its antipode t+n), pruning a branch as soon as the
-    adjacency row of target 0 falls lexicographically below the best image
-    found so far.  Used above the full-expansion cap.
-    """
-    two_n = 2 * n
-    grid = _edge_rank_grid(n)
-    m = len(roberts_edges(n))
-    adj = [0] * two_n
-    src_edges = []
-    for r in _mask_ranks(mask):
-        i, j = roberts_edges(n)[r]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        src_edges.append((i, j))
-
-    best_key = -1
-    best_mask = 0
-    best_row0 = [0] * two_n  # adjacency bits of target 0, by target index
-
-    inv = [-1] * two_n
-    fwd = [-1] * two_n
-
-    def leaf():
-        nonlocal best_key, best_mask, best_row0
-        img_mask = 0
-        key = 0
-        for i, j in src_edges:
-            r = grid[fwd[i]][fwd[j]]
-            img_mask |= 1 << r
-            key |= 1 << (m - 1 - r)
-        if key > best_key:
-            best_key = key
-            best_mask = img_mask
-            a0 = adj[inv[0]]
-            best_row0 = [(a0 >> inv[t]) & 1 if inv[t] >= 0 else 0 for t in range(two_n)]
-
-    def descend(t, beats_best):
-        if t == n:
-            leaf()
-            return
-        ant_t = t + n
-        for x in range(two_n):
-            if fwd[x] >= 0:
-                continue
-            ax = antipode_index(x, n)
-            inv[t], fwd[x] = x, t
-            inv[ant_t], fwd[ax] = ax, ant_t
-            ok = True
-            branch_beats = beats_best
-            if t > 0 and not branch_beats and best_key >= 0:
-                bit = (adj[inv[0]] >> x) & 1
-                if bit < best_row0[t]:
-                    ok = False
-                elif bit > best_row0[t]:
-                    branch_beats = True
-            if ok:
-                descend(t + 1, branch_beats)
-            inv[t] = inv[ant_t] = -1
-            fwd[x] = fwd[ax] = -1
-
-    descend(0, False)
-    return best_mask

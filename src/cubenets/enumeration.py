@@ -7,11 +7,13 @@ The diagram route counts symmetry classes of chord diagrams instead and
 never touches the graph.  Their agreement on small dimensions is one of the
 package's main checks.
 
-Every orbit of spanning trees or cycles has a member using edge rank 0, and
-every orbit of paths has a member ending at vertex 0, because the
-relabelling group moves any vertex (indeed any non-antipodal vertex pair)
-anywhere.  The generators therefore only emit those members, which shrinks
-the raw stream by an order of magnitude before deduplication.
+Every orbit of spanning trees, paths or cycles has a member using edge rank
+0, the edge between facets 1 and 2, because the relabelling group moves any
+ordered non-antipodal pair of facets onto (1, 2).  For a path that pair is
+an endpoint and its neighbour, so its walk can start on that edge.  All
+three generators therefore only emit members holding edge rank 0, which
+shrinks the raw stream by an order of magnitude, and one orbit dedup that
+remembers only the images holding edge rank 0 serves all three.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from .core import (
     _orbit_arrays,
     _UnionFind,
     antipode_index,
-    dedup_canonical_masks,
     path_endpoints,
     roberts_edges,
     subgraph_from_mask,
@@ -138,7 +140,8 @@ def _raw_trees_second_edge(n: int, second: int):
             unlink(r, a)
         yield from rec(r + 1, count, mask)
 
-    assert link(0) >= 0
+    if link(0) < 0:
+        raise RuntimeError("edge rank 0 failed to link into an empty forest")
     a = link(second)
     if a >= 0:
         yield from rec(second + 1, 2, 1 | (1 << second))
@@ -152,35 +155,11 @@ def _raw_tree_masks(n: int, shard: tuple[int, int] = (0, 1)):
             yield from _raw_trees_second_edge(n, second)
 
 
-def _raw_path_masks(n: int, shard: tuple[int, int] = (0, 1)):
-    """Masks of spanning paths with one endpoint at vertex 0."""
-    which, of = shard
-    two_n = 2 * n
-    grid = _edge_rank_grid(n)
-    neighbours = [
-        [u for u in range(two_n) if u != v and u != antipode_index(v, n)]
-        for v in range(two_n)
-    ]
-
-    def rec(v, visited, depth, mask):
-        if depth == two_n:
-            yield mask
-            return
-        row = grid[v]
-        for u in neighbours[v]:
-            bit = 1 << u
-            if not visited & bit:
-                yield from rec(u, visited | bit, depth + 1, mask | (1 << row[u]))
-
-    for k, v1 in enumerate(neighbours[0]):
-        if k % of == which:
-            yield from rec(v1, 1 | (1 << v1), 2, 1 << grid[0][v1])
-
-
-def _raw_cycle_masks(n: int, shard: tuple[int, int] = (0, 1)):
-    """Masks of spanning cycles through edge rank 0, the edge 0-1, one per
-    undirected cycle: walks start 0 -> 1, which fixes the orientation, and
-    are sharded by their second step."""
+def _raw_walk_masks(n: int, shard: tuple[int, int], close: bool):
+    """Masks of spanning paths (or, with `close`, cycles) whose walk starts
+    0 -> 1, so every mask holds edge rank 0.  A cycle closes back to 0, and
+    starting 0 -> 1 fixes its orientation, so each undirected cycle is walked
+    once.  Walks are sharded by their second step."""
     which, of = shard
     two_n = 2 * n
     grid = _edge_rank_grid(n)
@@ -192,7 +171,9 @@ def _raw_cycle_masks(n: int, shard: tuple[int, int] = (0, 1)):
 
     def rec(v, visited, depth, mask):
         if depth == two_n:
-            if v in closers:
+            if not close:
+                yield mask
+            elif v in closers:
                 yield mask | (1 << grid[0][v])
             return
         row = grid[v]
@@ -207,10 +188,20 @@ def _raw_cycle_masks(n: int, shard: tuple[int, int] = (0, 1)):
             yield from rec(v2, 0b11 | (1 << v2), 3, 1 | (1 << grid[1][v2]))
 
 
+def _raw_path_masks(n: int, shard: tuple[int, int] = (0, 1)):
+    """Masks of spanning paths with one endpoint at vertex 0, next to 1."""
+    return _raw_walk_masks(n, shard, close=False)
+
+
+def _raw_cycle_masks(n: int, shard: tuple[int, int] = (0, 1)):
+    """Masks of spanning cycles through edge rank 0, one per undirected cycle."""
+    return _raw_walk_masks(n, shard, close=True)
+
+
 def _dedup_restricted(n: int, masks) -> list[int]:
     """Orbit dedup for streams whose every member holds edge rank 0; only
-    those orbit images are remembered, which is what keeps tree and cycle
-    runs at the budget ceiling inside memory."""
+    those orbit images are remembered, which is what keeps runs at the
+    budget ceiling inside memory."""
     seen: set[int] = set()
     out = []
     one = np.uint64(1)
@@ -231,26 +222,15 @@ def _dedup_restricted(n: int, masks) -> list[int]:
 _CLASS_CACHE: dict[tuple[str, int], tuple[int, ...]] = {}
 
 
-def _tree_shard_job(args):
-    n, which, of = args
-    return _dedup_restricted(n, _raw_tree_masks(n, (which, of)))
-
-
-def _path_shard_job(args):
-    n, which, of = args
-    return dedup_canonical_masks(n, _raw_path_masks(n, (which, of)))
-
-
-def _cycle_shard_job(args):
-    n, which, of = args
-    return _dedup_restricted(n, _raw_cycle_masks(n, (which, of)))
-
-
-_SHARD_JOBS = {
-    "trees": _tree_shard_job,
-    "paths": _path_shard_job,
-    "cycles": _cycle_shard_job,
-}
+def _shard_job(kind: str, n: int, which: int, of: int) -> list[int]:
+    # the generators are looked up here, at call time, so that a wrapped
+    # module attribute is the one that runs
+    raw = {
+        "trees": _raw_tree_masks,
+        "paths": _raw_path_masks,
+        "cycles": _raw_cycle_masks,
+    }[kind]
+    return _dedup_restricted(n, raw(n, (which, of)))
 
 
 def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
@@ -259,12 +239,13 @@ def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
     if hit is not None:
         return hit
     _check_direct(kind, n)
-    worker = _SHARD_JOBS[kind]
     if jobs <= 1:
-        masks = tuple(worker((n, 0, 1)))
+        masks = tuple(_shard_job(kind, n, 0, 1))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(worker, [(n, w, jobs) for w in range(jobs)])
+            parts = pool.map(
+                _shard_job, repeat(kind), repeat(n), range(jobs), repeat(jobs)
+            )
             merged: set[int] = set()
             for part in parts:
                 merged.update(part)

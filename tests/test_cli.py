@@ -1,12 +1,21 @@
 """End-to-end command behaviors: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 
 import pytest
 
 from cubenets import enumeration
+from cubenets.chords import (
+    cycle_from_diagram,
+    diagram_from_cycle,
+    diagram_from_path,
+    enumerate_diagrams,
+    path_from_diagram,
+)
 from cubenets.cli import main
+from cubenets.enumeration import enumerate_cycles, enumerate_paths
 
 
 def run(capsys, *argv):
@@ -355,3 +364,58 @@ def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# golden outputs of the direct route and the diagram converters
+
+
+def _cli_stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def _golden_text(name, capsys):
+    if name.startswith(("paths", "cycles")):
+        kind, n = name[:-1], name[-1]
+        return _cli_stdout(capsys, "enumerate", "--dim", n, "--kind", kind)
+    if name == "table-both":
+        return _cli_stdout(
+            capsys, "table", "--max-dim", "7", "--method", "both", "--format", "json"
+        )
+    if name == "diagram-from-path":
+        return repr([diagram_from_path(p)[0].mate for p in enumerate_paths(5)])
+    if name == "diagram-from-cycle":
+        return repr([diagram_from_cycle(c).mate for c in enumerate_cycles(5)])
+    # name == "from-diagram": every dim-5 listing, opened at every allowed edge
+    loopless = enumerate_diagrams(10, 0)
+    edges = [cycle_from_diagram(d, 5).edges for d in loopless]
+    for d in loopless:
+        edges += [path_from_diagram(d, e, 5).edges for e in range(10)]
+    for d in enumerate_diagrams(10, 1):
+        (i, j), = d.loop_chords()
+        edges.append(path_from_diagram(d, 9 if (i, j) == (0, 9) else i, 5).edges)
+    return repr(edges)
+
+
+# sha256 of each output, captured before paths were walked from the fixed edge
+GOLDEN = {
+    "paths2": "e11e6846daf7e3d731f8816e54c75e57bdf7569d1087ec9f5edbcdd6e182d104",
+    "paths3": "8ab9c8c3e744efa9210327d477742be921db368bf79d17b629b0721fa571bbbd",
+    "paths4": "ca477b028c4e72d41d7d776e15cff05c75a7256ec799cd1ce7507ac4c973be24",
+    "paths5": "f36d83ed8841f4d74da372dc3a443d1d86374dcb86a10927dfb7b76eafda32a0",
+    "cycles2": "69d4b417449669559f7c30f34bc9edf686aec5d7208da755664c2eb96c7f8f65",
+    "cycles3": "058dc2efa62a788c7645f798d36c6172a02b56a6e0c9d8cf38a2cc3843911ac5",
+    "cycles4": "8407d0c7bce4e2c31fac7fb5d7d62cd51f50134f611ce43090ff136fe23b8012",
+    "cycles5": "832d6c0239557216308d36d512219bb5643dd4b82a2dc6c36a6aa1eadc77f4e8",
+    "table-both": "834afa37e9b5be760a6ae849f67d1ce1be869e98009a2246988dd5d4a3845093",
+    "diagram-from-path": "ee41448177d95491297464f95175a2481c2cba8d38e47d00e2629feed186daa9",
+    "diagram-from-cycle": "51f26166d83fa21d9e597855e7309b6e8de529c89a8c19603d81417f03c6da0e",
+    "from-diagram": "6fea9b4cea4e57368885b2f0ff7897562d498a17085ebc7df570085d2af3fdaf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_direct_route_golden(name, capsys):
+    text = _golden_text(name, capsys)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]

@@ -21,7 +21,12 @@ from cubenets.core import (
     stabilizer_order,
     subgraph_from_mask,
     validate,
-    _canonical_mask_search,
+)
+from cubenets.enumeration import (
+    _dedup_restricted,
+    _raw_cycle_masks,
+    _raw_path_masks,
+    _raw_tree_masks,
 )
 
 
@@ -261,26 +266,12 @@ def test_orbit_stabilizer_product():
             assert orbit_size(n, mask) * stabilizer_order(n, mask) == group_order(n)
 
 
-def test_search_canonicalizer_agrees_with_expansion():
-    # the branch-and-bound used above the expansion cap, checked against it
-    rng = random.Random(31337)
-    for n in (3, 4, 5):
-        for _ in range(8):
-            mask = random_tree(n, rng).mask()
-            assert _canonical_mask_search(n, mask) == canonical_mask(n, mask)
-
-
-def test_search_canonicalizer_idempotent_at_n6():
-    rng = random.Random(6)
-    for _ in range(3):
-        tree = random_tree(6, rng)
-        mask = tree.mask()
-        canon = _canonical_mask_search(6, mask)
-        assert _canonical_mask_search(6, canon) == canon
-        # a relabelled copy lands on the same canonical mask
-        g = SignedPermutation((3, 1, 2, 6, 5, 4), (False, True, False, True, True, False))
-        img = g.apply_subgraph(tree).mask()
-        assert _canonical_mask_search(6, img) == canon
+def test_canonical_form_capped_at_full_expansion():
+    tree = random_tree(7, random.Random(7))
+    with pytest.raises(ValueError, match="full group expansion capped at n=6"):
+        canonical_mask(7, tree.mask())
+    with pytest.raises(ValueError, match="full group expansion capped at n=6"):
+        canonical_form(tree)
 
 
 def test_dedup_emits_canonical_representatives():
@@ -293,6 +284,17 @@ def test_dedup_emits_canonical_representatives():
     # every input collapses onto exactly one emitted representative
     for mask in raw:
         assert canonical_mask(3, mask) in reps
+    # the enumeration's restricted dedup, which remembers only images holding
+    # edge rank 0, gives the same list on every direct stream
+    for raw_masks, top in (
+        (_raw_tree_masks, 4),
+        (_raw_path_masks, 5),
+        (_raw_cycle_masks, 5),
+    ):
+        for n in range(2, top + 1):
+            stream = list(raw_masks(n))
+            assert all(mask & 1 for mask in stream)
+            assert _dedup_restricted(n, stream) == dedup_canonical_masks(n, stream)
 
 
 def test_subgraph_mask_roundtrip():

@@ -148,10 +148,12 @@ def test_parallel_generation_matches_serial():
     _CLASS_CACHE.pop(("trees", 3), None)
     parallel = list(_class_masks("trees", 3, jobs=2))
     assert parallel == serial
-    _CLASS_CACHE.pop(("paths", 3), None)
-    assert list(_class_masks("paths", 3, jobs=3)) == [
-        p.mask() for p in enumerate_paths(3)
-    ]
+    # paths are sharded by their second step, which leaves 2n-3 shards
+    for n in (3, 4, 5):
+        serial = [p.mask() for p in enumerate_paths(n)]
+        for jobs in (2, 3):
+            _CLASS_CACHE.pop(("paths", n), None)
+            assert list(_class_masks("paths", n, jobs=jobs)) == serial
 
 
 def test_random_spanning_tree_valid():
