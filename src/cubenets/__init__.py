@@ -1,77 +1,16 @@
 """Ridge unfoldings of the n-cube: rolling developments, nets, box
-partitions, chord diagrams, and enumeration up to relabelling."""
+partitions, chord diagrams, and enumeration up to relabelling.
 
-from .chords import (
-    ChordDiagram,
-    canonical_diagram,
-    cycle_from_diagram,
-    diagram_from_cycle,
-    diagram_from_path,
-    edge_orbit_count,
-    enumerate_diagrams,
-    insert_loop,
-    maxnet_profiles,
-    path_from_diagram,
-)
-from .core import (
-    FacetLabel,
-    SignedPermutation,
-    SpanningSubgraph,
-    antipode,
-    antipode_index,
-    canonical_form,
-    is_valid,
-    path_endpoints,
-    roberts_edges,
-    validate,
-)
-from .enumeration import (
-    EnumerationTable,
-    ResourceLimitError,
-    TableRow,
-    VerifyReport,
-    build_table,
-    classify_path,
-    enumerate_cycles,
-    enumerate_paths,
-    enumerate_trees,
-    random_spanning_tree,
-    verify_unfoldings,
-)
-from .nets import (
-    CubePartition,
-    bounding_box,
-    box_growth_trace,
-    canonical_net,
-    collision,
-    cube_partition_of,
-    is_net,
-    net_json,
-    render_svg,
-    verify_development,
-)
-from .partitions import (
-    IllegalSlideError,
-    TokenBoard,
-    classify_tokens,
-    enumerate_cube_partitions,
-    initial_board,
-    realization_slides,
-    realize_partition,
-    slide,
-)
-from .rolling import (
-    Development,
-    RevisitError,
-    RollSequence,
-    RollState,
-    develop_path,
-    develop_tree,
-    development_json,
-    initial_state,
-    roll,
-    uturn_audit,
-)
+The package exports the names the README documents; everything else is
+imported from its submodule (`cubenets.enumeration`, `cubenets.nets`, ...).
+"""
+
+from .chords import ChordDiagram, enumerate_diagrams
+from .core import FacetLabel, SignedPermutation, SpanningSubgraph, canonical_form
+from .enumeration import ResourceLimitError, enumerate_trees
+from .nets import CubePartition, cube_partition_of
+from .partitions import realize_partition
+from .rolling import Development, RollState, develop_tree
 
 __version__ = "0.1.0"
 
@@ -79,60 +18,15 @@ __all__ = [
     "ChordDiagram",
     "CubePartition",
     "Development",
-    "EnumerationTable",
     "FacetLabel",
-    "IllegalSlideError",
     "ResourceLimitError",
-    "RevisitError",
-    "RollSequence",
     "RollState",
     "SignedPermutation",
     "SpanningSubgraph",
-    "TableRow",
-    "TokenBoard",
-    "VerifyReport",
-    "antipode",
-    "antipode_index",
-    "bounding_box",
-    "box_growth_trace",
-    "build_table",
-    "canonical_diagram",
     "canonical_form",
-    "canonical_net",
-    "classify_path",
-    "classify_tokens",
-    "collision",
     "cube_partition_of",
-    "cycle_from_diagram",
-    "develop_path",
     "develop_tree",
-    "development_json",
-    "diagram_from_cycle",
-    "diagram_from_path",
-    "edge_orbit_count",
-    "enumerate_cube_partitions",
-    "enumerate_cycles",
     "enumerate_diagrams",
-    "enumerate_paths",
     "enumerate_trees",
-    "initial_board",
-    "initial_state",
-    "insert_loop",
-    "is_net",
-    "is_valid",
-    "maxnet_profiles",
-    "net_json",
-    "path_endpoints",
-    "path_from_diagram",
-    "random_spanning_tree",
-    "realization_slides",
     "realize_partition",
-    "render_svg",
-    "roberts_edges",
-    "roll",
-    "slide",
-    "uturn_audit",
-    "validate",
-    "verify_development",
-    "verify_unfoldings",
 ]

@@ -67,13 +67,6 @@ class ChordDiagram:
             mate[i], mate[j] = j, i
         return ChordDiagram(m, tuple(mate))
 
-    @staticmethod
-    def from_chords(m, pairs) -> "ChordDiagram":
-        mate = [-1] * m
-        for i, j in pairs:
-            mate[i], mate[j] = j, i
-        return ChordDiagram(m, tuple(mate))
-
 
 @cache
 def _dihedral_maps(m: int) -> tuple[tuple[int, ...], ...]:

@@ -12,13 +12,13 @@ import json
 import os
 import sys
 
-from .chords import count_diagram_classes, edge_orbit_count, enumerate_diagrams
-from .core import FacetLabel, SpanningSubgraph, validate
+from .chords import edge_orbit_count, enumerate_diagrams
+from .core import FacetLabel, SpanningSubgraph, _check_dim, validate
 from .enumeration import (
-    CHORDS_COUNT_LIMIT,
     CHORDS_LIST_LIMIT,
     CountMismatchError,
     ResourceLimitError,
+    _chord_counts,
     build_table,
     classify_path,
     enumerate_cycles,
@@ -125,14 +125,8 @@ _ENUMERATORS = {"trees": enumerate_trees, "paths": enumerate_paths, "cycles": en
 
 
 def _chord_count(kind: str, n: int) -> int:
-    if n > CHORDS_COUNT_LIMIT:
-        raise ResourceLimitError(
-            f"chord counts are budgeted up to n={CHORDS_COUNT_LIMIT} "
-            f"(CHORDS_COUNT_LIMIT), got n={n}"
-        )
-    if kind == "cycles":
-        return count_diagram_classes(2 * n, 0)
-    return count_diagram_classes(2 * n + 2, 1)
+    cycles, paths, _ter, _ext = _chord_counts(n)
+    return cycles if kind == "cycles" else paths
 
 
 def _cmd_enumerate(args) -> int:
@@ -216,6 +210,7 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_chords(args) -> int:
     n = args.dim
+    _check_dim(n)
     if n > CHORDS_LIST_LIMIT:
         print(
             f"diagram listings are budgeted up to --dim {CHORDS_LIST_LIMIT} "

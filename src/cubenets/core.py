@@ -65,21 +65,8 @@ class FacetLabel:
         return f"{self.axis}*" if self.starred else f"{self.axis}"
 
 
-def antipode(label: FacetLabel) -> FacetLabel:
-    return label.antipode()
-
-
 def antipode_index(i: int, n: int) -> int:
     return (i + n) % (2 * n)
-
-
-def is_roberts_edge(n: int, a: FacetLabel, b: FacetLabel) -> bool:
-    """Whether facets a and b share a ridge, i.e. are distinct and not antipodal."""
-    if a.axis > n or b.axis > n:
-        raise ValueError(f"label out of range for dimension {n}")
-    if a == b:
-        raise ValueError(f"identical endpoints {a}")
-    return a != b.antipode()
 
 
 @cache
@@ -263,10 +250,6 @@ def validate(sub: SpanningSubgraph):
     return None
 
 
-def is_valid(sub: SpanningSubgraph) -> bool:
-    return validate(sub) is None
-
-
 def path_endpoints(sub: SpanningSubgraph) -> tuple[int, int]:
     """The two degree-1 label indices of a spanning path."""
     deg = [0] * (2 * sub.n)
@@ -298,14 +281,6 @@ class SignedPermutation:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    @staticmethod
-    def identity(n: int) -> "SignedPermutation":
-        return SignedPermutation(tuple(range(1, n + 1)), (False,) * n)
-
-    def apply(self, label: FacetLabel) -> FacetLabel:
-        a = label.axis - 1
-        return FacetLabel(self.perm[a], label.starred ^ self.flips[a])
 
     def label_map(self) -> tuple[int, ...]:
         """Image of every label index under this element."""
@@ -427,10 +402,6 @@ def canonical_form(sub: SpanningSubgraph) -> SpanningSubgraph:
 def orbit_masks(n: int, mask: int) -> set[int]:
     masks, _ = _orbit_arrays(n, mask)
     return set(masks.tolist())
-
-
-def orbit_size(n: int, mask: int) -> int:
-    return len(orbit_masks(n, mask))
 
 
 def stabilizer_order(n: int, mask: int) -> int:

@@ -30,6 +30,7 @@ from .chords import _BULK_MAX_M, count_diagram_classes
 from .core import (
     FacetLabel,
     SpanningSubgraph,
+    _check_dim,
     _edge_rank_grid,
     _orbit_arrays,
     _UnionFind,
@@ -348,6 +349,13 @@ class EnumerationTable:
 
 
 def _chord_counts(n: int) -> tuple[int, int, int, int]:
+    """(cycles, paths, ter, ext) class counts from the diagram route."""
+    _check_dim(n)
+    if n > CHORDS_COUNT_LIMIT:
+        raise ResourceLimitError(
+            f"chord counts are budgeted up to n={CHORDS_COUNT_LIMIT} "
+            f"(CHORDS_COUNT_LIMIT), got n={n}"
+        )
     cycles = count_diagram_classes(2 * n, 0)
     ter = count_diagram_classes(2 * n, 1)
     paths = count_diagram_classes(2 * n + 2, 1)
@@ -470,6 +478,7 @@ def verify_unfoldings(
     box partition.  Exhaustive mode walks every class, up to
     n = EXHAUSTIVE_VERIFY_LIMIT; otherwise `samples` random trees are drawn
     from the given seed, or from a fresh one that the report names."""
+    _check_dim(n)
     if exhaustive:
         if n > EXHAUSTIVE_VERIFY_LIMIT:
             raise ResourceLimitError(

@@ -62,15 +62,7 @@ def is_net(dev: Development) -> bool:
 
 def bounding_box(dev: Development) -> tuple[int, ...]:
     """Extent along each lattice axis, in axis order."""
-    lo = list(dev.coords[0])
-    hi = list(dev.coords[0])
-    for pos in dev.coords[1:]:
-        for k, v in enumerate(pos):
-            if v < lo[k]:
-                lo[k] = v
-            elif v > hi[k]:
-                hi[k] = v
-    return tuple(h - l + 1 for l, h in zip(lo, hi))
+    return tuple(max(c) - min(c) + 1 for c in zip(*dev.coords))
 
 
 def cube_partition_of(dev: Development) -> CubePartition:

@@ -76,43 +76,11 @@ def classify_tokens(p: CubePartition) -> TokenClassification:
     return TokenClassification(p.n, singles, towers, middles)
 
 
-@dataclass(frozen=True)
-class TokenBoard:
-    """Occupancy of the 2n-1 slots plus the per-direction reservoirs."""
-
-    n: int
-    reservoirs: tuple[int, ...]
-    near: tuple[bool, ...]
-    far: tuple[bool, ...]
-    transfer: bool
-
-    @property
-    def tokens_on_board(self) -> int:
-        return sum(self.near) + sum(self.far) + (1 if self.transfer else 0)
-
-    @property
-    def token_total(self) -> int:
-        return self.tokens_on_board + sum(self.reservoirs)
-
-    @property
-    def full(self) -> bool:
-        return (
-            all(self.near)
-            and all(self.far)
-            and self.transfer
-            and not any(self.reservoirs)
-        )
-
-
-def initial_board(p: CubePartition) -> TokenBoard:
-    res = reservoir_parts(p)
-    k = len(res)
-    return TokenBoard(p.n, res, (False,) * k, (False,) * k, False)
-
-
 def _slide(res: list, near: list, far: list, transfer: bool, d: int) -> bool:
-    """Slide track d in place: far <- transfer <- near <- reservoir.
-    Returns the new transfer occupancy."""
+    """Move every token on track d one place up and pull a fresh one from the
+    reservoir, in place: far <- transfer <- near <- reservoir.  The board is
+    the reservoir counts and the near/far occupancy lists; the shared
+    transfer point's occupancy goes in and its new value is returned."""
     if not 1 <= d <= len(res):
         raise IllegalSlideError(f"direction {d} out of range")
     i = d - 1
@@ -125,14 +93,6 @@ def _slide(res: list, near: list, far: list, transfer: bool, d: int) -> bool:
     near[i] = True
     res[i] -= 1
     return transfer
-
-
-def slide(board: TokenBoard, d: int) -> TokenBoard:
-    """Move every token on track d one place up and pull a fresh one from the
-    reservoir: far <- transfer <- near <- reservoir."""
-    res, near, far = list(board.reservoirs), list(board.near), list(board.far)
-    transfer = _slide(res, near, far, board.transfer, d)
-    return TokenBoard(board.n, tuple(res), tuple(near), tuple(far), transfer)
 
 
 def realization_slides(p: CubePartition) -> tuple[int, ...]:

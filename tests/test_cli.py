@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cubenets import enumeration
+from cubenets import cli, enumeration
 from cubenets.chords import (
     cycle_from_diagram,
     diagram_from_cycle,
@@ -166,6 +166,30 @@ def test_enumerate_chords_count_budget(capsys):
     )
     assert code == 2
     assert "CHORDS_COUNT_LIMIT" in err and "n=20" in err
+    for n in ("0", "1"):
+        code, out, err = run(
+            capsys, "enumerate", "--dim", n, "--kind", "paths",
+            "--method", "chords", "--count-only",
+        )
+        assert (code, out) == (2, "")
+        assert "dimension must be at least 2" in err
+
+
+def test_enumerate_method_disagreement_exits_one(capsys, monkeypatch):
+    real = enumeration._chord_counts
+
+    def off_by_one(n):
+        cycles, paths, ter, ext = real(n)
+        return cycles, paths + 1, ter, ext + 1
+
+    monkeypatch.setattr(cli, "_chord_counts", off_by_one)
+    code, out, err = run(
+        capsys, "enumerate", "--dim", "3", "--kind", "paths",
+        "--method", "both", "--count-only",
+    )
+    assert code == 1
+    assert out == ""
+    assert "method disagreement: direct 4 vs chords 5" in err
 
 
 def test_verify_exhaustive(capsys):
@@ -224,6 +248,10 @@ def test_verify_usage(capsys):
         capsys, "verify", "--dim", "3", "--exhaustive", "--samples", "5"
     )[0] == 2
     assert run(capsys, "verify", "--dim", "5", "--exhaustive")[0] == 2
+    for n in ("0", "1"):
+        code, out, err = run(capsys, "verify", "--dim", n, "--samples", "5")
+        assert (code, out) == (2, "")
+        assert "dimension must be at least 2" in err
 
 
 def test_partitions_listing(capsys):
@@ -259,6 +287,10 @@ def test_chords_listing_budget(capsys):
     code, out, err = run(capsys, "chords", "--dim", "9")
     assert code == 2
     assert "CHORDS_LIST_LIMIT" in err and "--dim 8" in err
+    for argv in (("--dim", "-1"), ("--dim", "0", "--loops", "1")):
+        code, out, err = run(capsys, "chords", *argv)
+        assert (code, out) == (2, "")
+        assert "dimension must be at least 2" in err
 
 
 def test_chords_net_counts(capsys):
@@ -375,7 +407,25 @@ def _cli_stdout(capsys, *argv):
     return capsys.readouterr().out
 
 
+# the README's command-line examples, run as documented
+README_EXAMPLES = {
+    "readme-unfold-rolls-text": (
+        "unfold", "--dim", "3", "--rolls", "+1,+2,+1,+2,+1", "--format", "text",
+    ),
+    "readme-unfold-tree-json": ("unfold", "--dim", "3", "--tree", "1-2,1-2*,1-3,1-3*,2-1*"),
+    "readme-unfold-tree-svg": (
+        "unfold", "--dim", "3", "--tree", "1-2,1-2*,1-3,1-3*,2-1*", "--format", "svg",
+    ),
+    "readme-verify-exhaustive": ("verify", "--dim", "3", "--exhaustive"),
+    "readme-partitions-realize": ("partitions", "--dim", "4", "--realize"),
+    "readme-chords-net-counts": ("chords", "--dim", "4", "--ext-net-counts"),
+    "readme-table": ("table", "--max-dim", "7"),
+}
+
+
 def _golden_text(name, capsys):
+    if name in README_EXAMPLES:
+        return _cli_stdout(capsys, *README_EXAMPLES[name])
     if name.startswith(("paths", "cycles")):
         kind, n = name[:-1], name[-1]
         return _cli_stdout(capsys, "enumerate", "--dim", n, "--kind", kind)
@@ -398,7 +448,9 @@ def _golden_text(name, capsys):
     return repr(edges)
 
 
-# sha256 of each output, captured before paths were walked from the fixed edge
+# sha256 of each output; the direct-route and converter entries were captured
+# before paths were walked from the fixed edge, the README entries before the
+# package's public surface was cut down to the names the README uses
 GOLDEN = {
     "paths2": "e11e6846daf7e3d731f8816e54c75e57bdf7569d1087ec9f5edbcdd6e182d104",
     "paths3": "8ab9c8c3e744efa9210327d477742be921db368bf79d17b629b0721fa571bbbd",
@@ -412,6 +464,13 @@ GOLDEN = {
     "diagram-from-path": "ee41448177d95491297464f95175a2481c2cba8d38e47d00e2629feed186daa9",
     "diagram-from-cycle": "51f26166d83fa21d9e597855e7309b6e8de529c89a8c19603d81417f03c6da0e",
     "from-diagram": "6fea9b4cea4e57368885b2f0ff7897562d498a17085ebc7df570085d2af3fdaf",
+    "readme-unfold-rolls-text": "c91413c9cabeb79986972c5d233a742656f30ef5dd929866bb31e9586c3e559b",
+    "readme-unfold-tree-json": "8232a038ae4c8fcb0b90f46c1be002cd1a349108162080b93a7cab1aa7b2ddbc",
+    "readme-unfold-tree-svg": "6302c08bea6df4eefbfa858697ab85bb33694171aa7f1aa0d2628705feeccf2f",
+    "readme-verify-exhaustive": "5bd6c88bc4e21f4542e9a6561b2b328723411eecdf17ddeda2a5e92cf067536d",
+    "readme-partitions-realize": "88b5b2cec169c5263fafc626f74e13a561c6afac044c27eedfca1448c7cdd536",
+    "readme-chords-net-counts": "8a581d201b14b80c18ef7e7ebbef118681768b47848c1add1b84c5451f7e1046",
+    "readme-table": "1c055402c9fb33b3b6fd9000a2c1863f5e9849bc3bbc045150567e03cb7c2bd9",
 }
 
 

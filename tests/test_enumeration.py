@@ -10,10 +10,10 @@ import pytest
 from cubenets.core import (
     SpanningSubgraph,
     canonical_mask,
-    is_valid,
     orbit_masks,
     random_signed_permutation,
     roberts_edges,
+    validate,
 )
 from cubenets.chords import count_diagram_classes
 from cubenets.enumeration import (
@@ -39,7 +39,7 @@ def brute_classes(n, kind, size):
     out = set()
     for combo in itertools.combinations(range(len(edges)), size):
         sub = SpanningSubgraph(n, kind, tuple(edges[r] for r in combo))
-        if is_valid(sub):
+        if validate(sub) is None:
             out.add(canonical_mask(n, sub.mask()))
     return out
 
@@ -90,7 +90,7 @@ def test_trees_match_brute_force_dim_four():
 def test_enumerated_objects_are_valid_and_canonical():
     for n in (2, 3, 4):
         for sub in enumerate_trees(n) + enumerate_paths(n) + enumerate_cycles(n):
-            assert is_valid(sub)
+            assert validate(sub) is None
             assert canonical_mask(n, sub.mask()) == sub.mask()
 
 
@@ -160,7 +160,7 @@ def test_random_spanning_tree_valid():
     rng = random.Random(11)
     for n in (2, 3, 4, 5, 6, 7, 8):
         for _ in range(25):
-            assert is_valid(random_spanning_tree(n, rng))
+            assert validate(random_spanning_tree(n, rng)) is None
 
 
 def test_random_spanning_tree_uniform_smallest_case():

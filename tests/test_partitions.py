@@ -14,11 +14,9 @@ from cubenets.partitions import (
     TokenClassification,
     classify_tokens,
     enumerate_cube_partitions,
-    initial_board,
     realization_slides,
     realize_partition,
     reservoir_parts,
-    slide,
 )
 
 
@@ -112,45 +110,43 @@ def test_classification_example():
 # slides
 
 
+def play(parts, word):
+    """Board (reservoirs, near, far, transfer) after sliding `word` from the
+    empty board of the partition, one `partitions._slide` per direction."""
+    res = list(reservoir_parts(CubePartition(parts)))
+    near, far, transfer = [False] * len(res), [False] * len(res), False
+    for d in word:
+        transfer = partitions._slide(res, near, far, transfer, d)
+    return res, near, far, transfer
+
+
 def test_slide_on_empty_track():
-    b = slide(initial_board(CubePartition((5, 2))), 1)
-    assert b.near == (True, False)
-    assert not b.transfer and not any(b.far)
-    assert b.reservoirs == (3, 1)
+    res, near, far, transfer = play((5, 2), [1])
+    assert near == [True, False]
+    assert not transfer and not any(far)
+    assert res == [3, 1]
 
 
 def test_slide_pushes_near_token_to_transfer():
-    b = initial_board(CubePartition((5, 2)))
-    b = slide(slide(b, 1), 1)
-    assert b.near[0] and b.transfer and not any(b.far)
+    _res, near, far, transfer = play((5, 2), [1, 1])
+    assert near[0] and transfer and not any(far)
 
 
 def test_singleton_slide_fills_both_ends():
-    b = initial_board(CubePartition((5, 2)))
-    b = slide(slide(b, 1), 1)  # transfer now holds a token
-    b = slide(b, 2)
-    assert b.near[1] and b.far[1] and not b.transfer
+    # the two slides along 1 leave a token on the transfer point
+    _res, near, far, transfer = play((5, 2), [1, 1, 2])
+    assert near[1] and far[1] and not transfer
 
 
 def test_slide_preconditions():
-    b = initial_board(CubePartition((4, 3)))
-    with pytest.raises(IllegalSlideError):
-        slide(b, 3)
-    exhausted = slide(slide(b, 2), 2)
-    with pytest.raises(IllegalSlideError):
-        slide(exhausted, 2)  # reservoir drained
-    blocked = slide(slide(slide(b, 1), 1), 1)
-    with pytest.raises(IllegalSlideError):
-        slide(blocked, 1)  # far slot already occupied
-
-
-def test_slide_conserves_tokens():
-    b = initial_board(CubePartition((6, 2, 2)))
-    total = b.token_total
-    for d in realization_slides(CubePartition((6, 2, 2))):
-        b = slide(b, d)
-        assert b.token_total == total
-    assert b.full
+    with pytest.raises(IllegalSlideError, match="direction 3 out of range"):
+        play((4, 3), [3])
+    with pytest.raises(IllegalSlideError, match="direction 2 is empty"):
+        play((4, 3), [2, 2, 2])  # reservoir drained
+    with pytest.raises(IllegalSlideError, match="direction 1 is empty"):
+        play((4, 3), [1, 1, 1, 1])  # reservoir drained as the far slot fills
+    with pytest.raises(IllegalSlideError, match="direction 1 is finished"):
+        play((5, 2), [1, 1, 1, 1])  # far slot already occupied
 
 
 # ---------------------------------------------------------------------------
