@@ -31,19 +31,27 @@ from .partitions import enumerate_cube_partitions, realize_partition
 from .rolling import RevisitError, develop_path, develop_tree
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("CUBENETS_JOBS", "1")
+def _jobs_count(raw: str) -> int:
+    """A worker count from `--jobs` or CUBENETS_JOBS: a positive integer."""
     try:
         jobs = int(raw)
     except ValueError:
         jobs = 0
     if jobs < 1:
+        raise argparse.ArgumentTypeError(f"{raw!r}: not a positive integer")
+    return jobs
+
+
+def _default_jobs() -> int:
+    raw = os.environ.get("CUBENETS_JOBS", "1")
+    try:
+        return _jobs_count(raw)
+    except argparse.ArgumentTypeError:
         print(
             f"ignoring CUBENETS_JOBS={raw!r}: not a positive integer; using 1 job",
             file=sys.stderr,
         )
         return 1
-    return jobs
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -280,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("trees", "paths", "cycles"), required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--method", choices=("direct", "chords", "both"), default="direct")
-    p.add_argument("--jobs", type=int, default=jobs_default)
+    p.add_argument("--jobs", type=_jobs_count, default=jobs_default)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -289,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=jobs_default)
+    p.add_argument("--jobs", type=_jobs_count, default=jobs_default)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_verify)
 
@@ -310,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, required=True)
     p.add_argument("--method", choices=("direct", "chords", "both"), default="chords")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--jobs", type=int, default=jobs_default)
+    p.add_argument("--jobs", type=_jobs_count, default=jobs_default)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_table)
 

@@ -185,7 +185,7 @@ def subgraph_from_mask(n: int, mask: int, kind: Kind = "tree") -> SpanningSubgra
 
 
 class _UnionFind:
-    """Tiny union-find; no path compression so unions can be undone in stack order."""
+    """Tiny union-find by rank; `count` is the number of components left."""
 
     def __init__(self, size):
         self.parent = list(range(size))
@@ -209,11 +209,6 @@ class _UnionFind:
             self.rank[ra] += 1
         self.count -= 1
         return rb
-
-    def undo(self, absorbed):
-        """Reverse the most recent union that absorbed this root."""
-        self.parent[absorbed] = absorbed
-        self.count += 1
 
 
 def validate(sub: SpanningSubgraph):

@@ -33,7 +33,6 @@ from .core import (
     _check_dim,
     _edge_rank_grid,
     _orbit_arrays,
-    _UnionFind,
     antipode_index,
     path_endpoints,
     roberts_edges,
@@ -88,64 +87,96 @@ def _suffix_adjacency(n: int) -> list[list[int]]:
     return rows
 
 
+def _reaches(adj_a: list[int], adj_b: list[int], start: int, goal: int) -> bool:
+    """Whether every vertex in the bitmask `goal` is reachable from `start`
+    over the union of two neighbour-bitmask adjacencies."""
+    reach = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        v = frontier
+        while v:
+            bit = v & -v
+            k = bit.bit_length() - 1
+            v ^= bit
+            nxt |= adj_a[k] | adj_b[k]
+        frontier = nxt & ~reach
+        reach |= frontier
+        if reach & goal == goal:
+            return True
+    return False
+
+
 def _raw_trees_second_edge(n: int, second: int):
     """Spanning-tree masks containing edge rank 0 and edge rank `second` but
-    no rank strictly between: the stream sharded by second-lowest edge."""
-    edges = roberts_edges(n)
-    m = len(edges)
-    need = 2 * n - 1
-    suffix = _suffix_adjacency(n)
-    full = (1 << (2 * n)) - 1
+    no rank strictly between: the stream sharded by second-lowest edge.
 
-    uf = _UnionFind(2 * n)
-    chosen_adj = [0] * (2 * n)
+    Edges are decided in rank order, linking before skipping, on an explicit
+    stack with one frame per linked edge.  The walk keeps one invariant: the
+    chosen forest plus every undecided edge spans all facets, so each branch
+    it enters ends in at least one tree and nothing is walked in vain.
+    Linking edge r leaves that union unchanged, and so does skipping an edge
+    whose endpoints the forest already joins; only skipping a linked edge
+    (i, j) can break it, and it does exactly when no other route joins i to
+    j.  So connectivity is tested once per skip of a linked edge, as a
+    search from i that stops on reaching j, and a bridge is never skipped.
+    The shard root skips ranks 1..second-1 at once and gets one full check.
+    """
+    edges = roberts_edges(n)
+    two_n = 2 * n
+    need = two_n - 1
+    suffix = _suffix_adjacency(n)
+    chosen_adj = [0] * two_n
+    parent = list(range(two_n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
     def link(r):
+        """Add edge r to the forest; return the absorbed root, or -1 if its
+        endpoints are already joined."""
         i, j = edges[r]
-        absorbed = uf.union(i, j)
-        if absorbed >= 0:
-            chosen_adj[i] |= 1 << j
-            chosen_adj[j] |= 1 << i
-        return absorbed
-
-    def unlink(r, absorbed):
-        i, j = edges[r]
-        uf.undo(absorbed)
-        chosen_adj[i] &= ~(1 << j)
-        chosen_adj[j] &= ~(1 << i)
-
-    def connected(r):
-        reach = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            v = frontier
-            while v:
-                bit = v & -v
-                idx = bit.bit_length() - 1
-                v ^= bit
-                nxt |= suffix[r][idx] | chosen_adj[idx]
-            frontier = nxt & ~reach
-            reach |= frontier
-        return reach == full
-
-    def rec(r, count, mask):
-        if count == need:
-            yield mask
-            return
-        if m - r < need - count or not connected(r):
-            return
-        a = link(r)
-        if a >= 0:
-            yield from rec(r + 1, count + 1, mask | (1 << r))
-            unlink(r, a)
-        yield from rec(r + 1, count, mask)
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            return -1
+        parent[rj] = ri
+        chosen_adj[i] |= 1 << j
+        chosen_adj[j] |= 1 << i
+        return rj
 
     if link(0) < 0:
         raise RuntimeError("edge rank 0 failed to link into an empty forest")
-    a = link(second)
-    if a >= 0:
-        yield from rec(second + 1, 2, 1 | (1 << second))
+    if link(second) < 0:
+        return
+    r = second + 1
+    if not _reaches(chosen_adj, suffix[r], 0, (1 << two_n) - 1):
+        return
+    count, mask = 2, 1 | (1 << second)
+    stack = []
+    while True:
+        if count == need:
+            yield mask
+            # backtrack to the deepest linked edge whose skip keeps the
+            # invariant, and take that skip
+            while stack:
+                r, count, mask, absorbed = stack.pop()
+                parent[absorbed] = absorbed
+                i, j = edges[r]
+                chosen_adj[i] ^= 1 << j
+                chosen_adj[j] ^= 1 << i
+                r += 1
+                if _reaches(chosen_adj, suffix[r], i, 1 << j):
+                    break
+            else:
+                return
+            continue
+        absorbed = link(r)
+        if absorbed >= 0:
+            stack.append((r, count, mask, absorbed))
+            count += 1
+            mask |= 1 << r
+        r += 1
 
 
 def _raw_tree_masks(n: int, shard: tuple[int, int] = (0, 1)):

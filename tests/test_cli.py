@@ -389,6 +389,25 @@ def test_bad_jobs_environment_warns(capsys, monkeypatch):
     assert run(capsys, "table", "--max-dim", "3")[2] == ""
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--dim", "3", "--kind", "trees", "--count-only"),
+        ("verify", "--dim", "3", "--samples", "5"),
+        ("table", "--max-dim", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_jobs_below_one_exits_two(argv, jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", jobs])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --jobs: {jobs!r}: not a positive integer" in err
+
+
 def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["unfold"])  # missing --dim
@@ -426,7 +445,7 @@ README_EXAMPLES = {
 def _golden_text(name, capsys):
     if name in README_EXAMPLES:
         return _cli_stdout(capsys, *README_EXAMPLES[name])
-    if name.startswith(("paths", "cycles")):
+    if name.startswith(("trees", "paths", "cycles")):
         kind, n = name[:-1], name[-1]
         return _cli_stdout(capsys, "enumerate", "--dim", n, "--kind", kind)
     if name == "table-both":
@@ -450,8 +469,10 @@ def _golden_text(name, capsys):
 
 # sha256 of each output; the direct-route and converter entries were captured
 # before paths were walked from the fixed edge, the README entries before the
-# package's public surface was cut down to the names the README uses
+# package's public surface was cut down to the names the README uses, and the
+# tree listing before the tree walker moved to an explicit stack
 GOLDEN = {
+    "trees4": "a94ce90f45a722064308f830d5d3904fc23b7dca54f629af811be8535ac8240a",
     "paths2": "e11e6846daf7e3d731f8816e54c75e57bdf7569d1087ec9f5edbcdd6e182d104",
     "paths3": "8ab9c8c3e744efa9210327d477742be921db368bf79d17b629b0721fa571bbbd",
     "paths4": "ca477b028c4e72d41d7d776e15cff05c75a7256ec799cd1ce7507ac4c973be24",

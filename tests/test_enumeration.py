@@ -13,6 +13,7 @@ from cubenets.core import (
     orbit_masks,
     random_signed_permutation,
     roberts_edges,
+    subgraph_from_mask,
     validate,
 )
 from cubenets.chords import count_diagram_classes
@@ -22,6 +23,7 @@ from cubenets.enumeration import (
     EXHAUSTIVE_VERIFY_LIMIT,
     EnumerationTable,
     ResourceLimitError,
+    _raw_tree_masks,
     build_table,
     classify_path,
     enumerate_cycles,
@@ -141,13 +143,28 @@ def test_parallel_cycles_match_serial():
     assert list(_class_masks("cycles", 4, jobs=2)) == serial
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_raw_tree_stream_is_every_tree_through_edge_zero(n):
+    # the cocktail-party graph has tau = 2^(2n-2) (n-1)^n n^(n-2) spanning
+    # trees, and by edge transitivity a fixed edge lies in tau (2n-1)/|E|
+    tau = 2 ** (2 * n - 2) * (n - 1) ** n * n ** (n - 2)
+    expected = tau * (2 * n - 1) // len(roberts_edges(n))
+    assert expected == {2: 3, 3: 160, 4: 24192}[n]
+    masks = list(_raw_tree_masks(n))
+    assert len(masks) == expected
+    assert len(set(masks)) == expected
+    for mask in masks:
+        assert mask & 1
+        assert validate(subgraph_from_mask(n, mask, "tree")) is None
+
+
 def test_parallel_generation_matches_serial():
-    serial = [t.mask() for t in enumerate_trees(3)]
     from cubenets.enumeration import _CLASS_CACHE, _class_masks
 
-    _CLASS_CACHE.pop(("trees", 3), None)
-    parallel = list(_class_masks("trees", 3, jobs=2))
-    assert parallel == serial
+    for n in (3, 4):
+        serial = [t.mask() for t in enumerate_trees(n)]
+        _CLASS_CACHE.pop(("trees", n), None)
+        assert list(_class_masks("trees", n, jobs=2)) == serial
     # paths are sharded by their second step, which leaves 2n-3 shards
     for n in (3, 4, 5):
         serial = [p.mask() for p in enumerate_paths(n)]
