@@ -1,15 +1,15 @@
 """Command-line surface: unfold, enumerate, verify, partitions, chords, table.
 
-Exit codes: 0 success, 1 a verification found a failure, 2 bad usage or
-unparseable input.  All output is UTF-8; JSON is the interchange format and
-stays stably ordered so fixed seeds give byte-identical runs.
+Exit codes, all decided in `main`: 0 success, 1 a verification failure or a
+method disagreement, 2 bad usage, bad input or a request past a budget.  All
+output is UTF-8; JSON is the interchange format and stays stably ordered so
+fixed seeds give byte-identical runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .chords import edge_orbit_count, enumerate_diagrams
@@ -31,27 +31,15 @@ from .partitions import enumerate_cube_partitions, realize_partition
 from .rolling import RevisitError, develop_path, develop_tree
 
 
-def _jobs_count(raw: str) -> int:
-    """A worker count from `--jobs` or CUBENETS_JOBS: a positive integer."""
+def _positive_int(raw: str) -> int:
+    """The argparse type of `--jobs` and `--samples`: a positive integer."""
     try:
-        jobs = int(raw)
+        value = int(raw)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"{raw!r}: not a positive integer")
-    return jobs
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("CUBENETS_JOBS", "1")
-    try:
-        return _jobs_count(raw)
-    except argparse.ArgumentTypeError:
-        print(
-            f"ignoring CUBENETS_JOBS={raw!r}: not a positive integer; using 1 job",
-            file=sys.stderr,
-        )
-        return 1
+    return value
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -99,30 +87,19 @@ def _cmd_unfold(args) -> int:
     n = args.dim
     base = FacetLabel.parse(args.base)
     if base.axis > n:
-        print(f"base {base} does not exist in dimension {n}", file=sys.stderr)
-        return 2
+        raise ValueError(f"base {base} does not exist in dimension {n}")
     if (args.rolls is None) == (args.tree is None):
-        print("need exactly one of --rolls or --tree", file=sys.stderr)
-        return 2
+        raise ValueError("need exactly one of --rolls or --tree")
     if args.format == "svg" and n != 3:
-        print("svg output is only defined for --dim 3", file=sys.stderr)
-        return 2
-    try:
-        if args.rolls is not None:
-            dev = develop_path(n, base, _parse_rolls(args.rolls))
-        else:
-            tree = SpanningSubgraph.from_text(n, args.tree)
-            problem = validate(tree)
-            if problem is not None:
-                print(f"not a spanning tree: {problem}", file=sys.stderr)
-                return 2
-            dev = develop_tree(tree, base)
-    except RevisitError as exc:
-        print(f"facet revisited: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise ValueError("svg output is only defined for --dim 3")
+    if args.rolls is not None:
+        dev = develop_path(n, base, _parse_rolls(args.rolls))
+    else:
+        tree = SpanningSubgraph.from_text(n, args.tree)
+        problem = validate(tree)
+        if problem is not None:
+            raise ValueError(f"not a spanning tree: {problem}")
+        dev = develop_tree(tree, base)
     if dev.is_spanning and not is_net(dev):
         print("development overlaps itself", file=sys.stderr)
         return 1
@@ -140,32 +117,22 @@ def _chord_count(kind: str, n: int) -> int:
 def _cmd_enumerate(args) -> int:
     n, kind = args.dim, args.kind
     if args.method != "direct" and kind == "trees":
-        print("trees have no diagram route; use --method direct", file=sys.stderr)
-        return 2
-    try:
-        if args.method == "chords":
-            count = _chord_count(kind, n)
-            if not args.count_only:
-                print(
-                    "diagram route only counts classes; listing needs "
-                    "--method direct",
-                    file=sys.stderr,
-                )
-                return 2
-            _emit(json.dumps({"n": n, "kind": kind, "count": count}), args.output)
-            return 0
-        subs = _ENUMERATORS[kind](n, args.jobs)
-        if args.method == "both":
-            expected = _chord_count(kind, n)
-            if len(subs) != expected:
-                print(
-                    f"method disagreement: direct {len(subs)} vs chords {expected}",
-                    file=sys.stderr,
-                )
-                return 1
-    except ResourceLimitError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise ValueError("trees have no diagram route; use --method direct")
+    if args.method == "chords":
+        count = _chord_count(kind, n)
+        if not args.count_only:
+            raise ValueError(
+                "diagram route only counts classes; listing needs --method direct"
+            )
+        _emit(json.dumps({"n": n, "kind": kind, "count": count}), args.output)
+        return 0
+    subs = _ENUMERATORS[kind](n, args.jobs)
+    if args.method == "both":
+        expected = _chord_count(kind, n)
+        if len(subs) != expected:
+            raise CountMismatchError(
+                f"method disagreement: direct {len(subs)} vs chords {expected}"
+            )
     if args.count_only:
         _emit(json.dumps({"n": n, "kind": kind, "count": len(subs)}), args.output)
         return 0
@@ -182,22 +149,16 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.exhaustive and args.samples:
-        print("choose --exhaustive or --samples, not both", file=sys.stderr)
-        return 2
+        raise ValueError("choose --exhaustive or --samples, not both")
     if not args.exhaustive and not args.samples:
-        print("need --exhaustive or --samples K", file=sys.stderr)
-        return 2
-    try:
-        report = verify_unfoldings(
-            args.dim,
-            exhaustive=args.exhaustive,
-            samples=args.samples or 0,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-    except ResourceLimitError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise ValueError("need --exhaustive or --samples K")
+    report = verify_unfoldings(
+        args.dim,
+        exhaustive=args.exhaustive,
+        samples=args.samples or 0,
+        seed=args.seed,
+        jobs=args.jobs,
+    )
     _emit(json.dumps(report.to_json(), indent=2), args.output)
     return 0 if report.ok else 1
 
@@ -220,12 +181,10 @@ def _cmd_chords(args) -> int:
     n = args.dim
     _check_dim(n)
     if n > CHORDS_LIST_LIMIT:
-        print(
+        raise ResourceLimitError(
             f"diagram listings are budgeted up to --dim {CHORDS_LIST_LIMIT} "
-            f"(CHORDS_LIST_LIMIT), got --dim {n}",
-            file=sys.stderr,
+            f"(CHORDS_LIST_LIMIT), got --dim {n}"
         )
-        return 2
     diagrams = enumerate_diagrams(2 * n, args.loops)
     doc = {"n": n, "loops": args.loops, "count": len(diagrams)}
     rows = []
@@ -242,14 +201,7 @@ def _cmd_chords(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    try:
-        table = build_table(args.max_dim, args.method, args.jobs)
-    except ResourceLimitError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except CountMismatchError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    table = build_table(args.max_dim, args.method, args.jobs)
     if args.format == "json":
         _emit(json.dumps(table.to_json(), indent=2), args.output)
         return 0
@@ -272,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Unfoldings of the n-cube: developments, nets, counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    jobs_default = _default_jobs()
 
     p = sub.add_parser("unfold", help="develop a roll word or spanning tree")
     p.add_argument("--dim", type=int, required=True)
@@ -288,16 +239,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("trees", "paths", "cycles"), required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--method", choices=("direct", "chords", "both"), default="direct")
-    p.add_argument("--jobs", type=_jobs_count, default=jobs_default)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="develop trees and look for overlaps")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_positive_int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=_jobs_count, default=jobs_default)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_verify)
 
@@ -318,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, required=True)
     p.add_argument("--method", choices=("direct", "chords", "both"), default="chords")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--jobs", type=_jobs_count, default=jobs_default)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_table)
 
@@ -329,7 +280,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except RevisitError as exc:  # first: it is also a ValueError
+        print(f"facet revisited: {exc}", file=sys.stderr)
+        return 1
+    except CountMismatchError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
+    except (ResourceLimitError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

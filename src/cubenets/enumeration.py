@@ -22,7 +22,6 @@ import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -56,18 +55,27 @@ DIRECT_LIMITS = {"trees": 5, "paths": 5, "cycles": 6}
 CHORDS_COUNT_LIMIT = 20
 # listing diagram classes holds every matching key in 4-bit packing
 CHORDS_LIST_LIMIT = _BULK_MAX_M // 2
-# in combined runs the direct side stays small so agreement checks finish fast
-DUAL_CHECK_LIMIT = 5
-# exhaustive verification develops every tree class; n=5 has 9694 of them
-EXHAUSTIVE_VERIFY_LIMIT = 4
+
+
+def _check_budget(n: int, limit: int, name: str, what: str) -> None:
+    """Refuse n past `limit`, naming the constant `name` that sets it."""
+    if n > limit:
+        raise ResourceLimitError(
+            f"{what} are budgeted up to n={limit} ({name}), got n={n}"
+        )
 
 
 def _check_direct(kind: str, n: int) -> None:
-    if n > DIRECT_LIMITS[kind]:
-        raise ResourceLimitError(
-            f"direct {kind} enumeration is budgeted up to n={DIRECT_LIMITS[kind]}, "
-            f"got n={n}; the chord-diagram method reaches further"
-        )
+    _check_budget(n, DIRECT_LIMITS[kind], "DIRECT_LIMITS", f"direct {kind} listings")
+
+
+def _run_shards(fn, args: list[tuple], jobs: int) -> list:
+    """fn(*a) for each tuple in `args`, in order: in this process for one
+    job, else over a pool of `jobs` worker processes."""
+    if jobs <= 1:
+        return [fn(*a) for a in args]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *zip(*args)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +274,14 @@ def _shard_job(kind: str, n: int, which: int, of: int) -> list[int]:
 
 
 def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
-    key = (kind, n)
-    hit = _CLASS_CACHE.get(key)
-    if hit is not None:
-        return hit
+    # the budget is checked before the cache, so it never depends on what
+    # an earlier call left there
     _check_direct(kind, n)
-    if jobs <= 1:
-        masks = tuple(_shard_job(kind, n, 0, 1))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _shard_job, repeat(kind), repeat(n), range(jobs), repeat(jobs)
-            )
-            merged: set[int] = set()
-            for part in parts:
-                merged.update(part)
-        masks = tuple(sorted(merged))
-    _CLASS_CACHE[key] = masks
-    return masks
+    key = (kind, n)
+    if key not in _CLASS_CACHE:
+        parts = _run_shards(_shard_job, [(kind, n, w, jobs) for w in range(jobs)], jobs)
+        _CLASS_CACHE[key] = tuple(sorted(set().union(*parts)))
+    return _CLASS_CACHE[key]
 
 
 def enumerate_trees(n: int, jobs: int = 1) -> tuple[SpanningSubgraph, ...]:
@@ -382,11 +380,7 @@ class EnumerationTable:
 def _chord_counts(n: int) -> tuple[int, int, int, int]:
     """(cycles, paths, ter, ext) class counts from the diagram route."""
     _check_dim(n)
-    if n > CHORDS_COUNT_LIMIT:
-        raise ResourceLimitError(
-            f"chord counts are budgeted up to n={CHORDS_COUNT_LIMIT} "
-            f"(CHORDS_COUNT_LIMIT), got n={n}"
-        )
+    _check_budget(n, CHORDS_COUNT_LIMIT, "CHORDS_COUNT_LIMIT", "chord counts")
     cycles = count_diagram_classes(2 * n, 0)
     ter = count_diagram_classes(2 * n, 1)
     paths = count_diagram_classes(2 * n + 2, 1)
@@ -404,22 +398,20 @@ def build_table(max_n: int, method: str = "chords", jobs: int = 1) -> Enumeratio
     """Cycle/path class counts with the ter/ext split for n = 2..max_n.
 
     method "direct" walks the Roberts graph (small n only), "chords" counts
-    diagram classes, "both" computes the two independently and refuses to
-    return on any disagreement (CountMismatchError).
+    diagram classes, "both" computes the two independently, the direct side
+    as far as the path and cycle budgets both reach, and refuses to return
+    on any disagreement (CountMismatchError).
     """
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
     if method not in ("direct", "chords", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "direct" and max_n > CHORDS_COUNT_LIMIT:
-        raise ResourceLimitError(
-            f"chord-diagram table rows are budgeted up to n={CHORDS_COUNT_LIMIT} "
-            f"(CHORDS_COUNT_LIMIT), got n={max_n}"
-        )
-    if method == "direct" and max_n > DUAL_CHECK_LIMIT:
-        raise ResourceLimitError(
-            f"direct table rows are budgeted up to n={DUAL_CHECK_LIMIT}"
-        )
+    if method == "direct":
+        _check_direct("paths", max_n)
+        _check_direct("cycles", max_n)
+    else:
+        _check_budget(max_n, CHORDS_COUNT_LIMIT, "CHORDS_COUNT_LIMIT", "chord counts")
+    direct_max = min(DIRECT_LIMITS["paths"], DIRECT_LIMITS["cycles"])
     rows = []
     prev_paths = None
     for n in range(2, max_n + 1):
@@ -427,7 +419,7 @@ def build_table(max_n: int, method: str = "chords", jobs: int = 1) -> Enumeratio
             cycles, paths, ter, ext = _direct_counts(n, jobs)
         else:
             cycles, paths, ter, ext = _chord_counts(n)
-            if method == "both" and n <= DUAL_CHECK_LIMIT:
+            if method == "both" and n <= direct_max:
                 direct = _direct_counts(n, jobs)
                 if direct != (cycles, paths, ter, ext):
                     raise CountMismatchError(
@@ -488,8 +480,7 @@ def _check_tree(report: VerifyReport, tree: SpanningSubgraph) -> None:
     report.trees_checked += 1
 
 
-def _sample_shard_job(args):
-    n, count, seed, shard = args
+def _sample_shard_job(n: int, count: int, seed: int, shard: int) -> VerifyReport:
     rng = random.Random(f"{seed}:{shard}")
     report = VerifyReport(n, "samples", seed)
     for _ in range(count):
@@ -506,16 +497,12 @@ def verify_unfoldings(
     jobs: int = 1,
 ) -> VerifyReport:
     """Develop spanning trees and confirm each yields a net with a legal
-    box partition.  Exhaustive mode walks every class, up to
-    n = EXHAUSTIVE_VERIFY_LIMIT; otherwise `samples` random trees are drawn
-    from the given seed, or from a fresh one that the report names."""
+    box partition.  Exhaustive mode walks every tree class, so it reaches
+    as far as the tree listing does (DIRECT_LIMITS["trees"]); otherwise
+    `samples` random trees are drawn from the given seed, or from a fresh
+    one that the report names, split over `jobs` shards."""
     _check_dim(n)
     if exhaustive:
-        if n > EXHAUSTIVE_VERIFY_LIMIT:
-            raise ResourceLimitError(
-                f"exhaustive verification is budgeted up to n={EXHAUSTIVE_VERIFY_LIMIT} "
-                f"(EXHAUSTIVE_VERIFY_LIMIT), got n={n}; sample above that"
-            )
         report = VerifyReport(n, "exhaustive")
         for tree in enumerate_trees(n, jobs):
             _check_tree(report, tree)
@@ -524,16 +511,10 @@ def verify_unfoldings(
         raise ValueError("need exhaustive=True or samples > 0")
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
-    if jobs <= 1:
-        return _sample_shard_job((n, samples, seed, 0))
     base = samples // jobs
     counts = [base + (1 if w < samples % jobs else 0) for w in range(jobs)]
+    shards = [(n, c, seed, w) for w, c in enumerate(counts) if c]
     report = VerifyReport(n, "samples", seed)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(
-            _sample_shard_job,
-            [(n, c, seed, w) for w, c in enumerate(counts) if c],
-        )
-        for part in parts:
-            report.merge(part)
+    for part in _run_shards(_sample_shard_job, shards, jobs):
+        report.merge(part)
     return report

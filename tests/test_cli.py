@@ -137,20 +137,38 @@ def test_enumerate_both_methods_agree(capsys):
     assert json.loads(out)["count"] == 24
 
 
-def test_enumerate_budget(capsys):
-    code, out, err = run(
-        capsys, "enumerate", "--dim", "7", "--kind", "trees", "--count-only"
+def _direct_line(kind, limit, n):
+    return (
+        f"direct {kind} listings are budgeted up to n={limit} (DIRECT_LIMITS), "
+        f"got n={n}"
     )
-    assert code == 2
-    assert "budget" in err
 
 
-def test_enumerate_cycles_budget(capsys):
-    code, out, err = run(
-        capsys, "enumerate", "--dim", "7", "--kind", "cycles", "--count-only"
-    )
-    assert code == 2
-    assert "budgeted up to n=6" in err
+_CHORD_COUNT_LINE = (
+    "chord counts are budgeted up to n=20 (CHORDS_COUNT_LIMIT), got n=21"
+)
+
+# every budget a command can hit, with the one stderr line it exits 2 on
+BUDGET_EXITS = {
+    "enumerate --dim 6 --kind trees": _direct_line("trees", 5, 6),
+    "enumerate --dim 7 --kind trees --count-only": _direct_line("trees", 5, 7),
+    "enumerate --dim 6 --kind paths": _direct_line("paths", 5, 6),
+    "enumerate --dim 7 --kind cycles --count-only": _direct_line("cycles", 6, 7),
+    "enumerate --dim 21 --kind paths --method chords --count-only": _CHORD_COUNT_LINE,
+    "table --max-dim 6 --method direct": _direct_line("paths", 5, 6),
+    "table --max-dim 21": _CHORD_COUNT_LINE,
+    "verify --dim 6 --exhaustive": _direct_line("trees", 5, 6),
+    "chords --dim 9": (
+        "diagram listings are budgeted up to --dim 8 (CHORDS_LIST_LIMIT), got --dim 9"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(BUDGET_EXITS), ids=lambda a: a.replace("--", "").replace(" ", "-")
+)
+def test_budget_exits_two_naming_its_limit(argv, capsys):
+    assert run(capsys, *argv.split()) == (2, "", BUDGET_EXITS[argv] + "\n")
 
 
 def test_enumerate_chords_count_budget(capsys):
@@ -232,14 +250,14 @@ def test_verify_exhaustive_has_no_seed(capsys):
 
 
 def test_verify_exhaustive_budget_is_the_library_constant(capsys, monkeypatch):
-    limit = enumeration.EXHAUSTIVE_VERIFY_LIMIT
+    limit = enumeration.DIRECT_LIMITS["trees"]
     code, out, err = run(capsys, "verify", "--dim", str(limit + 1), "--exhaustive")
     assert code == 2 and out == ""
-    assert "EXHAUSTIVE_VERIFY_LIMIT" in err and f"n={limit}" in err
-    monkeypatch.setattr(enumeration, "EXHAUSTIVE_VERIFY_LIMIT", 2)
+    assert "DIRECT_LIMITS" in err and f"n={limit}" in err
+    monkeypatch.setitem(enumeration.DIRECT_LIMITS, "trees", 2)
     code, _out, err = run(capsys, "verify", "--dim", "3", "--exhaustive")
     assert code == 2
-    assert "EXHAUSTIVE_VERIFY_LIMIT" in err and "n=2" in err
+    assert "DIRECT_LIMITS" in err and "n=2" in err
 
 
 def test_verify_usage(capsys):
@@ -247,7 +265,7 @@ def test_verify_usage(capsys):
     assert run(
         capsys, "verify", "--dim", "3", "--exhaustive", "--samples", "5"
     )[0] == 2
-    assert run(capsys, "verify", "--dim", "5", "--exhaustive")[0] == 2
+    assert run(capsys, "verify", "--dim", "6", "--exhaustive")[0] == 2
     for n in ("0", "1"):
         code, out, err = run(capsys, "verify", "--dim", n, "--samples", "5")
         assert (code, out) == (2, "")
@@ -350,12 +368,6 @@ def test_table_to_twenty_widens_columns(capsys):
         assert row["ter"] == prev["paths"]
 
 
-def test_table_budget(capsys):
-    code, out, err = run(capsys, "table", "--max-dim", "21")
-    assert code == 2
-    assert "CHORDS_COUNT_LIMIT" in err and "n=20" in err
-
-
 def test_table_method_disagreement_exits_one(capsys, monkeypatch):
     real = enumeration._direct_counts
 
@@ -377,35 +389,24 @@ def test_table_ter_check_exits_one(capsys, monkeypatch):
     assert "ter(3) = 0" in err
 
 
-def test_bad_jobs_environment_warns(capsys, monkeypatch):
-    monkeypatch.setenv("CUBENETS_JOBS", "abc")
-    code, out, err = run(
-        capsys, "enumerate", "--dim", "3", "--kind", "trees", "--count-only"
-    )
-    assert code == 0
-    assert json.loads(out)["count"] == 11
-    assert "CUBENETS_JOBS='abc'" in err
-    monkeypatch.setenv("CUBENETS_JOBS", "2")
-    assert run(capsys, "table", "--max-dim", "3")[2] == ""
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", "-3"])
 @pytest.mark.parametrize(
     "argv",
     [
-        ("enumerate", "--dim", "3", "--kind", "trees", "--count-only"),
-        ("verify", "--dim", "3", "--samples", "5"),
-        ("table", "--max-dim", "3"),
+        ("enumerate", "--dim", "3", "--kind", "trees", "--count-only", "--jobs"),
+        ("verify", "--dim", "3", "--samples", "5", "--jobs"),
+        ("table", "--max-dim", "3", "--jobs"),
+        ("verify", "--dim", "3", "--samples"),
     ],
-    ids=lambda argv: argv[0],
+    ids=["enumerate", "verify", "table", "verify-samples"],
 )
-def test_jobs_below_one_exits_two(argv, jobs, capsys):
+def test_jobs_below_one_exits_two(argv, value, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--jobs", jobs])
+        main([*argv, value])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"argument --jobs: {jobs!r}: not a positive integer" in err
+    assert f"argument {argv[-1]}: {value!r}: not a positive integer" in err
 
 
 def test_bad_usage_exits_two():
@@ -441,10 +442,19 @@ README_EXAMPLES = {
     "readme-table": ("table", "--max-dim", "7"),
 }
 
+# sampled verification, serial and over two shards of unequal size
+GOLDEN_ARGV = {
+    **README_EXAMPLES,
+    "verify-samples": ("verify", "--dim", "8", "--samples", "300", "--seed", "1"),
+    "verify-samples-jobs2": (
+        "verify", "--dim", "6", "--samples", "301", "--seed", "4", "--jobs", "2",
+    ),
+}
+
 
 def _golden_text(name, capsys):
-    if name in README_EXAMPLES:
-        return _cli_stdout(capsys, *README_EXAMPLES[name])
+    if name in GOLDEN_ARGV:
+        return _cli_stdout(capsys, *GOLDEN_ARGV[name])
     if name.startswith(("trees", "paths", "cycles")):
         kind, n = name[:-1], name[-1]
         return _cli_stdout(capsys, "enumerate", "--dim", n, "--kind", kind)
@@ -470,7 +480,8 @@ def _golden_text(name, capsys):
 # sha256 of each output; the direct-route and converter entries were captured
 # before paths were walked from the fixed edge, the README entries before the
 # package's public surface was cut down to the names the README uses, and the
-# tree listing before the tree walker moved to an explicit stack
+# tree listing before the tree walker moved to an explicit stack, and the
+# sampled verifications before one-job runs went through the shard merge
 GOLDEN = {
     "trees4": "a94ce90f45a722064308f830d5d3904fc23b7dca54f629af811be8535ac8240a",
     "paths2": "e11e6846daf7e3d731f8816e54c75e57bdf7569d1087ec9f5edbcdd6e182d104",
@@ -492,6 +503,8 @@ GOLDEN = {
     "readme-partitions-realize": "88b5b2cec169c5263fafc626f74e13a561c6afac044c27eedfca1448c7cdd536",
     "readme-chords-net-counts": "8a581d201b14b80c18ef7e7ebbef118681768b47848c1add1b84c5451f7e1046",
     "readme-table": "1c055402c9fb33b3b6fd9000a2c1863f5e9849bc3bbc045150567e03cb7c2bd9",
+    "verify-samples": "8005e7dec6b83ed792ca1c1c7a7396acd2d1141240263f50d59a39ee0da78f77",
+    "verify-samples-jobs2": "7e86320b90fd97eff5f6059176495e97a9b72964bb24fb4bf7ff262bf0598796",
 }
 
 

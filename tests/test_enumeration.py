@@ -20,7 +20,6 @@ from cubenets.chords import count_diagram_classes
 from cubenets.enumeration import (
     CHORDS_COUNT_LIMIT,
     DIRECT_LIMITS,
-    EXHAUSTIVE_VERIFY_LIMIT,
     EnumerationTable,
     ResourceLimitError,
     _raw_tree_masks,
@@ -125,6 +124,13 @@ def test_direct_limits_enforced():
         enumerate_paths(6)
     with pytest.raises(ResourceLimitError):
         enumerate_cycles(7)
+
+
+def test_budget_does_not_depend_on_the_cache(monkeypatch):
+    enumerate_trees(3)  # now cached
+    monkeypatch.setitem(DIRECT_LIMITS, "trees", 2)
+    with pytest.raises(ResourceLimitError, match="DIRECT_LIMITS"):
+        enumerate_trees(3)
 
 
 def test_direct_cycles_at_the_budget_ceiling():
@@ -256,9 +262,10 @@ def test_verify_samples_parallel_merge():
 
 
 def test_verify_exhaustive_budget():
-    assert EXHAUSTIVE_VERIFY_LIMIT == 4
-    with pytest.raises(ResourceLimitError, match="EXHAUSTIVE_VERIFY_LIMIT"):
-        verify_unfoldings(EXHAUSTIVE_VERIFY_LIMIT + 1, exhaustive=True)
+    # exhaustive verification is bounded by the tree listing it walks
+    assert DIRECT_LIMITS["trees"] == 5
+    with pytest.raises(ResourceLimitError, match="DIRECT_LIMITS"):
+        verify_unfoldings(DIRECT_LIMITS["trees"] + 1, exhaustive=True)
 
 
 def test_verify_argument_errors():
