@@ -69,6 +69,12 @@ def _check_direct(kind: str, n: int) -> None:
     _check_budget(n, DIRECT_LIMITS[kind], "DIRECT_LIMITS", f"direct {kind} listings")
 
 
+def _check_jobs(jobs: int) -> None:
+    """Refuse a worker count below 1 before any shard list is built from it."""
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
+
+
 def _run_shards(fn, args: list[tuple], jobs: int) -> list:
     """fn(*a) for each tuple in `args`, in order: in this process for one
     job, else over a pool of `jobs` worker processes."""
@@ -274,9 +280,10 @@ def _shard_job(kind: str, n: int, which: int, of: int) -> list[int]:
 
 
 def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
-    # the budget is checked before the cache, so it never depends on what
-    # an earlier call left there
+    # the budget and the worker count are checked before the cache, so
+    # neither depends on what an earlier call left there
     _check_direct(kind, n)
+    _check_jobs(jobs)
     key = (kind, n)
     if key not in _CLASS_CACHE:
         parts = _run_shards(_shard_job, [(kind, n, w, jobs) for w in range(jobs)], jobs)
@@ -410,6 +417,8 @@ def build_table(max_n: int, method: str = "chords", jobs: int = 1) -> Enumeratio
         _check_direct("paths", max_n)
         _check_direct("cycles", max_n)
     else:
+        # _chord_counts checks each row too; this up-front check is there so
+        # that a "both" run past the budget fails before its direct rows
         _check_budget(max_n, CHORDS_COUNT_LIMIT, "CHORDS_COUNT_LIMIT", "chord counts")
     direct_max = min(DIRECT_LIMITS["paths"], DIRECT_LIMITS["cycles"])
     rows = []
@@ -502,6 +511,7 @@ def verify_unfoldings(
     `samples` random trees are drawn from the given seed, or from a fresh
     one that the report names, split over `jobs` shards."""
     _check_dim(n)
+    _check_jobs(jobs)
     if exhaustive:
         report = VerifyReport(n, "exhaustive")
         for tree in enumerate_trees(n, jobs):

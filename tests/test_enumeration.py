@@ -261,6 +261,23 @@ def test_verify_samples_parallel_merge():
     assert again.to_json() == report.to_json()
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_refused(jobs):
+    from cubenets.enumeration import _CLASS_CACHE
+
+    # no shard list is built from the count, so nothing empty is cached
+    _CLASS_CACHE.pop(("trees", 3), None)
+    with pytest.raises(ValueError, match="need jobs >= 1"):
+        enumerate_trees(3, jobs=jobs)
+    assert ("trees", 3) not in _CLASS_CACHE
+    assert len(enumerate_trees(3)) == 11
+    # a verification never passes having checked no tree
+    with pytest.raises(ValueError, match="need jobs >= 1"):
+        verify_unfoldings(3, samples=5, seed=1, jobs=jobs)
+    with pytest.raises(ValueError, match="need jobs >= 1"):
+        verify_unfoldings(3, exhaustive=True, jobs=jobs)
+
+
 def test_verify_exhaustive_budget():
     # exhaustive verification is bounded by the tree listing it walks
     assert DIRECT_LIMITS["trees"] == 5
