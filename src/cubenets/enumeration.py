@@ -7,13 +7,16 @@ The diagram route counts symmetry classes of chord diagrams instead and
 never touches the graph.  Their agreement on small dimensions is one of the
 package's main checks.
 
-Every orbit of spanning trees, paths or cycles has a member using edge rank
-0, the edge between facets 1 and 2, because the relabelling group moves any
-ordered non-antipodal pair of facets onto (1, 2).  For a path that pair is
-an endpoint and its neighbour, so its walk can start on that edge.  All
-three generators therefore only emit members holding edge rank 0, which
-shrinks the raw stream by an order of magnitude, and one orbit dedup that
-remembers only the images holding edge rank 0 serves all three.
+The relabelling group moves any ordered non-antipodal pair of facets onto
+(1, 2), the endpoints of edge rank 0.  Every tree has a leaf, and every path
+an endpoint; taking that facet and its one neighbour as the pair shows that
+every orbit of trees or paths has a member in which facet 1 is a leaf
+hanging from facet 2.  The tree and path generators emit only members of
+that shape: vertex 0's edges are ranks 0 .. 2n-3, so the shape is
+`mask & ((1 << (2n-2)) - 1) == 1`.  A cycle has no leaf, but every orbit of
+cycles still has a member through edge rank 0, and the cycle generator
+emits those.  One orbit dedup, told the shape of its stream, remembers only
+the images of that shape and serves all three.
 """
 
 from __future__ import annotations
@@ -123,6 +126,8 @@ def _reaches(adj_a: list[int], adj_b: list[int], start: int, goal: int) -> bool:
 def _raw_trees_second_edge(n: int, second: int):
     """Spanning-tree masks containing edge rank 0 and edge rank `second` but
     no rank strictly between: the stream sharded by second-lowest edge.
+    With `second` >= 2n-2 every rank of vertex 0 but rank 0 is skipped, so
+    vertex 0 is a leaf on vertex 1 in each tree emitted.
 
     Edges are decided in rank order, linking before skipping, on an explicit
     stack with one frame per linked edge.  The walk keeps one invariant: the
@@ -194,10 +199,15 @@ def _raw_trees_second_edge(n: int, second: int):
 
 
 def _raw_tree_masks(n: int, shard: tuple[int, int] = (0, 1)):
+    """Masks of spanning trees in which vertex 0 is a leaf on vertex 1: edge
+    rank 0 is the lowest edge and the second-lowest lies past vertex 0's
+    other edges, so no later edge can touch vertex 0.  Sharded by that
+    second edge."""
     which, of = shard
     m = len(roberts_edges(n))
-    for second in range(1, m):
-        if (second - 1) % of == which:
+    first = 2 * n - 2
+    for second in range(first, m):
+        if (second - first) % of == which:
             yield from _raw_trees_second_edge(n, second)
 
 
@@ -244,18 +254,28 @@ def _raw_cycle_masks(n: int, shard: tuple[int, int] = (0, 1)):
     return _raw_walk_masks(n, shard, close=True)
 
 
-def _dedup_restricted(n: int, masks) -> list[int]:
-    """Orbit dedup for streams whose every member holds edge rank 0; only
-    those orbit images are remembered, which is what keeps runs at the
-    budget ceiling inside memory."""
+def _dedup_restricted(n: int, masks, star: int) -> list[int]:
+    """Orbit dedup for streams whose every member has the shape
+    `mask & star == 1`: facet 1 a leaf on facet 2 for trees and paths
+    (star = vertex 0's edges), edge rank 0 held for cycles (star = 1).  Only
+    orbit images of that shape are remembered, which is what keeps runs at
+    the budget ceiling inside memory.  The representative is still the
+    best key over the whole orbit.  A member of another shape would never
+    be remembered, so its orbit could be emitted twice: it raises
+    RuntimeError instead."""
     seen: set[int] = set()
     out = []
     one = np.uint64(1)
+    star_u = np.uint64(star)
     for mask in masks:
         if mask in seen:
             continue
+        if mask & star != 1:
+            raise RuntimeError(
+                f"mask {mask:#x} lacks the stream shape mask & {star:#x} == 1"
+            )
         images, keys = _orbit_arrays(n, mask)
-        seen.update(images[(images & one).astype(bool)].tolist())
+        seen.update(images[(images & star_u) == one].tolist())
         out.append(int(images[int(np.argmax(keys))]))
     out.sort()
     return out
@@ -276,7 +296,10 @@ def _shard_job(kind: str, n: int, which: int, of: int) -> list[int]:
         "paths": _raw_path_masks,
         "cycles": _raw_cycle_masks,
     }[kind]
-    return _dedup_restricted(n, raw(n, (which, of)))
+    # vertex 0's edges are ranks 0 .. 2n-3: trees and paths hold rank 0
+    # alone of them, cycles hold rank 0
+    star = 1 if kind == "cycles" else (1 << (2 * n - 2)) - 1
+    return _dedup_restricted(n, raw(n, (which, of)), star)
 
 
 def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:

@@ -272,17 +272,30 @@ def test_dedup_emits_canonical_representatives():
     # every input collapses onto exactly one emitted representative
     for mask in raw:
         assert canonical_mask(3, mask) in reps
-    # the enumeration's restricted dedup, which remembers only images holding
-    # edge rank 0, gives the same list on every direct stream
-    for raw_masks, top in (
-        (_raw_tree_masks, 4),
-        (_raw_path_masks, 5),
-        (_raw_cycle_masks, 5),
+    # the enumeration's restricted dedup, which remembers only images of its
+    # stream's shape (facet 1 a leaf on facet 2 for trees and paths, edge
+    # rank 0 held for cycles), gives the same list on every direct stream
+    for raw_masks, cycles, top in (
+        (_raw_tree_masks, False, 4),
+        (_raw_path_masks, False, 5),
+        (_raw_cycle_masks, True, 5),
     ):
         for n in range(2, top + 1):
+            star = 1 if cycles else (1 << (2 * n - 2)) - 1  # vertex 0's edges
             stream = list(raw_masks(n))
-            assert all(mask & 1 for mask in stream)
-            assert _dedup_restricted(n, stream) == dedup_canonical_masks(n, stream)
+            assert all(mask & star == 1 for mask in stream)
+            assert _dedup_restricted(n, stream, star) == dedup_canonical_masks(n, stream)
+
+
+def test_dedup_refuses_a_mask_outside_its_stream_shape():
+    # vertex 0 is interior here, so the tree shape mask & star == 1 fails;
+    # such a mask would never be remembered and its orbit could repeat
+    n = 3
+    tree = SpanningSubgraph(n, "tree", ((0, 1), (0, 2), (0, 4), (0, 5), (1, 3)))
+    assert validate(tree) is None
+    star = (1 << (2 * n - 2)) - 1
+    with pytest.raises(RuntimeError, match="stream shape"):
+        _dedup_restricted(n, [tree.mask()], star)
 
 
 def test_subgraph_mask_roundtrip():

@@ -4,6 +4,7 @@ random tree sampling, the headline table, and the verification harness."""
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -149,18 +150,46 @@ def test_parallel_cycles_match_serial():
     assert list(_class_masks("cycles", 4, jobs=2)) == serial
 
 
+def spanning_trees_without_vertex_zero(n):
+    """Spanning trees of the Roberts graph minus vertex 0, by the matrix-tree
+    theorem: the determinant of its Laplacian with the row and column of
+    vertex 1 removed as well, taken exactly over the rationals."""
+    size = 2 * n - 2  # vertices 2 .. 2n-1
+    lap = [[Fraction(0)] * size for _ in range(size)]
+    for i, j in roberts_edges(n):
+        if i == 0:
+            continue
+        for a, b in ((i, j), (j, i)):
+            if a >= 2:
+                lap[a - 2][a - 2] += 1
+                if b >= 2:
+                    lap[a - 2][b - 2] -= 1
+    det = Fraction(1)
+    for c in range(size):
+        pivot = next(r for r in range(c, size) if lap[r][c] != 0)
+        if pivot != c:
+            lap[c], lap[pivot] = lap[pivot], lap[c]
+            det = -det
+        det *= lap[c][c]
+        for r in range(c + 1, size):
+            f = lap[r][c] / lap[c][c]
+            for k in range(c, size):
+                lap[r][k] -= f * lap[c][k]
+    return int(det)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_raw_tree_stream_is_every_tree_through_edge_zero(n):
-    # the cocktail-party graph has tau = 2^(2n-2) (n-1)^n n^(n-2) spanning
-    # trees, and by edge transitivity a fixed edge lies in tau (2n-1)/|E|
-    tau = 2 ** (2 * n - 2) * (n - 1) ** n * n ** (n - 2)
-    expected = tau * (2 * n - 1) // len(roberts_edges(n))
-    assert expected == {2: 3, 3: 160, 4: 24192}[n]
+def test_raw_tree_stream_is_every_tree_with_facet_one_a_leaf_on_facet_two(n):
+    # adding the edge {0, 1} to a spanning tree of the graph without vertex
+    # 0 gives each tree in which vertex 0 is a leaf on vertex 1 exactly once
+    expected = spanning_trees_without_vertex_zero(n)
+    assert expected == {2: 1, 3: 45, 4: 6125}[n]
+    star = (1 << (2 * n - 2)) - 1  # vertex 0's edges are ranks 0 .. 2n-3
     masks = list(_raw_tree_masks(n))
     assert len(masks) == expected
     assert len(set(masks)) == expected
     for mask in masks:
-        assert mask & 1
+        assert mask & star == 1
         assert validate(subgraph_from_mask(n, mask, "tree")) is None
 
 
