@@ -1,9 +1,10 @@
 """Command-line surface: unfold, enumerate, verify, partitions, chords, table.
 
 Exit codes, all decided in `main`: 0 success, 1 a verification failure or a
-method disagreement, 2 bad usage, bad input or a request past a budget.  All
-output is UTF-8; JSON is the interchange format and stays stably ordered so
-fixed seeds give byte-identical runs.
+method disagreement, 2 bad usage, bad input, a request past a budget or an
+output file that cannot be written.  All output is UTF-8; JSON is the
+interchange format and stays stably ordered so fixed seeds give
+byte-identical runs.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import json
 import sys
 
 from .chords import edge_orbit_count, enumerate_diagrams
-from .core import FacetLabel, SpanningSubgraph, _check_dim, validate
+from .core import FacetLabel, SpanningSubgraph, _check_budget, _check_dim, validate
 from .enumeration import (
     CHORDS_LIST_LIMIT,
+    METHODS,
     CountMismatchError,
     ResourceLimitError,
-    _chord_counts,
     build_table,
     classify_path,
+    count_classes,
     enumerate_cycles,
     enumerate_paths,
     enumerate_trees,
@@ -109,34 +111,18 @@ def _cmd_unfold(args) -> int:
 _ENUMERATORS = {"trees": enumerate_trees, "paths": enumerate_paths, "cycles": enumerate_cycles}
 
 
-def _chord_count(kind: str, n: int) -> int:
-    cycles, paths, _ter, _ext = _chord_counts(n)
-    return cycles if kind == "cycles" else paths
-
-
 def _cmd_enumerate(args) -> int:
     n, kind = args.dim, args.kind
-    if args.method != "direct" and kind == "trees":
-        raise ValueError("trees have no diagram route; use --method direct")
-    if args.method == "chords":
-        count = _chord_count(kind, n)
-        if not args.count_only:
-            raise ValueError(
-                "diagram route only counts classes; listing needs --method direct"
-            )
-        _emit(json.dumps({"n": n, "kind": kind, "count": count}), args.output)
-        return 0
-    subs = _ENUMERATORS[kind](n, args.jobs)
-    if args.method == "both":
-        expected = _chord_count(kind, n)
-        if len(subs) != expected:
-            raise CountMismatchError(
-                f"method disagreement: direct {len(subs)} vs chords {expected}"
-            )
+    count = count_classes(kind, n, args.method, args.jobs)
+    doc = {"n": n, "kind": kind, "count": count}
     if args.count_only:
-        _emit(json.dumps({"n": n, "kind": kind, "count": len(subs)}), args.output)
+        _emit(json.dumps(doc), args.output)
         return 0
-    doc = {"n": n, "kind": kind, "count": len(subs)}
+    if args.method == "chords":
+        raise ValueError(
+            "diagram route only counts classes; listing needs --method direct"
+        )
+    subs = _ENUMERATORS[kind](n, args.jobs)
     if kind == "paths":
         doc["classes"] = [
             {"edges": sub.to_json(), "ends": classify_path(sub)} for sub in subs
@@ -148,10 +134,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.exhaustive and args.samples:
-        raise ValueError("choose --exhaustive or --samples, not both")
-    if not args.exhaustive and not args.samples:
-        raise ValueError("need --exhaustive or --samples K")
     report = verify_unfoldings(
         args.dim,
         exhaustive=args.exhaustive,
@@ -180,11 +162,7 @@ def _cmd_partitions(args) -> int:
 def _cmd_chords(args) -> int:
     n = args.dim
     _check_dim(n)
-    if n > CHORDS_LIST_LIMIT:
-        raise ResourceLimitError(
-            f"diagram listings are budgeted up to --dim {CHORDS_LIST_LIMIT} "
-            f"(CHORDS_LIST_LIMIT), got --dim {n}"
-        )
+    _check_budget(n, CHORDS_LIST_LIMIT, "CHORDS_LIST_LIMIT", "diagram listings")
     diagrams = enumerate_diagrams(2 * n, args.loops)
     doc = {"n": n, "loops": args.loops, "count": len(diagrams)}
     rows = []
@@ -238,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--kind", choices=("trees", "paths", "cycles"), required=True)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--method", choices=("direct", "chords", "both"), default="direct")
+    p.add_argument("--method", choices=METHODS, default="direct")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_enumerate)
@@ -267,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="cycle/path class counts per dimension")
     p.add_argument("--max-dim", type=int, required=True)
-    p.add_argument("--method", choices=("direct", "chords", "both"), default="chords")
+    p.add_argument("--method", choices=METHODS, default="chords")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--output")
@@ -286,7 +264,7 @@ def main(argv=None) -> int:
     except CountMismatchError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ResourceLimitError, ValueError) as exc:
+    except (ResourceLimitError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

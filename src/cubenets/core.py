@@ -95,6 +95,18 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be at least 2, got {n}")
 
 
+class ResourceLimitError(Exception):
+    """A requested dimension is past what the chosen method can finish."""
+
+
+def _check_budget(n: int, limit: int, name: str, what: str) -> None:
+    """Refuse n past `limit`, naming the constant `name` that sets it."""
+    if n > limit:
+        raise ResourceLimitError(
+            f"{what} are budgeted up to n={limit} ({name}), got n={n}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # spanning subgraphs
 

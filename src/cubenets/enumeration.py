@@ -24,14 +24,16 @@ from __future__ import annotations
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .chords import _BULK_MAX_M, count_diagram_classes
 from .core import (
     FacetLabel,
+    ResourceLimitError,
     SpanningSubgraph,
+    _check_budget,
     _check_dim,
     _edge_rank_grid,
     _orbit_arrays,
@@ -44,10 +46,6 @@ from .nets import cube_partition_of, verify_development
 from .rolling import develop_tree
 
 
-class ResourceLimitError(Exception):
-    """A requested dimension is past what the chosen method can finish."""
-
-
 class CountMismatchError(Exception):
     """Two counts that must agree do not: the two methods, or ter(n) against
     paths(n-1)."""
@@ -58,14 +56,6 @@ DIRECT_LIMITS = {"trees": 5, "paths": 5, "cycles": 6}
 CHORDS_COUNT_LIMIT = 20
 # listing diagram classes holds every matching key in 4-bit packing
 CHORDS_LIST_LIMIT = _BULK_MAX_M // 2
-
-
-def _check_budget(n: int, limit: int, name: str, what: str) -> None:
-    """Refuse n past `limit`, naming the constant `name` that sets it."""
-    if n > limit:
-        raise ResourceLimitError(
-            f"{what} are budgeted up to n={limit} ({name}), got n={n}"
-        )
 
 
 def _check_direct(kind: str, n: int) -> None:
@@ -285,6 +275,8 @@ def _dedup_restricted(n: int, masks, star: int) -> list[int]:
 # public enumeration, cached per dimension
 
 
+# the table's ter count classifies the same path listing its paths count
+# takes, so the cache is what keeps a table row to one walk per kind
 _CLASS_CACHE: dict[tuple[str, int], tuple[int, ...]] = {}
 
 
@@ -374,6 +366,51 @@ def random_spanning_tree(n: int, rng: random.Random) -> SpanningSubgraph:
 # headline table
 
 
+METHODS = ("direct", "chords", "both")
+
+# (polygon vertices beyond 2n, loops) of the chord diagrams whose classes
+# are each kind's classes; "ter" is the paths whose ends are antipodal facets
+_DIAGRAMS = {"cycles": (0, 0), "ter": (0, 1), "paths": (2, 1)}
+
+
+def _chord_count(kind: str, n: int) -> int:
+    _check_dim(n)
+    _check_budget(n, CHORDS_COUNT_LIMIT, "CHORDS_COUNT_LIMIT", "chord counts")
+    extra, loops = _DIAGRAMS[kind]
+    return count_diagram_classes(2 * n + extra, loops)
+
+
+def _direct_count(kind: str, n: int, jobs: int) -> int:
+    if kind == "ter":
+        return sum(1 for p in enumerate_paths(n, jobs) if classify_path(p) == "ter")
+    return len(_class_masks(kind, n, jobs))
+
+
+def count_classes(kind: str, n: int, method: str = "direct", jobs: int = 1) -> int:
+    """Classes of `kind` ("trees", "paths", "cycles" or "ter") in dimension n.
+
+    method "direct" walks the Roberts graph (DIRECT_LIMITS), "chords" counts
+    diagram classes (CHORDS_COUNT_LIMIT; trees have no diagram route), and
+    "both" computes the two independently and raises CountMismatchError
+    unless they agree.  The diagram route is refused before any walk.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method != "direct" and kind not in _DIAGRAMS:
+        raise ValueError(f"{kind} have no diagram route; use --method direct")
+    if method == "chords":
+        return _chord_count(kind, n)
+    direct = _direct_count(kind, n, jobs)
+    if method == "both":
+        chords = _chord_count(kind, n)
+        if direct != chords:
+            raise CountMismatchError(
+                f"method disagreement at n={n} on {kind}: "
+                f"direct {direct} vs chords {chords}"
+            )
+    return direct
+
+
 @dataclass(frozen=True)
 class TableRow:
     n: int
@@ -383,13 +420,7 @@ class TableRow:
     ext: int
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "cycles": self.cycles,
-            "paths": self.paths,
-            "ter": self.ter,
-            "ext": self.ext,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -404,66 +435,40 @@ class EnumerationTable:
         raise KeyError(n)
 
     def to_json(self) -> dict:
-        return {"method": self.method, "rows": [r.to_json() for r in self.rows]}
-
-
-def _chord_counts(n: int) -> tuple[int, int, int, int]:
-    """(cycles, paths, ter, ext) class counts from the diagram route."""
-    _check_dim(n)
-    _check_budget(n, CHORDS_COUNT_LIMIT, "CHORDS_COUNT_LIMIT", "chord counts")
-    cycles = count_diagram_classes(2 * n, 0)
-    ter = count_diagram_classes(2 * n, 1)
-    paths = count_diagram_classes(2 * n + 2, 1)
-    return cycles, paths, ter, paths - ter
-
-
-def _direct_counts(n: int, jobs: int) -> tuple[int, int, int, int]:
-    cycles = len(enumerate_cycles(n, jobs))
-    paths = enumerate_paths(n, jobs)
-    ter = sum(1 for p in paths if classify_path(p) == "ter")
-    return cycles, len(paths), ter, len(paths) - ter
+        return asdict(self)
 
 
 def build_table(max_n: int, method: str = "chords", jobs: int = 1) -> EnumerationTable:
     """Cycle/path class counts with the ter/ext split for n = 2..max_n.
 
-    method "direct" walks the Roberts graph (small n only), "chords" counts
-    diagram classes, "both" computes the two independently, the direct side
-    as far as the path and cycle budgets both reach, and refuses to return
-    on any disagreement (CountMismatchError).
+    Each count goes through `count_classes`; under "both" the direct side
+    runs as far as the path and cycle budgets both reach, and the rows past
+    that are counted by chords alone.  Every row's ter must equal the
+    previous row's paths (CountMismatchError otherwise).
     """
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
-    if method not in ("direct", "chords", "both"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    # count_classes checks each row too; these up-front checks make a run
+    # past a budget fail before its first row
     if method == "direct":
         _check_direct("paths", max_n)
         _check_direct("cycles", max_n)
     else:
-        # _chord_counts checks each row too; this up-front check is there so
-        # that a "both" run past the budget fails before its direct rows
         _check_budget(max_n, CHORDS_COUNT_LIMIT, "CHORDS_COUNT_LIMIT", "chord counts")
     direct_max = min(DIRECT_LIMITS["paths"], DIRECT_LIMITS["cycles"])
-    rows = []
-    prev_paths = None
+    rows: list[TableRow] = []
     for n in range(2, max_n + 1):
-        if method == "direct":
-            cycles, paths, ter, ext = _direct_counts(n, jobs)
-        else:
-            cycles, paths, ter, ext = _chord_counts(n)
-            if method == "both" and n <= direct_max:
-                direct = _direct_counts(n, jobs)
-                if direct != (cycles, paths, ter, ext):
-                    raise CountMismatchError(
-                        f"method disagreement at n={n}: "
-                        f"direct {direct} vs chords {(cycles, paths, ter, ext)}"
-                    )
-        if prev_paths is not None and ter != prev_paths:
+        how = "chords" if method == "both" and n > direct_max else method
+        cycles, paths, ter = (
+            count_classes(kind, n, how, jobs) for kind in ("cycles", "paths", "ter")
+        )
+        if rows and ter != rows[-1].paths:
             raise CountMismatchError(
-                f"ter({n}) = {ter} but the n={n - 1} path count is {prev_paths}"
+                f"ter({n}) = {ter} but the n={n - 1} path count is {rows[-1].paths}"
             )
-        prev_paths = paths
-        rows.append(TableRow(n, cycles, paths, ter, ext))
+        rows.append(TableRow(n, cycles, paths, ter, paths - ter))
     return EnumerationTable(method, tuple(rows))
 
 
@@ -532,7 +537,10 @@ def verify_unfoldings(
     box partition.  Exhaustive mode walks every tree class, so it reaches
     as far as the tree listing does (DIRECT_LIMITS["trees"]); otherwise
     `samples` random trees are drawn from the given seed, or from a fresh
-    one that the report names, split over `jobs` shards."""
+    one that the report names, split over `jobs` shards.  Exactly one of
+    `exhaustive` and `samples > 0` must be asked for."""
+    if exhaustive == (samples > 0):
+        raise ValueError("need exactly one of exhaustive or samples > 0")
     _check_dim(n)
     _check_jobs(jobs)
     if exhaustive:
@@ -540,8 +548,6 @@ def verify_unfoldings(
         for tree in enumerate_trees(n, jobs):
             _check_tree(report, tree)
         return report
-    if samples <= 0:
-        raise ValueError("need exhaustive=True or samples > 0")
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
     base = samples // jobs

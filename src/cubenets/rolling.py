@@ -268,11 +268,14 @@ def develop_tree(
 ) -> Development:
     """Unfold a validated spanning tree by depth-first rolling from base.
 
-    Each tree child of the current facet sits in some directional slot; the
-    cube rolls that way to place the child, then rolls back.  The resulting
-    placement does not depend on the order children are visited, so
-    child_order (a callable mapping (parent label index, children tuple) to
-    an ordering) only reshuffles the traversal, never the cells.
+    Each tree child of a facet sits in some directional slot of the
+    orientation that facet was placed in; rolling that way places the child.
+    The walk runs in preorder on an explicit stack, each child taking its
+    own copy of its parent's slots rolled once, so nothing is rolled back
+    and no tree is too deep.  The resulting placement does not depend on the
+    order children are visited, so child_order (a callable mapping (parent
+    label index, children tuple) to an ordering) only reshuffles the
+    traversal, never the cells.
     """
     if tree.kind == "cycle":
         raise ValueError("cannot develop a cycle; delete an edge first")
@@ -280,52 +283,43 @@ def develop_tree(
     if problem is not None:
         raise ValueError(f"invalid {tree.kind}: {problem}")
     n = tree.n
-    two_n = 2 * n
     b = base.index(n)
-
-    adj = [[] for _ in range(two_n)]
+    # tree.edges is a sorted tuple of sorted pairs, so every row comes out sorted
+    adj = [[] for _ in range(2 * n)]
     for i, j in tree.edges:
         adj[i].append(j)
         adj[j].append(i)
-    for row in adj:
-        row.sort()
 
-    slots = list(initial_state(n, base).slots)
-    order = [b]
-    coords = [(0,) * (n - 1)]
-    parents = [-1]
-    entry = [0]
-    placed = [False] * two_n
-    placed[b] = True
-    pos = [0] * (n - 1)
-
-    def visit(lab):
+    order, coords, parents, entry = [], [], [], []
+    placed = [False] * (2 * n)
+    # frames (facet, parent, parent's slots, parent's cell)
+    stack = [(b, -1, list(initial_state(n, base).slots), [0] * (n - 1))]
+    while stack:
+        lab, par, slots, pos = stack.pop()
+        if placed[lab]:
+            continue
+        d = 0
+        if par >= 0:
+            slot = slots.index(lab)
+            if slot < 2:
+                raise RuntimeError(
+                    f"tree child {lab} of {par} sits at the base antipode"
+                )
+            d = _slot_direction(slot)
+            slots = slots[:]
+            _roll_in_place(slots, d)
+            pos = pos[:]
+            pos[abs(d) - 1] += 1 if d > 0 else -1
+        placed[lab] = True
+        order.append(lab)
+        coords.append(tuple(pos))
+        parents.append(par)
+        entry.append(d)
         children = [c for c in adj[lab] if not placed[c]]
         if child_order is not None:
             children = list(child_order(lab, tuple(children)))
-        for c in children:
-            if placed[c]:
-                continue
-            slot = slots.index(c)
-            if slot < 2:
-                raise RuntimeError(
-                    f"tree child {c} of {lab} sits at the base antipode"
-                )
-            d = _slot_direction(slot)
-            axis = abs(d) - 1
-            step = 1 if d > 0 else -1
-            pos[axis] += step
-            placed[c] = True
-            order.append(c)
-            coords.append(tuple(pos))
-            parents.append(lab)
-            entry.append(d)
-            _roll_in_place(slots, d)
-            visit(c)
-            _roll_in_place(slots, -d)
-            pos[axis] -= step
-
-    visit(b)
+        for c in reversed(children):
+            stack.append((c, lab, slots, pos))
     return Development(
         n, tuple(order), tuple(coords), tuple(parents), tuple(entry)
     )

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cubenets import cli, enumeration
+from cubenets import enumeration
 from cubenets.chords import (
     cycle_from_diagram,
     diagram_from_cycle,
@@ -93,6 +93,14 @@ def test_unfold_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["partition"] == [4, 3]
 
 
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.txt"
+    code, out, err = run(capsys, "table", "--max-dim", "3", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and str(target) in err
+    assert not target.exists()
+
+
 def test_enumerate_trees_count(capsys):
     code, out, err = run(
         capsys, "enumerate", "--dim", "3", "--kind", "trees", "--count-only"
@@ -159,7 +167,10 @@ BUDGET_EXITS = {
     "table --max-dim 21": _CHORD_COUNT_LINE,
     "verify --dim 6 --exhaustive": _direct_line("trees", 5, 6),
     "chords --dim 9": (
-        "diagram listings are budgeted up to --dim 8 (CHORDS_LIST_LIMIT), got --dim 9"
+        "diagram listings are budgeted up to n=8 (CHORDS_LIST_LIMIT), got n=9"
+    ),
+    "partitions --dim 37": (
+        "partition listings are budgeted up to n=36 (PARTITIONS_LIMIT), got n=37"
     ),
 }
 
@@ -194,20 +205,19 @@ def test_enumerate_chords_count_budget(capsys):
 
 
 def test_enumerate_method_disagreement_exits_one(capsys, monkeypatch):
-    real = enumeration._chord_counts
+    real = enumeration._chord_count
 
-    def off_by_one(n):
-        cycles, paths, ter, ext = real(n)
-        return cycles, paths + 1, ter, ext + 1
+    def off_by_one(kind, n):
+        return real(kind, n) + (kind == "paths")
 
-    monkeypatch.setattr(cli, "_chord_counts", off_by_one)
+    monkeypatch.setattr(enumeration, "_chord_count", off_by_one)
     code, out, err = run(
         capsys, "enumerate", "--dim", "3", "--kind", "paths",
         "--method", "both", "--count-only",
     )
     assert code == 1
     assert out == ""
-    assert "method disagreement: direct 4 vs chords 5" in err
+    assert err == "method disagreement at n=3 on paths: direct 4 vs chords 5\n"
 
 
 def test_verify_exhaustive(capsys):
@@ -304,7 +314,7 @@ def test_chords_listing(capsys):
 def test_chords_listing_budget(capsys):
     code, out, err = run(capsys, "chords", "--dim", "9")
     assert code == 2
-    assert "CHORDS_LIST_LIMIT" in err and "--dim 8" in err
+    assert "CHORDS_LIST_LIMIT" in err and "n=8" in err
     for argv in (("--dim", "-1"), ("--dim", "0", "--loops", "1")):
         code, out, err = run(capsys, "chords", *argv)
         assert (code, out) == (2, "")
@@ -369,13 +379,12 @@ def test_table_to_twenty_widens_columns(capsys):
 
 
 def test_table_method_disagreement_exits_one(capsys, monkeypatch):
-    real = enumeration._direct_counts
+    real = enumeration._direct_count
 
-    def off_by_one(n, jobs):
-        cycles, paths, ter, ext = real(n, jobs)
-        return cycles + (n == 3), paths, ter, ext
+    def off_by_one(kind, n, jobs):
+        return real(kind, n, jobs) + (kind == "cycles" and n == 3)
 
-    monkeypatch.setattr(enumeration, "_direct_counts", off_by_one)
+    monkeypatch.setattr(enumeration, "_direct_count", off_by_one)
     code, out, err = run(capsys, "table", "--max-dim", "4", "--method", "both")
     assert code == 1
     assert out == ""
@@ -383,7 +392,8 @@ def test_table_method_disagreement_exits_one(capsys, monkeypatch):
 
 
 def test_table_ter_check_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(enumeration, "_direct_counts", lambda n, jobs: (1, 5, 0, 5))
+    counts = {"cycles": 1, "paths": 5, "ter": 0}
+    monkeypatch.setattr(enumeration, "_direct_count", lambda kind, n, jobs: counts[kind])
     code, out, err = run(capsys, "table", "--max-dim", "3", "--method", "direct")
     assert code == 1
     assert "ter(3) = 0" in err

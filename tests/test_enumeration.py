@@ -26,6 +26,7 @@ from cubenets.enumeration import (
     _raw_tree_masks,
     build_table,
     classify_path,
+    count_classes,
     enumerate_cycles,
     enumerate_paths,
     enumerate_trees,
@@ -233,6 +234,28 @@ def test_table_chords_small():
     ]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_count_classes_routes_agree(n):
+    for kind in ("cycles", "paths", "ter"):
+        direct = count_classes(kind, n)
+        assert count_classes(kind, n, "chords") == direct
+        assert count_classes(kind, n, "both") == direct
+    assert count_classes("ter", n + 1, "both") == count_classes("paths", n)
+
+
+def test_count_classes_refusals():
+    assert count_classes("trees", 3) == 11
+    for method in ("chords", "both"):
+        # refused before any walk or budget, at any dimension
+        for n in (3, 21):
+            with pytest.raises(ValueError, match="trees have no diagram route"):
+                count_classes("trees", n, method)
+    with pytest.raises(ValueError, match="unknown method"):
+        count_classes("paths", 3, "guesswork")
+    with pytest.raises(ResourceLimitError, match="CHORDS_COUNT_LIMIT"):
+        count_classes("ter", 21, "chords")
+
+
 def test_table_direct_equals_chords():
     direct = build_table(4, "direct")
     chords = build_table(4, "chords")
@@ -317,3 +340,6 @@ def test_verify_exhaustive_budget():
 def test_verify_argument_errors():
     with pytest.raises(ValueError):
         verify_unfoldings(3)
+    # exactly one mode: samples are not quietly dropped beside exhaustive
+    with pytest.raises(ValueError, match="exactly one"):
+        verify_unfoldings(3, exhaustive=True, samples=5)

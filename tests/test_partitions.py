@@ -8,8 +8,10 @@ import pytest
 
 from cubenets import partitions
 from cubenets.cli import main
+from cubenets.core import ResourceLimitError
 from cubenets.nets import CubePartition, bounding_box, cube_partition_of
 from cubenets.partitions import (
+    PARTITIONS_LIMIT,
     IllegalSlideError,
     TokenClassification,
     classify_tokens,
@@ -44,6 +46,12 @@ def test_enumerate_small_dimensions():
         (4, 4, 2),
         (4, 3, 3),
     ]
+
+
+def test_enumerate_budget():
+    assert PARTITIONS_LIMIT == 36
+    with pytest.raises(ResourceLimitError, match=r"n=36 \(PARTITIONS_LIMIT\), got n=37"):
+        enumerate_cube_partitions(PARTITIONS_LIMIT + 1)
 
 
 def composition_partitions(n):

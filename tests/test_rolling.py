@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cubenets import rolling
 from cubenets.core import FacetLabel, SpanningSubgraph
+from cubenets.nets import is_net
 from cubenets.rolling import (
     Development,
     RevisitError,
@@ -370,6 +371,19 @@ def test_develop_tree_matches_reference():
                 FacetLabel.from_index(lab, n): pos
                 for lab, pos in reference_develop(tree, base).items()
             }
+
+
+def test_develop_tree_deeper_than_the_recursion_limit():
+    # the spanning path 1-2-...-n-1*-...-n*, 1199 rolls deep from facet 1
+    n = 600
+    labels = [f"{k}{star}" for star in ("", "*") for k in range(1, n + 1)]
+    tree = SpanningSubgraph.from_text(
+        n, ",".join(f"{a}-{b}" for a, b in zip(labels, labels[1:]))
+    )
+    dev = develop_tree(tree, L("1"))
+    assert [str(FacetLabel.from_index(lab, n)) for lab in dev.order] == labels
+    assert dev.parents == (-1, *dev.order[:-1])
+    assert is_net(dev)
 
 
 def test_develop_path_agrees_with_develop_tree():
