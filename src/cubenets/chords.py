@@ -9,8 +9,11 @@ diagrams with exactly one loop (a chord across a single boundary edge) count
 them the same way.
 
 Class counts come from Burnside's lemma (`count_diagram_classes`) and never
-list a matching; `enumerate_diagrams` lists the classes themselves, which
-only small polygons allow.
+list a matching.  `enumerate_diagrams` lists the classes themselves, up to
+the 16-gon (CHORDS_LIST_LIMIT): it generates only matchings whose chord at
+vertex 0 is one of their shortest, in increasing order, and moves them with
+the one dihedral action `_apply_vertex_map` that canonical forms,
+orbits and stabilizers use too.
 """
 
 from __future__ import annotations
@@ -20,11 +23,17 @@ from dataclasses import dataclass
 from functools import cache
 from math import ceil, comb, gcd
 
-import numpy as np
+from .core import (
+    SpanningSubgraph,
+    _check_budget,
+    antipode_index,
+    path_endpoints,
+    validate,
+)
 
-from .core import SpanningSubgraph, antipode_index, path_endpoints, validate
-
-_BULK_MAX_M = 16  # packed 4-bit keys; plenty for every table this tool builds
+# the 16-gon's classes take about 2.5 s to list, the 18-gon's about half a
+# minute, past the n = 5 tree listing's ~16 s
+CHORDS_LIST_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -214,50 +223,35 @@ def insert_loop(d: ChordDiagram, edge: int) -> ChordDiagram:
 # enumeration up to symmetry
 
 
-def _pack_weights(m: int) -> np.ndarray:
-    """Big-endian 4-bit place values; dot with a mate row packs it to one int."""
-    return (np.uint64(1) << (4 * np.arange(m - 1, -1, -1, dtype=np.uint64))).astype(
-        np.uint64
-    )
-
-
 @cache
 def _diagram_classes_by_loops(m: int, cap: int) -> tuple[tuple[ChordDiagram, ...], ...]:
-    """Canonical diagrams with 0..cap loops, one generation pass.
+    """Least mate tables of the diagram classes with 0..cap loops, one pass.
 
-    Matchings are generated by always pairing the lowest free vertex,
-    abandoning branches that exceed the loop budget; each new orbit is
-    expanded through all 2m polygon symmetries at once so later members are
-    skipped by key lookup.
+    Matchings are generated by always pairing the lowest free vertex, so
+    they come out in increasing mate-table order and the first member of an
+    orbit met is its least.  Every orbit has members whose chord at vertex 0
+    is one of its shortest chords (rotate one to start there), and the least
+    member is one of them; so only matchings with mate[0] <= m/2 and no
+    chord shorter than mate[0] are generated, branches past the loop budget
+    are abandoned, and each new orbit remembers only its images with the
+    same mate[0].
     """
     if m % 2 or m < 2:
         raise ValueError(f"vertex count must be even and positive, got {m}")
-    if m > _BULK_MAX_M:
-        raise ValueError(f"bulk enumeration capped at {_BULK_MAX_M} vertices")
-    sig = np.array(_dihedral_maps(m), dtype=np.int64)
-    rows = np.arange(2 * m)[:, None]
-    weights = _pack_weights(m)
-    seen: set[int] = set()
-    reps: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
+    maps = _dihedral_maps(m)
+    reps: list[list[ChordDiagram]] = [[] for _ in range(cap + 1)]
     mate = [-1] * m
-    full = (1 << m) - 1
 
-    def emit(loops):
-        key = 0
-        for v in mate:
-            key = (key << 4) | v
-        if key in seen:
-            return
-        arr = np.array(mate, dtype=np.int64)
-        imate_all = np.empty((2 * m, m), dtype=np.int64)
-        imate_all[rows, sig] = sig[:, arr]
-        keys = imate_all.astype(np.uint64) @ weights
-        seen.update(keys.tolist())
-        reps[loops].append(tuple(int(v) for v in imate_all[int(np.argmin(keys))]))
-
-    def rec(free, loops):
-        if free == 0:
-            emit(loops)
+    def rec(free, loops, short, seen):
+        if not free:
+            key = tuple(mate)
+            if key not in seen:
+                d = ChordDiagram(m, key)
+                for vm in maps:
+                    image = _apply_vertex_map(d, vm)
+                    if image[0] == short:
+                        seen.add(image)
+                reps[loops].append(d)
             return
         ib = free & -free
         i = ib.bit_length() - 1
@@ -267,24 +261,27 @@ def _diagram_classes_by_loops(m: int, cap: int) -> tuple[tuple[ChordDiagram, ...
             jb = cand & -cand
             j = jb.bit_length() - 1
             cand ^= jb
-            lp = loops + (1 if (j - i == 1 or (i == 0 and j == m - 1)) else 0)
-            if lp > cap:
+            # vertex 0 is matched, so a chord here is a loop only if j = i + 1
+            lp = loops + (j == i + 1)
+            if min(j - i, m - j + i) < short or lp > cap:
                 continue
             mate[i], mate[j] = j, i
-            rec(rest ^ jb, lp)
-        mate[i] = -1
+            rec(rest ^ jb, lp, short, seen)
 
-    rec(full, 0)
-    return tuple(
-        tuple(ChordDiagram(m, mt) for mt in sorted(bucket)) for bucket in reps
-    )
+    full = (1 << m) - 1
+    for short in range(1, m // 2 + 1):
+        mate[0], mate[short] = short, 0
+        rec(full ^ 1 ^ (1 << short), int(short == 1), short, set())
+    return tuple(tuple(bucket) for bucket in reps)
 
 
 def enumerate_diagrams(m: int, loop_count: int) -> tuple[ChordDiagram, ...]:
     """Canonical chord diagrams on m vertices with exactly loop_count loops,
-    sorted.  Cached; asking for 0 or 1 loops shares one generation pass."""
+    sorted.  Cached; asking for 0 or 1 loops shares one generation pass.
+    Polygons past 2 * CHORDS_LIST_LIMIT vertices raise ResourceLimitError."""
     if loop_count < 0 or loop_count > m // 2:
         return ()
+    _check_budget(m // 2, CHORDS_LIST_LIMIT, "CHORDS_LIST_LIMIT", "diagram listings")
     cap = max(1, loop_count)
     return _diagram_classes_by_loops(m, cap)[loop_count]
 

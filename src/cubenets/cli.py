@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chords import edge_orbit_count, enumerate_diagrams
-from .core import FacetLabel, SpanningSubgraph, _check_budget, _check_dim, validate
+from .core import FacetLabel, SpanningSubgraph, _check_dim, validate
 from .enumeration import (
-    CHORDS_LIST_LIMIT,
     METHODS,
     CountMismatchError,
     ResourceLimitError,
@@ -42,6 +42,15 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{raw!r}: not a positive integer")
     return value
+
+
+def _check_output_dir(output: str) -> None:
+    """Refuse an output file whose directory is missing before any work is
+    done, with the error that opening it would raise, and create nothing."""
+    try:
+        os.stat(os.path.dirname(output) or ".")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, output) from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -162,7 +171,6 @@ def _cmd_partitions(args) -> int:
 def _cmd_chords(args) -> int:
     n = args.dim
     _check_dim(n)
-    _check_budget(n, CHORDS_LIST_LIMIT, "CHORDS_LIST_LIMIT", "diagram listings")
     diagrams = enumerate_diagrams(2 * n, args.loops)
     doc = {"n": n, "loops": args.loops, "count": len(diagrams)}
     rows = []
@@ -257,6 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.output:
+            _check_output_dir(args.output)
         return args.func(args)
     except RevisitError as exc:  # first: it is also a ValueError
         print(f"facet revisited: {exc}", file=sys.stderr)

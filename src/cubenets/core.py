@@ -196,33 +196,6 @@ def subgraph_from_mask(n: int, mask: int, kind: Kind = "tree") -> SpanningSubgra
     return SpanningSubgraph(n, kind, tuple(picked))
 
 
-class _UnionFind:
-    """Tiny union-find by rank; `count` is the number of components left."""
-
-    def __init__(self, size):
-        self.parent = list(range(size))
-        self.rank = [0] * size
-        self.count = size
-
-    def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        """Join the sets of a and b; return the absorbed root, or -1 if already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return -1
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.count -= 1
-        return rb
-
-
 def validate(sub: SpanningSubgraph):
     """Return None if sub is a valid spanning subgraph of its kind, else the
     first violated condition as text."""
@@ -237,18 +210,29 @@ def validate(sub: SpanningSubgraph):
     if len(sub.edges) != expected:
         return f"wrong edge count: expected {expected}, got {len(sub.edges)}"
     deg = [0] * two_n
-    uf = _UnionFind(two_n)
+    parent = list(range(two_n))
+    components = two_n
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
     for i, j in sub.edges:
         deg[i] += 1
         deg[j] += 1
-        if uf.union(i, j) < 0 and sub.kind in ("tree", "path"):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+            components -= 1
+        elif sub.kind in ("tree", "path"):
             return "cycle present"
     if sub.kind == "cycle":
         bad = [k for k in range(two_n) if deg[k] != 2]
         if bad:
             lab = FacetLabel.from_index(bad[0], n)
             return f"wrong degrees: facet {lab} has degree {deg[bad[0]]}"
-    if uf.count != 1:
+    if components != 1:
         return "disconnected"
     if sub.kind == "path":
         leaves = sum(1 for d in deg if d == 1)

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .chords import _BULK_MAX_M, count_diagram_classes
+from .chords import count_diagram_classes
 from .core import (
     FacetLabel,
     ResourceLimitError,
@@ -54,8 +54,6 @@ class CountMismatchError(Exception):
 DIRECT_LIMITS = {"trees": 5, "paths": 5, "cycles": 6}
 # diagram class counts are closed-form sums: the whole table to n=20 takes ms
 CHORDS_COUNT_LIMIT = 20
-# listing diagram classes holds every matching key in 4-bit packing
-CHORDS_LIST_LIMIT = _BULK_MAX_M // 2
 
 
 def _check_direct(kind: str, n: int) -> None:

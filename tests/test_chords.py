@@ -24,7 +24,7 @@ from cubenets.chords import (
     _apply_vertex_map,
     _dihedral_maps,
 )
-from cubenets.core import SpanningSubgraph, canonical_form
+from cubenets.core import ResourceLimitError, SpanningSubgraph, canonical_form
 from cubenets.enumeration import build_table
 
 
@@ -115,11 +115,13 @@ def test_class_counts_one_loop():
 
 
 def test_enumerate_sorted_and_canonical():
-    ds = enumerate_diagrams(8, 0)
-    assert list(ds) == sorted(ds, key=lambda d: d.mate)
-    for d in ds:
-        assert canonical_diagram(d) == d
-        assert d.loops() == 0
+    for m in range(2, 13, 2):
+        for loops in (0, 1):
+            ds = enumerate_diagrams(m, loops)
+            assert list(ds) == sorted(ds, key=lambda d: d.mate)
+            for d in ds:
+                assert canonical_diagram(d) == d
+                assert d.loops() == loops
 
 
 def test_enumerate_degenerate_requests():
@@ -129,7 +131,7 @@ def test_enumerate_degenerate_requests():
     assert len(enumerate_diagrams(2, 0)) == 0
     with pytest.raises(ValueError):
         enumerate_diagrams(5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitError, match="CHORDS_LIST_LIMIT"):
         enumerate_diagrams(18, 0)
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cubenets import enumeration
+from cubenets import cli, enumeration
 from cubenets.chords import (
     cycle_from_diagram,
     diagram_from_cycle,
@@ -93,7 +93,11 @@ def test_unfold_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["partition"] == [4, 3]
 
 
-def test_unwritable_output_exits_two(tmp_path, capsys):
+def test_unwritable_output_exits_two(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the table was built before --output was checked")
+
+    monkeypatch.setattr(cli, "build_table", never)
     target = tmp_path / "missing" / "table.txt"
     code, out, err = run(capsys, "table", "--max-dim", "3", "--output", str(target))
     assert (code, out) == (2, "")
@@ -459,6 +463,9 @@ GOLDEN_ARGV = {
     "verify-samples-jobs2": (
         "verify", "--dim", "6", "--samples", "301", "--seed", "4", "--jobs", "2",
     ),
+    "chords7": ("chords", "--dim", "7"),
+    "chords7-loops1": ("chords", "--dim", "7", "--loops", "1"),
+    "chords7-net-counts": ("chords", "--dim", "7", "--ext-net-counts"),
 }
 
 
@@ -476,6 +483,8 @@ def _golden_text(name, capsys):
         return repr([diagram_from_path(p)[0].mate for p in enumerate_paths(5)])
     if name == "diagram-from-cycle":
         return repr([diagram_from_cycle(c).mate for c in enumerate_cycles(5)])
+    if name.startswith("diagrams16-loops"):
+        return repr([d.mate for d in enumerate_diagrams(16, int(name[-1]))])
     # name == "from-diagram": every dim-5 listing, opened at every allowed edge
     loopless = enumerate_diagrams(10, 0)
     edges = [cycle_from_diagram(d, 5).edges for d in loopless]
@@ -491,7 +500,8 @@ def _golden_text(name, capsys):
 # before paths were walked from the fixed edge, the README entries before the
 # package's public surface was cut down to the names the README uses, and the
 # tree listing before the tree walker moved to an explicit stack, and the
-# sampled verifications before one-job runs went through the shard merge
+# sampled verifications before one-job runs went through the shard merge, and
+# the diagram listings before they dropped the packed bulk expansion
 GOLDEN = {
     "trees4": "a94ce90f45a722064308f830d5d3904fc23b7dca54f629af811be8535ac8240a",
     "paths2": "e11e6846daf7e3d731f8816e54c75e57bdf7569d1087ec9f5edbcdd6e182d104",
@@ -515,6 +525,11 @@ GOLDEN = {
     "readme-table": "1c055402c9fb33b3b6fd9000a2c1863f5e9849bc3bbc045150567e03cb7c2bd9",
     "verify-samples": "8005e7dec6b83ed792ca1c1c7a7396acd2d1141240263f50d59a39ee0da78f77",
     "verify-samples-jobs2": "7e86320b90fd97eff5f6059176495e97a9b72964bb24fb4bf7ff262bf0598796",
+    "diagrams16-loops0": "75e3bafa43fa2c74aa7dc6ae42c3dd881bb1fed8ec646e76a268363d95579294",
+    "diagrams16-loops1": "a7b10e60fa1cb5c0841aca686fe74609cd36b27c112328adfd74d5261953c9ea",
+    "chords7": "3b52f8353a74f821fd567b650c79e02dbd8afcc0091300412489f99c2bb4e560",
+    "chords7-loops1": "401b3a27b8f2263b5cd11efdd68df2f59fc5fc105493c3bb0fb79361fe530968",
+    "chords7-net-counts": "46be8885f145e5b9918b1343d4c94542e0074eabb5afb4d23efb93b6d3d76c93",
 }
 
 
