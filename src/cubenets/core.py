@@ -214,8 +214,9 @@ def validate(sub: SpanningSubgraph):
     components = two_n
 
     def find(x):
+        # path halving: without union by rank the chains can grow long
         while parent[x] != x:
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
     for i, j in sub.edges:

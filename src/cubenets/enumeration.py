@@ -25,6 +25,7 @@ import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -67,11 +68,12 @@ def _check_jobs(jobs: int) -> None:
 
 
 def _run_shards(fn, args: list[tuple], jobs: int) -> list:
-    """fn(*a) for each tuple in `args`, in order: in this process for one
-    job, else over a pool of `jobs` worker processes."""
-    if jobs <= 1:
+    """fn(*a) for each tuple in `args`, in order: in this process when one
+    worker would do, else over a pool of min(jobs, len(args)) processes."""
+    workers = min(jobs, len(args))
+    if workers <= 1:
         return [fn(*a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*args)))
 
 
@@ -90,6 +92,15 @@ def _suffix_adjacency(n: int) -> list[list[int]]:
         rows.append(row)
     rows.reverse()
     return rows
+
+
+@cache
+def _neighbours(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row v lists facet v's Roberts-graph neighbours in ascending order."""
+    return tuple(
+        tuple(u for u in range(2 * n) if u != v and u != antipode_index(v, n))
+        for v in range(2 * n)
+    )
 
 
 def _reaches(adj_a: list[int], adj_b: list[int], start: int, goal: int) -> bool:
@@ -207,10 +218,7 @@ def _raw_walk_masks(n: int, shard: tuple[int, int], close: bool):
     which, of = shard
     two_n = 2 * n
     grid = _edge_rank_grid(n)
-    neighbours = [
-        [u for u in range(two_n) if u != v and u != antipode_index(v, n)]
-        for v in range(two_n)
-    ]
+    neighbours = _neighbours(n)
     closers = set(neighbours[0])
 
     def rec(v, visited, depth, mask):
@@ -299,7 +307,10 @@ def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
     _check_jobs(jobs)
     key = (kind, n)
     if key not in _CLASS_CACHE:
-        parts = _run_shards(_shard_job, [(kind, n, w, jobs) for w in range(jobs)], jobs)
+        # each stream is sharded by vertex 1's next neighbour (the second
+        # walk step, or the tree's second-lowest edge), so 2n-3 shards at most
+        of = min(jobs, 2 * n - 3)
+        parts = _run_shards(_shard_job, [(kind, n, w, of) for w in range(of)], jobs)
         _CLASS_CACHE[key] = tuple(sorted(set().union(*parts)))
     return _CLASS_CACHE[key]
 
@@ -331,27 +342,26 @@ def classify_path(p: SpanningSubgraph) -> str:
 
 
 def random_spanning_tree(n: int, rng: random.Random) -> SpanningSubgraph:
-    """Uniform spanning tree of the Roberts graph by loop-erased walks."""
+    """Uniform spanning tree of the Roberts graph by loop-erased walks.  Each
+    step draws its neighbour's rank by the rejection loop over `getrandbits`
+    that `rng.randrange(2n-2)` runs, so the stream is that call's, draw for
+    draw."""
     two_n = 2 * n
+    k = two_n - 2
+    bits = k.bit_length()
+    getrandbits = rng.getrandbits
+    neighbours = _neighbours(n)
     in_tree = [False] * two_n
     succ = [-1] * two_n
     in_tree[0] = True
-
-    def step(u):
-        a, b = sorted((u, antipode_index(u, n)))
-        v = rng.randrange(two_n - 2)
-        if v >= a:
-            v += 1
-        if v >= b:
-            v += 1
-        return v
-
     edges = []
     for v0 in range(1, two_n):
         u = v0
         while not in_tree[u]:
-            succ[u] = step(u)
-            u = succ[u]
+            r = getrandbits(bits)
+            while r >= k:
+                r = getrandbits(bits)
+            succ[u] = u = neighbours[u][r]
         u = v0
         while not in_tree[u]:
             in_tree[u] = True

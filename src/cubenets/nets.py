@@ -72,23 +72,32 @@ def cube_partition_of(dev: Development) -> CubePartition:
     return CubePartition(bounding_box(dev))
 
 
+def _box_scan(coords) -> tuple[list[int], tuple[int, ...]]:
+    """Box-extent sum after each cell, kept running (a cell adds what it
+    pushes the box out by), and the final extents in axis order."""
+    lo = list(coords[0])
+    hi = lo[:]
+    total = len(lo)
+    trace = [total]
+    for pos in coords[1:]:
+        for k, v in enumerate(pos):
+            if v < lo[k]:
+                total += lo[k] - v
+                lo[k] = v
+            elif v > hi[k]:
+                total += v - hi[k]
+                hi[k] = v
+        trace.append(total)
+    return trace, tuple(h - l + 1 for l, h in zip(lo, hi))
+
+
 def box_growth_trace(dev: Development) -> list[int]:
     """Sum of box extents after each facet is placed.
 
     Starts at n-1 (a single cell) and, for any tree development, steps up by
     exactly one per facet, ending at 3n-2.
     """
-    lo = list(dev.coords[0])
-    hi = list(dev.coords[0])
-    trace = [len(lo)]
-    for pos in dev.coords[1:]:
-        for k, v in enumerate(pos):
-            if v < lo[k]:
-                lo[k] = v
-            elif v > hi[k]:
-                hi[k] = v
-        trace.append(sum(h - l + 1 for l, h in zip(lo, hi)))
-    return trace
+    return _box_scan(dev.coords)[0]
 
 
 def canonical_points(points, dim: int) -> tuple[tuple[int, ...], ...]:
@@ -125,13 +134,13 @@ def verify_development(dev: Development) -> list[str]:
     if not dev.is_spanning:
         problems.append(f"covers {len(dev.order)} of {2 * dev.n} facets")
         return problems
-    trace = box_growth_trace(dev)
+    trace, extents = _box_scan(dev.coords)
     n = dev.n
     if trace != list(range(n - 1, 3 * n - 1)):
         problems.append(f"box sum trace {trace} is not unit growth")
     if hit is None:
         try:
-            CubePartition(bounding_box(dev))
+            CubePartition(extents)
         except ValueError as e:
             problems.append(str(e))
     return problems

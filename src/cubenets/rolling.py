@@ -7,8 +7,10 @@ direction +-1..+-(n-1).  Rolling in direction d is a 4-cycle on the slots
 word or a spanning tree repeats that move, dropping each facet onto the
 lattice cell where it first becomes the base.
 
-One engine does the developing: `_roll_in_place` turns a mutable slot list,
-and `develop_path`, `RollSequence.develop` and `develop_tree` all call it.
+One engine does the developing: `_roll_in_place` turns a mutable slot list
+toward a slot index.  `develop_path` and `RollSequence.develop` pass each
+direction's slot; `develop_tree` rolls at the slot where it finds the child
+and reads the direction off that slot.
 The immutable `RollState` with `roll` and `initial_state` is the reference
 that the tests check the engine against; `initial_state` also fixes every
 development's start orientation.
@@ -46,11 +48,6 @@ def _check_direction(n: int, d: int) -> int:
 # slot layout: 0 = base, 1 = base antipode, 2d = +d, 2d+1 = -d
 def _slot_index(d: int) -> int:
     return 2 * d if d > 0 else -2 * d + 1
-
-
-def _slot_direction(slot: int) -> int:
-    # inverse of _slot_index for slot >= 2
-    return slot // 2 if slot % 2 == 0 else -(slot // 2)
 
 
 @dataclass(frozen=True)
@@ -118,10 +115,10 @@ def roll(state: RollState, d: int) -> RollState:
     return RollState(state.n, tuple(s))
 
 
-def _roll_in_place(slots: list[int], d: int) -> None:
-    """Tip the cube in direction d by permuting the slot list in place:
-    base <- +d <- base* <- -d <- base, the same 4-cycle as `roll`."""
-    p = _slot_index(d)
+def _roll_in_place(slots: list[int], p: int) -> None:
+    """Tip the cube toward directional slot p = _slot_index(d) by permuting
+    the slot list in place: base <- +d <- base* <- -d <- base, the same
+    4-cycle as `roll`.  The opposite slot is p ^ 1."""
     m = p ^ 1
     slots[0], slots[p], slots[1], slots[m] = slots[p], slots[1], slots[m], slots[0]
 
@@ -234,7 +231,7 @@ def _develop_word(n: int, start_slots, dirs) -> Development:
     pos = [0] * (n - 1)
     for step, d in enumerate(dirs):
         _check_direction(n, d)
-        _roll_in_place(slots, d)
+        _roll_in_place(slots, _slot_index(d))
         new_base = slots[0]
         if slots[1] != antipode_index(new_base, n):
             raise RuntimeError(f"roll {d} at step {step} broke antipodality")
@@ -300,26 +297,28 @@ def develop_tree(
             continue
         d = 0
         if par >= 0:
-            slot = slots.index(lab)
-            if slot < 2:
+            p = slots.index(lab)
+            if p < 2:
                 raise RuntimeError(
                     f"tree child {lab} of {par} sits at the base antipode"
                 )
-            d = _slot_direction(slot)
             slots = slots[:]
-            _roll_in_place(slots, d)
+            _roll_in_place(slots, p)
             pos = pos[:]
+            d = -(p >> 1) if p & 1 else p >> 1
             pos[abs(d) - 1] += 1 if d > 0 else -1
         placed[lab] = True
         order.append(lab)
         coords.append(tuple(pos))
         parents.append(par)
         entry.append(d)
-        children = [c for c in adj[lab] if not placed[c]]
+        children = adj[lab]
         if child_order is not None:
-            children = list(child_order(lab, tuple(children)))
+            unplaced = tuple(c for c in children if not placed[c])
+            children = list(child_order(lab, unplaced))
         for c in reversed(children):
-            stack.append((c, lab, slots, pos))
+            if not placed[c]:
+                stack.append((c, lab, slots, pos))
     return Development(
         n, tuple(order), tuple(coords), tuple(parents), tuple(entry)
     )

@@ -456,13 +456,15 @@ README_EXAMPLES = {
     "readme-table": ("table", "--max-dim", "7"),
 }
 
-# sampled verification, serial and over two shards of unequal size
+# sampled verification, serial and over two shards of unequal size, and at
+# the dimension the benchmark samples
 GOLDEN_ARGV = {
     **README_EXAMPLES,
     "verify-samples": ("verify", "--dim", "8", "--samples", "300", "--seed", "1"),
     "verify-samples-jobs2": (
         "verify", "--dim", "6", "--samples", "301", "--seed", "4", "--jobs", "2",
     ),
+    "verify-samples-dim12": ("verify", "--dim", "12", "--samples", "500", "--seed", "7"),
     "chords7": ("chords", "--dim", "7"),
     "chords7-loops1": ("chords", "--dim", "7", "--loops", "1"),
     "chords7-net-counts": ("chords", "--dim", "7", "--ext-net-counts"),
@@ -501,7 +503,8 @@ def _golden_text(name, capsys):
 # package's public surface was cut down to the names the README uses, and the
 # tree listing before the tree walker moved to an explicit stack, and the
 # sampled verifications before one-job runs went through the shard merge, and
-# the diagram listings before they dropped the packed bulk expansion
+# the diagram listings before they dropped the packed bulk expansion, and the
+# n=12 sampled verification before the sampler drew from getrandbits directly
 GOLDEN = {
     "trees4": "a94ce90f45a722064308f830d5d3904fc23b7dca54f629af811be8535ac8240a",
     "paths2": "e11e6846daf7e3d731f8816e54c75e57bdf7569d1087ec9f5edbcdd6e182d104",
@@ -525,6 +528,7 @@ GOLDEN = {
     "readme-table": "1c055402c9fb33b3b6fd9000a2c1863f5e9849bc3bbc045150567e03cb7c2bd9",
     "verify-samples": "8005e7dec6b83ed792ca1c1c7a7396acd2d1141240263f50d59a39ee0da78f77",
     "verify-samples-jobs2": "7e86320b90fd97eff5f6059176495e97a9b72964bb24fb4bf7ff262bf0598796",
+    "verify-samples-dim12": "6e197c2cf29272d627a5ccacf9ced42c50059c9349fa5bce1edb4424a798ec82",
     "diagrams16-loops0": "75e3bafa43fa2c74aa7dc6ae42c3dd881bb1fed8ec646e76a268363d95579294",
     "diagrams16-loops1": "a7b10e60fa1cb5c0841aca686fe74609cd36b27c112328adfd74d5261953c9ea",
     "chords7": "3b52f8353a74f821fd567b650c79e02dbd8afcc0091300412489f99c2bb4e560",

@@ -177,6 +177,21 @@ def test_validate_path_degrees():
     assert validate(snake) is None
 
 
+def test_validate_star_on_the_last_label():
+    # linking every facet to the last label in edge order hangs each old
+    # root under the next, so the union-find chains grow as long as they can
+    n = 500
+    last = 2 * n - 1
+    spokes = tuple((i, last) for i in range(last) if i != n - 1)
+    tree = SpanningSubgraph(n, "tree", spokes + ((0, n - 1),))
+    assert validate(tree) is None
+    assert validate(SpanningSubgraph(n, "path", tree.edges)) == (
+        "wrong degrees: 998 endpoints, expected 2"
+    )
+    looped = SpanningSubgraph(n, "tree", spokes + ((0, 1),))
+    assert validate(looped) == "cycle present"
+
+
 def test_validate_cycle():
     good = SpanningSubgraph.from_text(2, "1-2,2-1*,1*-2*,2*-1", kind="cycle")
     assert validate(good) is None

@@ -10,6 +10,7 @@ import pytest
 
 from cubenets.core import (
     SpanningSubgraph,
+    antipode_index,
     canonical_mask,
     orbit_masks,
     random_signed_permutation,
@@ -151,6 +152,34 @@ def test_parallel_cycles_match_serial():
     assert list(_class_masks("cycles", 4, jobs=2)) == serial
 
 
+def test_one_shard_runs_without_a_pool(monkeypatch):
+    from cubenets import enumeration
+    from cubenets.enumeration import _CLASS_CACHE, _class_masks
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a process pool was started")
+
+    serial = {kind: _class_masks(kind, 2) for kind in ("paths", "cycles")}
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    # paths and cycles at n=2 have one shard, so two jobs need no pool
+    for kind in ("paths", "cycles"):
+        monkeypatch.delitem(_CLASS_CACHE, (kind, 2))
+        assert _class_masks(kind, 2, jobs=2) == serial[kind]
+    # one sample is one shard
+    report = verify_unfoldings(4, samples=1, seed=2, jobs=2)
+    assert report.trees_checked == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_raw_streams_fill_only_the_first_2n_minus_3_shards(n):
+    from cubenets.enumeration import _raw_cycle_masks, _raw_path_masks
+
+    of = 2 * n - 1
+    for raw in (_raw_tree_masks, _raw_path_masks, _raw_cycle_masks):
+        sizes = [sum(1 for _ in raw(n, (w, of))) for w in range(of)]
+        assert all(sizes[: 2 * n - 3]) and sizes[2 * n - 3 :] == [0, 0]
+
+
 def spanning_trees_without_vertex_zero(n):
     """Spanning trees of the Roberts graph minus vertex 0, by the matrix-tree
     theorem: the determinant of its Laplacian with the row and column of
@@ -207,6 +236,50 @@ def test_parallel_generation_matches_serial():
         for jobs in (2, 3):
             _CLASS_CACHE.pop(("paths", n), None)
             assert list(_class_masks("paths", n, jobs=jobs)) == serial
+
+
+def reference_random_spanning_tree(n, rng):
+    """The sampler as first written, one `randrange` per walk step: the
+    oracle for the stream the package's sampler must draw."""
+    two_n = 2 * n
+    in_tree = [False] * two_n
+    succ = [-1] * two_n
+    in_tree[0] = True
+
+    def step(u):
+        a, b = sorted((u, antipode_index(u, n)))
+        v = rng.randrange(two_n - 2)
+        if v >= a:
+            v += 1
+        if v >= b:
+            v += 1
+        return v
+
+    edges = []
+    for v0 in range(1, two_n):
+        u = v0
+        while not in_tree[u]:
+            succ[u] = step(u)
+            u = succ[u]
+        u = v0
+        while not in_tree[u]:
+            in_tree[u] = True
+            edges.append((u, succ[u]))
+            u = succ[u]
+    return SpanningSubgraph(n, "tree", tuple(edges))
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_random_spanning_tree_draws_the_reference_stream(n):
+    # same trees and the same generator state after every tree, so the
+    # sampler takes neither one draw more nor one fewer than randrange would
+    for seed in range(24):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert random_spanning_tree(n, ours).edges == (
+                reference_random_spanning_tree(n, ref).edges
+            )
+            assert ours.getstate() == ref.getstate()
 
 
 def test_random_spanning_tree_valid():

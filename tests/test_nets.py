@@ -17,7 +17,7 @@ from cubenets.nets import (
     render_svg,
     verify_development,
 )
-from cubenets.rolling import develop_path, develop_tree
+from cubenets.rolling import Development, develop_path, develop_tree
 
 L = FacetLabel.parse
 
@@ -129,6 +129,44 @@ def test_canonical_net_separates_different_paths():
 def test_verify_development_flags_partial():
     report = verify_development(develop_path(3, L("1"), [1, 2]))
     assert any("covers 3 of 6" in p for p in report)
+
+
+def hand_built(n, coords):
+    """A development that visits facets in label order and puts them on the
+    given cells; its parents and entry directions play no part in checking."""
+    k = len(coords)
+    parents = (-1,) + tuple(range(k - 1))
+    entry_dirs = (0,) + (1,) * (k - 1)
+    return Development(n, tuple(range(k)), tuple(coords), parents, entry_dirs)
+
+
+def test_verify_development_flags_collision():
+    # 2* lands back on 2's cell; the box complaint comes from the same scan,
+    # and the partition is not judged once cells collide
+    dev = hand_built(2, [(0,), (1,), (2,), (1,)])
+    assert verify_development(dev) == [
+        "collision between 2 and 2*",
+        "box sum trace [1, 2, 3, 3] is not unit growth",
+    ]
+
+
+def test_verify_development_flags_collision_in_partial():
+    dev = hand_built(3, [(0, 0), (1, 0), (0, 0)])
+    assert verify_development(dev) == ["collision between 1 and 3", "covers 3 of 6 facets"]
+
+
+def test_verify_development_flags_jumps_of_two():
+    dev = hand_built(3, [(0, 0), (2, 0), (4, 0), (0, 2), (0, 4), (2, 2)])
+    assert verify_development(dev) == [
+        "box sum trace [2, 4, 6, 8, 10, 10] is not unit growth",
+        "parts (5, 5) sum to 10, expected 7",
+    ]
+
+
+def test_verify_development_flags_illegal_partition():
+    # six cells in a row: distinct, growing by one, but a box of height 1
+    dev = hand_built(3, [(k, 0) for k in range(6)])
+    assert verify_development(dev) == ["parts must all be at least 2, got (6, 1)"]
 
 
 def test_net_json_includes_partition():

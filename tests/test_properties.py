@@ -23,7 +23,7 @@ from cubenets.core import (
     roberts_edges,
 )
 from cubenets.enumeration import random_spanning_tree
-from cubenets.nets import box_growth_trace, canonical_net, is_net
+from cubenets.nets import _box_scan, box_growth_trace, canonical_net, is_net
 from cubenets.partitions import enumerate_cube_partitions, realize_partition
 from cubenets.rolling import develop_tree, initial_state, roll, uturn_audit
 
@@ -96,6 +96,28 @@ def test_tree_developments_are_nets_with_unit_growth(n, seed):
     assert uturn_audit(dev) is None
     trace = box_growth_trace(dev)
     assert trace == list(range(n - 1, 3 * n - 1))
+
+
+def naive_box_scan(coords):
+    """Box extents recomputed from scratch after every cell, and their sums."""
+    extents = [
+        tuple(max(axis) - min(axis) + 1 for axis in zip(*coords[: k + 1]))
+        for k in range(len(coords))
+    ]
+    return [sum(e) for e in extents], extents[-1]
+
+
+@st.composite
+def cell_sequences(draw):
+    dim = draw(st.integers(min_value=1, max_value=5))
+    cell = st.tuples(*[st.integers(min_value=-50, max_value=50)] * dim)
+    return draw(st.lists(cell, min_size=1, max_size=30))
+
+
+@given(cell_sequences())
+def test_box_scan_matches_naive_recomputation(coords):
+    trace, extents = _box_scan(coords)
+    assert (trace, extents) == naive_box_scan(coords)
 
 
 @given(st.integers(min_value=2, max_value=5), seeds)

@@ -246,8 +246,7 @@ def test_line_development_dim2():
 
 
 def test_word_engine_antipodality_check(monkeypatch):
-    def half_roll(slots, d):
-        p = 2 * d if d > 0 else 1 - 2 * d
+    def half_roll(slots, p):
         slots[0], slots[p] = slots[p], slots[0]
 
     monkeypatch.setattr(rolling, "_roll_in_place", half_roll)
@@ -355,6 +354,21 @@ def test_develop_tree_child_order_invariance():
 
         dev = develop_tree(tree, L("1"), child_order=shuffle)
         assert dev.placement() == base
+
+
+def test_develop_tree_visits_children_in_the_given_order():
+    tree = SpanningSubgraph.from_text(3, "1-2,1-2*,1-3,1-3*,2-1*")
+    asked = []
+
+    def backwards(lab, children):
+        asked.append((lab, children))
+        return reversed(children)
+
+    dev = develop_tree(tree, L("1"), child_order=backwards)
+    assert develop_tree(tree, L("1")).order == (0, 1, 3, 2, 4, 5)
+    assert dev.order == (0, 5, 4, 2, 1, 3)
+    # each facet is asked about its unplaced tree children only
+    assert asked == [(0, (1, 2, 4, 5)), (5, ()), (4, ()), (2, ()), (1, (3,)), (3, ())]
 
 
 def test_develop_tree_matches_reference():
