@@ -301,8 +301,9 @@ def _shard_job(kind: str, n: int, which: int, of: int) -> list[int]:
 
 
 def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
-    # the budget and the worker count are checked before the cache, so
-    # neither depends on what an earlier call left there
+    # the dimension, the budget and the worker count are checked before the
+    # cache, so none of them depends on what an earlier call left there
+    _check_dim(n)
     _check_direct(kind, n)
     _check_jobs(jobs)
     key = (kind, n)

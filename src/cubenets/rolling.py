@@ -19,7 +19,6 @@ development's start orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .core import (
     FacetLabel,
@@ -70,10 +69,6 @@ class RollState:
         """Label currently in directional slot d (signed)."""
         _check_direction(self.n, d)
         return FacetLabel.from_index(self.slots[_slot_index(d)], self.n)
-
-    def find(self, label: FacetLabel) -> int:
-        """Slot index holding the given label."""
-        return self.slots.index(label.index(self.n))
 
     def is_coherent(self) -> bool:
         """Slots hold each label once, antipodal labels in opposite slots."""
@@ -257,22 +252,16 @@ def develop_path(n: int, base: FacetLabel, dirs) -> Development:
     return _develop_word(n, initial_state(n, base).slots, dirs)
 
 
-def develop_tree(
-    tree: SpanningSubgraph,
-    base: FacetLabel,
-    *,
-    child_order: Optional[Callable] = None,
-) -> Development:
+def develop_tree(tree: SpanningSubgraph, base: FacetLabel) -> Development:
     """Unfold a validated spanning tree by depth-first rolling from base.
 
     Each tree child of a facet sits in some directional slot of the
     orientation that facet was placed in; rolling that way places the child.
     The walk runs in preorder on an explicit stack, each child taking its
     own copy of its parent's slots rolled once, so nothing is rolled back
-    and no tree is too deep.  The resulting placement does not depend on the
-    order children are visited, so child_order (a callable mapping (parent
-    label index, children tuple) to an ordering) only reshuffles the
-    traversal, never the cells.
+    and no tree is too deep.  Children are visited in label order, but the
+    resulting placement does not depend on that order: any other order would
+    put every facet on the same cell.
     """
     if tree.kind == "cycle":
         raise ValueError("cannot develop a cycle; delete an edge first")
@@ -312,11 +301,7 @@ def develop_tree(
         coords.append(tuple(pos))
         parents.append(par)
         entry.append(d)
-        children = adj[lab]
-        if child_order is not None:
-            unplaced = tuple(c for c in children if not placed[c])
-            children = list(child_order(lab, unplaced))
-        for c in reversed(children):
+        for c in reversed(adj[lab]):
             if not placed[c]:
                 stack.append((c, lab, slots, pos))
     return Development(

@@ -33,6 +33,7 @@ from cubenets.nets import (
 )
 from cubenets.partitions import enumerate_cube_partitions, realize_partition
 from cubenets.rolling import develop_tree, initial_state, roll, uturn_audit
+from test_rolling import reference_develop
 
 SAMPLE_SEED = 20260817
 
@@ -239,14 +240,9 @@ def test_c9_randomized_property_sweeps():
         n = rng.randrange(2, 6)
         tree = random_spanning_tree(n, rng)
         base = FacetLabel(rng.randrange(1, n + 1), rng.random() < 0.5)
-        plain = develop_tree(tree, base)
-
-        def shuffled(parent, children):
-            out = list(children)
-            rng.shuffle(out)
-            return out
-
-        assert develop_tree(tree, base, child_order=shuffled).placement() == plain.placement()
+        dev = develop_tree(tree, base)
+        shuffled = reference_develop(tree, base, lambda cs: rng.sample(cs, len(cs)))
+        assert shuffled == dict(zip(dev.order, dev.coords))
 
     rng = random.Random("u-turns")
     for _ in range(cases):

@@ -71,16 +71,22 @@ def test_unfold_revisit_is_failure(capsys):
     assert "revisited" in err
 
 
+UNFOLD_USAGE_ERRORS = {
+    "--dim 3": "need exactly one of --rolls or --tree",
+    "--dim 4 --rolls +1 --format svg": "svg output is only defined for --dim 3",
+    "--dim 3 --rolls +9": "direction 9 out of range for dimension 3",
+    "--dim 3 --rolls woof": "bad roll token 'woof'; expected like +2 or -1",
+    "--dim 3 --tree 1-2,2-3":
+        "not a spanning tree: wrong edge count: expected 5, got 2",
+    "--dim 3 --tree 1-1*,2-3,1-2,2-2*,3-1*":
+        "not a spanning tree: antipodal edge 1-1*",
+    "--dim 3 --base 7 --rolls +1": "base 7 does not exist in dimension 3",
+}
+
+
 def test_unfold_usage_errors(capsys):
-    assert run(capsys, "unfold", "--dim", "3")[0] == 2
-    assert run(
-        capsys, "unfold", "--dim", "4", "--rolls", "+1", "--format", "svg"
-    )[0] == 2
-    assert run(capsys, "unfold", "--dim", "3", "--rolls", "+9")[0] == 2
-    assert run(capsys, "unfold", "--dim", "3", "--rolls", "woof")[0] == 2
-    assert run(capsys, "unfold", "--dim", "3", "--tree", "1-2,2-3")[0] == 2
-    assert run(capsys, "unfold", "--dim", "3", "--tree", "1-1*,2-3,1-2,2-2*,3-1*")[0] == 2
-    assert run(capsys, "unfold", "--dim", "3", "--base", "7", "--rolls", "+1")[0] == 2
+    for argv, message in UNFOLD_USAGE_ERRORS.items():
+        assert run(capsys, "unfold", *argv.split()) == (2, "", message + "\n"), argv
 
 
 def test_unfold_output_file(tmp_path, capsys):
@@ -199,13 +205,19 @@ def test_enumerate_chords_count_budget(capsys):
     )
     assert code == 2
     assert "CHORDS_COUNT_LIMIT" in err and "n=20" in err
+    # below n=2 every route refuses, listing or counting
+    routes = [("trees", "direct")] + [
+        (kind, method)
+        for kind in ("paths", "cycles")
+        for method in ("direct", "chords", "both")
+    ]
     for n in ("0", "1"):
-        code, out, err = run(
-            capsys, "enumerate", "--dim", n, "--kind", "paths",
-            "--method", "chords", "--count-only",
-        )
-        assert (code, out) == (2, "")
-        assert "dimension must be at least 2" in err
+        for kind, method in routes:
+            for count_only in ((), ("--count-only",)):
+                argv = ("enumerate", "--dim", n, "--kind", kind, "--method", method)
+                assert run(capsys, *argv, *count_only) == (
+                    2, "", f"dimension must be at least 2, got {n}\n"
+                ), argv + count_only
 
 
 def test_enumerate_method_disagreement_exits_one(capsys, monkeypatch):

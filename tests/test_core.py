@@ -2,12 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cubenets.core import (
     FacetLabel,
     SignedPermutation,
     SpanningSubgraph,
+    _edge_rank_grid,
+    _group_edge_maps,
     antipode_index,
     canonical_form,
     canonical_mask,
@@ -206,6 +209,19 @@ def test_validate_cycle():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_group_order(n):
     assert group_order(n) == len(list(signed_permutations(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_group_edge_maps_row_per_element(n):
+    # reference: the table as built one group element at a time
+    grid = _edge_rank_grid(n)
+    edges = roberts_edges(n)
+    table = _group_edge_maps(n)
+    assert table.dtype == np.int64
+    assert len(table) == group_order(n)
+    for g, row in zip(signed_permutations(n), table):
+        lm = g.label_map()
+        assert row.tolist() == [grid[lm[i]][lm[j]] for i, j in edges]
 
 
 def test_label_map_bijective_and_antipodal():

@@ -26,6 +26,7 @@ from cubenets.enumeration import random_spanning_tree
 from cubenets.nets import _box_scan, box_growth_trace, canonical_net, is_net
 from cubenets.partitions import enumerate_cube_partitions, realize_partition
 from cubenets.rolling import develop_tree, initial_state, roll, uturn_audit
+from test_rolling import reference_develop
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=6)
@@ -78,14 +79,9 @@ def test_develop_tree_ignores_child_order(n, seed):
     rng = random.Random(seed)
     tree = random_spanning_tree(n, rng)
     base = FacetLabel(rng.randrange(1, n + 1), rng.random() < 0.5)
-    plain = develop_tree(tree, base)
-
-    def shuffled(parent, children):
-        out = list(children)
-        rng.shuffle(out)
-        return out
-
-    assert develop_tree(tree, base, child_order=shuffled).placement() == plain.placement()
+    dev = develop_tree(tree, base)
+    shuffled = reference_develop(tree, base, lambda cs: rng.sample(cs, len(cs)))
+    assert shuffled == dict(zip(dev.order, dev.coords))
 
 
 @given(st.integers(min_value=2, max_value=5), seeds)
