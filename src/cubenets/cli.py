@@ -15,7 +15,7 @@ import os
 import sys
 
 from .chords import edge_orbit_count, enumerate_diagrams
-from .core import FacetLabel, SpanningSubgraph, _check_dim, validate
+from .core import FacetLabel, SpanningSubgraph, _check_dim
 from .enumeration import (
     METHODS,
     CountMismatchError,
@@ -106,11 +106,7 @@ def _cmd_unfold(args) -> int:
     if args.rolls is not None:
         dev = develop_path(n, base, _parse_rolls(args.rolls))
     else:
-        tree = SpanningSubgraph.from_text(n, args.tree)
-        problem = validate(tree)
-        if problem is not None:
-            raise ValueError(f"not a spanning tree: {problem}")
-        dev = develop_tree(tree, base)
+        dev = develop_tree(SpanningSubgraph.from_text(n, args.tree), base)
     if dev.is_spanning and not is_net(dev):
         print("development overlaps itself", file=sys.stderr)
         return 1

@@ -300,14 +300,6 @@ def random_signed_permutation(n, rng) -> SignedPermutation:
     return SignedPermutation(tuple(perm), flips)
 
 
-@cache
-def group_order(n: int) -> int:
-    out = 2**n
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 _FULL_EXPANSION_MAX = 6  # 2^6 * 6! = 46080 label maps, about 22 MB of edge maps
 
 
@@ -356,19 +348,18 @@ def _mask_ranks(mask: int) -> list[int]:
 
 
 def _orbit_arrays(n: int, mask: int):
-    """Masks and reversed-order keys of every group image of mask."""
+    """Masks of every group image of mask, and the best-keyed (canonical) one."""
     emaps, fwd, rev = _orbit_tables(n)
     mapped = emaps[:, _mask_ranks(mask)]
     masks = np.bitwise_or.reduce(fwd[mapped], axis=1)
     keys = np.bitwise_or.reduce(rev[mapped], axis=1)
-    return masks, keys
+    return masks, int(masks[int(np.argmax(keys))])
 
 
 def canonical_mask(n: int, mask: int) -> int:
     """Canonical image of an edge mask, by expanding the whole group; past
     n = _FULL_EXPANSION_MAX this raises ValueError."""
-    masks, keys = _orbit_arrays(n, mask)
-    return int(masks[int(np.argmax(keys))])
+    return _orbit_arrays(n, mask)[1]
 
 
 def canonical_form(sub: SpanningSubgraph) -> SpanningSubgraph:
@@ -398,8 +389,8 @@ def dedup_canonical_masks(n: int, masks) -> list[int]:
     for mask in masks:
         if mask in seen:
             continue
-        images, keys = _orbit_arrays(n, mask)
+        images, rep = _orbit_arrays(n, mask)
         seen.update(images.tolist())
-        out.append(int(images[int(np.argmax(keys))]))
+        out.append(rep)
     out.sort()
     return out

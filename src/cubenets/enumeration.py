@@ -67,13 +67,12 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"need jobs >= 1, got {jobs}")
 
 
-def _run_shards(fn, args: list[tuple], jobs: int) -> list:
-    """fn(*a) for each tuple in `args`, in order: in this process when one
-    worker would do, else over a pool of min(jobs, len(args)) processes."""
-    workers = min(jobs, len(args))
-    if workers <= 1:
+def _run_shards(fn, args: list[tuple]) -> list:
+    """fn(*a) for each tuple in `args`, in order: in this process for one
+    tuple, else one process per tuple (callers pass at most `jobs`)."""
+    if len(args) <= 1:
         return [fn(*a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(args)) as pool:
         return list(pool.map(fn, *zip(*args)))
 
 
@@ -270,9 +269,9 @@ def _dedup_restricted(n: int, masks, star: int) -> list[int]:
             raise RuntimeError(
                 f"mask {mask:#x} lacks the stream shape mask & {star:#x} == 1"
             )
-        images, keys = _orbit_arrays(n, mask)
+        images, rep = _orbit_arrays(n, mask)
         seen.update(images[(images & star_u) == one].tolist())
-        out.append(int(images[int(np.argmax(keys))]))
+        out.append(rep)
     out.sort()
     return out
 
@@ -311,7 +310,7 @@ def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
         # each stream is sharded by vertex 1's next neighbour (the second
         # walk step, or the tree's second-lowest edge), so 2n-3 shards at most
         of = min(jobs, 2 * n - 3)
-        parts = _run_shards(_shard_job, [(kind, n, w, of) for w in range(of)], jobs)
+        parts = _run_shards(_shard_job, [(kind, n, w, of) for w in range(of)])
         _CLASS_CACHE[key] = tuple(sorted(set().union(*parts)))
     return _CLASS_CACHE[key]
 
@@ -405,6 +404,8 @@ def count_classes(kind: str, n: int, method: str = "direct", jobs: int = 1) -> i
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if kind not in DIRECT_LIMITS and kind != "ter":
+        raise ValueError(f"unknown kind {kind!r}")
     if method != "direct" and kind not in _DIAGRAMS:
         raise ValueError(f"{kind} have no diagram route; use --method direct")
     if method == "chords":
@@ -428,20 +429,11 @@ class TableRow:
     ter: int
     ext: int
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EnumerationTable:
     method: str
     rows: tuple[TableRow, ...]
-
-    def row(self, n: int) -> TableRow:
-        for r in self.rows:
-            if r.n == n:
-                return r
-        raise KeyError(n)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -563,6 +555,6 @@ def verify_unfoldings(
     counts = [base + (1 if w < samples % jobs else 0) for w in range(jobs)]
     shards = [(n, c, seed, w) for w, c in enumerate(counts) if c]
     report = VerifyReport(n, "samples", seed)
-    for part in _run_shards(_sample_shard_job, shards, jobs):
+    for part in _run_shards(_sample_shard_job, shards):
         report.merge(part)
     return report

@@ -39,9 +39,6 @@ class CubePartition:
     def n(self) -> int:
         return len(self.parts) + 1
 
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
-
 
 def collision(dev: Development) -> Optional[tuple[FacetLabel, FacetLabel]]:
     """First pair of facets landing on the same cell, in visiting order."""

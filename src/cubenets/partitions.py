@@ -59,14 +59,9 @@ class TokenClassification:
     lists (direction, middle count) for towers that have any.
     """
 
-    n: int
     singletons: tuple[int, ...]
     towers: tuple[int, ...]
     middles: tuple[tuple[int, int], ...]
-
-    @property
-    def middle_total(self) -> int:
-        return sum(c for _, c in self.middles)
 
 
 def reservoir_parts(p: CubePartition) -> tuple[int, ...]:
@@ -79,7 +74,7 @@ def classify_tokens(p: CubePartition) -> TokenClassification:
     singles = tuple(d for d, r in enumerate(res, 1) if r == 1)
     towers = tuple(d for d, r in enumerate(res, 1) if r >= 2)
     middles = tuple((d, res[d - 1] - 2) for d in towers if res[d - 1] > 2)
-    return TokenClassification(p.n, singles, towers, middles)
+    return TokenClassification(singles, towers, middles)
 
 
 def _slide(res: list, near: list, far: list, transfer: bool, d: int) -> bool:
@@ -135,12 +130,12 @@ def realization_slides(p: CubePartition) -> tuple[int, ...]:
         if sum(res) + sum(near) + sum(far) + transfer != total:
             raise RuntimeError(f"token conservation broken at slide {idx}")
     if any(res) or not (all(near) and all(far) and transfer):
-        raise RuntimeError(f"board not full after realizing {p}")
+        raise RuntimeError(f"board not full after realizing {p.parts}")
     return tuple(word)
 
 
-def realize_partition(p: CubePartition, base: FacetLabel = FacetLabel(1)) -> RollSequence:
-    """Roll word whose development has bounding box exactly p (slides along
-    track d become rolls in direction +d)."""
+def realize_partition(p: CubePartition) -> RollSequence:
+    """Roll word from facet 1 whose development has bounding box exactly p
+    (slides along track d become rolls in direction +d)."""
     word = realization_slides(p)
-    return RollSequence(p.n, initial_state(p.n, base), word)
+    return RollSequence(p.n, initial_state(p.n, FacetLabel(1)), word)

@@ -160,19 +160,12 @@ class Development:
             for lab, pos in zip(self.order, self.coords)
         }
 
-    def coord_of(self, label: FacetLabel) -> tuple[int, ...]:
-        i = self.order.index(label.index(self.n))
-        return self.coords[i]
-
     def tree_edges(self) -> tuple[tuple[int, int], ...]:
         out = []
         for lab, par in zip(self.order, self.parents):
             if par >= 0:
                 out.append((min(lab, par), max(lab, par)))
         return tuple(sorted(out))
-
-    def subgraph(self, kind: str = "tree") -> SpanningSubgraph:
-        return SpanningSubgraph(self.n, kind, self.tree_edges())
 
     def root_path(self, label: FacetLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Labels and entry directions from the base to the given facet."""
@@ -261,13 +254,14 @@ def develop_tree(tree: SpanningSubgraph, base: FacetLabel) -> Development:
     own copy of its parent's slots rolled once, so nothing is rolled back
     and no tree is too deep.  Children are visited in label order, but the
     resulting placement does not depend on that order: any other order would
-    put every facet on the same cell.
+    put every facet on the same cell.  A cycle raises ValueError, and so does
+    a tree or path `validate` refuses: "not a spanning tree: <problem>".
     """
     if tree.kind == "cycle":
         raise ValueError("cannot develop a cycle; delete an edge first")
     problem = validate(tree)
     if problem is not None:
-        raise ValueError(f"invalid {tree.kind}: {problem}")
+        raise ValueError(f"not a spanning {tree.kind}: {problem}")
     n = tree.n
     b = base.index(n)
     # tree.edges is a sorted tuple of sorted pairs, so every row comes out sorted

@@ -327,24 +327,27 @@ def test_count_classes_refusals():
         count_classes("paths", 3, "guesswork")
     with pytest.raises(ResourceLimitError, match="CHORDS_COUNT_LIMIT"):
         count_classes("ter", 21, "chords")
+    # on every route, not a bare KeyError or advice to try another route
+    for method in ("direct", "chords", "both"):
+        with pytest.raises(ValueError) as err:
+            count_classes("bogus", 3, method)
+        assert str(err.value) == "unknown kind 'bogus'"
 
 
 def test_table_direct_equals_chords():
     direct = build_table(4, "direct")
     chords = build_table(4, "chords")
-    assert [r.to_json() for r in direct.rows] == [r.to_json() for r in chords.rows]
+    assert direct.rows == chords.rows
     both = build_table(4, "both")
     assert both.rows == chords.rows
 
 
 def test_table_row_lookup_and_json():
     table = build_table(3, "chords")
-    assert table.row(3).paths == 4
+    assert table.rows[3 - 2].paths == 4
     doc = table.to_json()
     assert doc["method"] == "chords"
     assert doc["rows"][1] == {"n": 3, "cycles": 2, "paths": 4, "ter": 1, "ext": 3}
-    with pytest.raises(KeyError):
-        table.row(9)
 
 
 def test_table_budget_errors():

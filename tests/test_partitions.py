@@ -103,7 +103,7 @@ def test_classification_identities():
         for p in enumerate_cube_partitions(n):
             cls = classify_tokens(p)
             assert len(cls.towers) == (n - 1) - len(cls.singletons)
-            assert cls.middle_total == len(cls.singletons) + 1
+            assert sum(c for _, c in cls.middles) == len(cls.singletons) + 1
             assert set(cls.towers) | set(cls.singletons) == set(range(1, n))
 
 
@@ -207,7 +207,7 @@ def test_realize_dim12_golden(capsys):
 
 def fake_classification(**fields):
     def classify(p):
-        return TokenClassification(p.n, **fields)
+        return TokenClassification(**fields)
 
     return classify
 

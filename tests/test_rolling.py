@@ -325,13 +325,18 @@ def test_cross_development():
         "1*": (2, 0),
     }
     assert {str(k): v for k, v in dev.placement().items()} == want
-    assert dev.subgraph().edges == tree.edges
+    assert SpanningSubgraph(dev.n, "tree", dev.tree_edges()).edges == tree.edges
 
 
 def test_develop_tree_rejects_invalid():
     broken = SpanningSubgraph.from_text(3, "1-2,2-3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         develop_tree(broken, L("1"))
+    assert str(err.value) == "not a spanning tree: wrong edge count: expected 5, got 2"
+    cross = SpanningSubgraph.from_text(3, "1-2,1-2*,1-3,1-3*,2-1*", kind="path")
+    with pytest.raises(ValueError) as err:
+        develop_tree(cross, L("1"))
+    assert str(err.value) == "not a spanning path: wrong degrees: 4 endpoints, expected 2"
     cyc = SpanningSubgraph.from_text(2, "1-2,2-1*,1*-2*,2*-1", kind="cycle")
     with pytest.raises(ValueError):
         develop_tree(cyc, L("1"))
@@ -390,7 +395,7 @@ def test_develop_tree_deeper_than_the_recursion_limit():
 def test_develop_path_agrees_with_develop_tree():
     dirs = [1, 2, 1, 2, 1]
     dev = develop_path(3, L("1"), dirs)
-    tree = dev.subgraph("path")
+    tree = SpanningSubgraph(dev.n, "path", dev.tree_edges())
     assert develop_tree(tree, L("1")).placement() == dev.placement()
 
 
@@ -429,8 +434,9 @@ def test_distance_from_base_strictly_grows():
     for _ in range(40):
         tree = random_tree(4, rng)
         dev = develop_tree(tree, L("2"))
+        coord_of = dict(zip(dev.order, dev.coords))
         for lab in dev.order:
             labels, _dirs = dev.root_path(FacetLabel.from_index(lab, 4))
-            coords = [dev.coord_of(FacetLabel.from_index(l, 4)) for l in labels]
+            coords = [coord_of[l] for l in labels]
             dists = [sum(c * c for c in p) for p in coords]
             assert all(a < b for a, b in zip(dists, dists[1:]))
