@@ -12,24 +12,17 @@ Class counts come from Burnside's lemma (`count_diagram_classes`) and never
 list a matching.  `enumerate_diagrams` lists the classes themselves, up to
 the 16-gon (CHORDS_LIST_LIMIT): it generates only matchings whose chord at
 vertex 0 is one of their shortest, in increasing order, and moves them with
-the one dihedral action `_apply_vertex_map` that canonical forms,
-orbits and stabilizers use too.
+the one dihedral action `_apply_vertex_map` that `diagram_stabilizer` uses
+too.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import ceil, comb, gcd
+from math import comb, gcd
 
-from .core import (
-    SpanningSubgraph,
-    _check_budget,
-    antipode_index,
-    path_endpoints,
-    validate,
-)
+from .core import _check_budget
 
 # the 16-gon's classes take about 2.5 s to list, the 18-gon's about half a
 # minute, past the n = 5 tree listing's ~16 s
@@ -68,14 +61,6 @@ class ChordDiagram:
     def to_json(self) -> dict:
         return {"m": self.m, "matching": [list(c) for c in self.chords()]}
 
-    @staticmethod
-    def from_json(doc) -> "ChordDiagram":
-        m = doc["m"]
-        mate = [-1] * m
-        for i, j in doc["matching"]:
-            mate[i], mate[j] = j, i
-        return ChordDiagram(m, tuple(mate))
-
 
 @cache
 def _dihedral_maps(m: int) -> tuple[tuple[int, ...], ...]:
@@ -90,133 +75,6 @@ def _apply_vertex_map(d: ChordDiagram, vm) -> tuple[int, ...]:
     for i in range(d.m):
         out[vm[i]] = vm[d.mate[i]]
     return tuple(out)
-
-
-def canonical_diagram(d: ChordDiagram) -> ChordDiagram:
-    """Least mate table over all rotations and reflections of the polygon."""
-    best = min(_apply_vertex_map(d, vm) for vm in _dihedral_maps(d.m))
-    return ChordDiagram(d.m, best)
-
-
-def diagram_orbit_size(d: ChordDiagram) -> int:
-    return len({_apply_vertex_map(d, vm) for vm in _dihedral_maps(d.m)})
-
-
-# ---------------------------------------------------------------------------
-# cycles and paths of the Roberts graph <-> diagrams
-
-
-def _diagram_along(sub: SpanningSubgraph, start: int) -> ChordDiagram:
-    """Walk sub from facet `start`, taking the smaller neighbour where the
-    walk could go either way (a cycle's first step), and join the polygon
-    positions of antipodal facets along the walk."""
-    two_n = 2 * sub.n
-    adj = [[] for _ in range(two_n)]
-    for i, j in sub.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    order = [start]
-    while len(order) < two_n:
-        prev = order[-2] if len(order) > 1 else -1
-        order.append(min(v for v in adj[order[-1]] if v != prev))
-    pos = [0] * two_n
-    for k, lab in enumerate(order):
-        pos[lab] = k
-    mate = tuple(pos[antipode_index(lab, sub.n)] for lab in order)
-    return ChordDiagram(two_n, mate)
-
-
-def diagram_from_cycle(c: SpanningSubgraph) -> ChordDiagram:
-    """Chords join the polygon positions of antipodal facets along the cycle."""
-    problem = validate(c)
-    if c.kind != "cycle" or problem is not None:
-        raise ValueError(f"need a valid spanning cycle: {problem}")
-    return _diagram_along(c, 0)
-
-
-def diagram_from_path(p: SpanningSubgraph) -> tuple[ChordDiagram, int]:
-    """Close a spanning path into a polygon and return its diagram plus the
-    marked boundary edge (the one standing in for the closing step)."""
-    problem = validate(p)
-    if p.kind != "path" or problem is not None:
-        raise ValueError(f"need a valid spanning path: {problem}")
-    return _diagram_along(p, path_endpoints(p)[0]), 2 * p.n - 1
-
-
-def _reassemble(d: ChordDiagram, n: int, kind: str, marked: int) -> SpanningSubgraph:
-    """Label the polygon (a chord's first vertex gets the next axis, its mate
-    the antipode) and join polygon neighbours, except across edge `marked`."""
-    label = [-1] * d.m
-    axis = 0
-    for i in range(d.m):
-        if label[i] < 0:
-            label[i] = axis
-            label[d.mate[i]] = axis + n
-            axis += 1
-    edges = tuple(
-        (label[i], label[(i + 1) % d.m]) for i in range(d.m) if i != marked
-    )
-    sub = SpanningSubgraph(n, kind, edges)
-    problem = validate(sub)
-    if problem is not None:
-        raise RuntimeError(f"diagram reassembly broke: {problem}")
-    return sub
-
-
-def cycle_from_diagram(d: ChordDiagram, n: int) -> SpanningSubgraph:
-    """Rebuild a spanning cycle whose diagram this is: chords become antipodal
-    label pairs, polygon neighbours become cycle edges."""
-    if d.m != 2 * n:
-        raise ValueError(f"diagram on {d.m} vertices does not fit dimension {n}")
-    if d.loops():
-        raise ValueError("diagram has a loop; no spanning cycle produces one")
-    return _reassemble(d, n, "cycle", -1)
-
-
-def path_from_diagram(d: ChordDiagram, marked: int, n: int) -> SpanningSubgraph:
-    """Open a diagram back into a spanning path by deleting the marked
-    boundary edge.  The diagram may have one loop only across that edge."""
-    if d.m != 2 * n:
-        raise ValueError(f"diagram on {d.m} vertices does not fit dimension {n}")
-    if not 0 <= marked < d.m:
-        raise ValueError(f"marked edge {marked} out of range")
-    loops = d.loop_chords()
-    if loops and set(loops) != {_edge_endpoints_chord(d.m, marked)}:
-        raise ValueError("loop must sit across the marked edge")
-    return _reassemble(d, n, "path", marked)
-
-
-def _edge_endpoints_chord(m: int, e: int) -> tuple[int, int]:
-    return (0, m - 1) if e == m - 1 else (e, e + 1)
-
-
-def insert_loop(d: ChordDiagram, edge: int) -> ChordDiagram:
-    """Grow the polygon by two vertices inside a boundary edge and join them.
-
-    For a loopless diagram any edge works; a one-loop diagram only accepts
-    the edge its loop spans, which turns the old loop into a regular chord.
-    Either way the result has exactly one loop, the new chord.
-    """
-    m = d.m
-    if not 0 <= edge < m:
-        raise ValueError(f"edge {edge} out of range")
-    loops = d.loop_chords()
-    if len(loops) > 1:
-        raise ValueError("diagram has several loops; nothing maps onto it")
-    if len(loops) == 1 and loops[0] != _edge_endpoints_chord(m, edge):
-        raise ValueError("loop must sit across the marked edge")
-    shift = lambda v: v if v <= edge else v + 2
-    mate = [-1] * (m + 2)
-    for i, j in d.chords():
-        a, b = shift(i), shift(j)
-        mate[a], mate[b] = b, a
-    mate[edge + 1], mate[edge + 2] = edge + 2, edge + 1
-    out = ChordDiagram(m + 2, tuple(mate))
-    if out.loops() != 1:
-        raise RuntimeError(
-            f"insertion left {out.loops()} loops; it must leave exactly the new one"
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +279,3 @@ def edge_orbit_count(d: ChordDiagram) -> int:
     m = d.m
     reps = {min(_edge_image(m, vm, e) for vm in stab) for e in range(m)}
     return len(reps)
-
-
-def maxnet_profiles(n: int) -> Counter:
-    """Histogram of edge-orbit counts over all loopless diagrams on 2n
-    vertices.  From dimension 5 up the values 1, ceil(n/2), n, and 2n must
-    all occur; their absence is reported as an error."""
-    hist = Counter(edge_orbit_count(d) for d in enumerate_diagrams(2 * n, 0))
-    if n >= 5:
-        needed = {1, ceil(n / 2), n, 2 * n}
-        missing = needed - set(hist)
-        if missing:
-            raise ValueError(f"expected orbit counts {sorted(missing)} absent at n={n}")
-    return hist

@@ -10,6 +10,7 @@ byte-identical runs.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -44,11 +45,16 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _check_output_dir(output: str) -> None:
-    """Refuse an output file whose directory is missing before any work is
-    done, with the error that opening it would raise, and create nothing."""
+def _check_output(output: str) -> None:
+    """Refuse an output path that opening would refuse (a missing directory,
+    a file in a directory's place, a directory as the target) before any
+    work is done, with the error that opening it would raise, and create
+    nothing."""
+    if os.path.isdir(output):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
     try:
-        os.stat(os.path.dirname(output) or ".")
+        # the trailing separator makes a file in the directory's place fail
+        os.stat(os.path.join(os.path.dirname(output) or ".", ""))
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, output) from None
 
@@ -262,7 +268,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.output:
-            _check_output_dir(args.output)
+            _check_output(args.output)
         return args.func(args)
     except RevisitError as exc:  # first: it is also a ValueError
         print(f"facet revisited: {exc}", file=sys.stderr)

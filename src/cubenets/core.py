@@ -166,11 +166,6 @@ class SpanningSubgraph:
     def to_json(self) -> list[list[str]]:
         return [[str(a), str(b)] for a, b in self.label_edges]
 
-    @staticmethod
-    def from_json(n, data, kind="tree") -> "SpanningSubgraph":
-        pairs = [(FacetLabel.parse(a), FacetLabel.parse(b)) for a, b in data]
-        return SpanningSubgraph.from_labels(n, pairs, kind)
-
     def mask(self) -> int:
         """Edge set as a bitmask over edge ranks."""
         grid = _edge_rank_grid(self.n)
@@ -279,25 +274,12 @@ class SignedPermutation:
                 out[a], out[a + n] = t, t + n
         return tuple(out)
 
-    def apply_subgraph(self, sub: SpanningSubgraph) -> SpanningSubgraph:
-        lm = self.label_map()
-        return SpanningSubgraph(
-            sub.n, sub.kind, tuple((lm[i], lm[j]) for i, j in sub.edges)
-        )
-
 
 def signed_permutations(n: int):
     """Iterate the whole group."""
     for perm in itertools.permutations(range(1, n + 1)):
         for mask in itertools.product((False, True), repeat=n):
             yield SignedPermutation(perm, mask)
-
-
-def random_signed_permutation(n, rng) -> SignedPermutation:
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    flips = tuple(rng.random() < 0.5 for _ in range(n))
-    return SignedPermutation(tuple(perm), flips)
 
 
 _FULL_EXPANSION_MAX = 6  # 2^6 * 6! = 46080 label maps, about 22 MB of edge maps
@@ -313,10 +295,12 @@ def _group_label_maps(n: int) -> tuple[tuple[int, ...], ...]:
 @cache
 def _group_edge_maps(n: int) -> np.ndarray:
     """Edge-rank permutation induced by every group element, one row each."""
-    grid = np.array(_edge_rank_grid(n), dtype=np.int64)
+    grid = np.array(_edge_rank_grid(n), dtype=np.int64).ravel()
     i, j = np.array(roberts_edges(n)).T
     lm = np.array(_group_label_maps(n), dtype=np.uint8)
-    return grid[lm[:, i], lm[:, j]]
+    # one uint8 index into the flattened grid: it stays below 256 while
+    # 4n^2 - 1 <= 255, i.e. n <= 8, and _FULL_EXPANSION_MAX is 6
+    return grid[lm[:, i] * (2 * n) + lm[:, j]]
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +350,6 @@ def canonical_form(sub: SpanningSubgraph) -> SpanningSubgraph:
     """Lexicographically least relabelling of sub under the signed-permutation
     group; equal results exactly for equivalent subgraphs."""
     return subgraph_from_mask(sub.n, canonical_mask(sub.n, sub.mask()), sub.kind)
-
-
-def orbit_masks(n: int, mask: int) -> set[int]:
-    masks, _ = _orbit_arrays(n, mask)
-    return set(masks.tolist())
-
-
-def stabilizer_order(n: int, mask: int) -> int:
-    masks, _ = _orbit_arrays(n, mask)
-    return int(np.count_nonzero(masks == np.uint64(mask)))
 
 
 def dedup_canonical_masks(n: int, masks) -> list[int]:

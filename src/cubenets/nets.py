@@ -1,4 +1,4 @@
-"""Geometry of developments: collision checks, bounding boxes, canonical shapes.
+"""Geometry of developments: collision checks, bounding boxes, SVG pictures.
 
 A spanning development with all 2n cells distinct is a net.  Its bounding
 box always has n-1 extents that are at least 2 and sum to 3n-2, i.e. the
@@ -8,7 +8,6 @@ box sum grows by exactly one with every facet placed after the first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,40 +85,6 @@ def _box_scan(coords) -> tuple[list[int], tuple[int, ...]]:
                 hi[k] = v
         trace.append(total)
     return trace, tuple(h - l + 1 for l, h in zip(lo, hi))
-
-
-def box_growth_trace(dev: Development) -> list[int]:
-    """Sum of box extents after each facet is placed.
-
-    Starts at n-1 (a single cell) and, for any tree development, steps up by
-    exactly one per facet, ending at 3n-2.
-    """
-    return _box_scan(dev.coords)[0]
-
-
-def canonical_points(points, dim: int) -> tuple[tuple[int, ...], ...]:
-    """Least translate of a point set under coordinate permutation and sign
-    flips, with the minimum corner at the origin; a shape fingerprint."""
-    pts = list(points)
-    best = None
-    for perm in itertools.permutations(range(dim)):
-        for signs in itertools.product((1, -1), repeat=dim):
-            moved = [
-                tuple(signs[k] * p[perm[k]] for k in range(dim)) for p in pts
-            ]
-            lo = [min(p[k] for p in moved) for k in range(dim)]
-            shape = tuple(
-                sorted(tuple(p[k] - lo[k] for k in range(dim)) for p in moved)
-            )
-            if best is None or shape < best:
-                best = shape
-    return best
-
-
-def canonical_net(dev: Development) -> tuple[tuple[int, ...], ...]:
-    """Canonical form of the development's cell set; equal exactly for
-    congruent nets.  Facet labels play no part."""
-    return canonical_points(dev.coords, dev.n - 1)
 
 
 def verify_development(dev: Development) -> list[str]:

@@ -10,10 +10,8 @@ lattice cell where it first becomes the base.
 One engine does the developing: `_roll_in_place` turns a mutable slot list
 toward a slot index.  `develop_path` and `RollSequence.develop` pass each
 direction's slot; `develop_tree` rolls at the slot where it finds the child
-and reads the direction off that slot.
-The immutable `RollState` with `roll` and `initial_state` is the reference
-that the tests check the engine against; `initial_state` also fixes every
-development's start orientation.
+and steps along that slot's axis.  `initial_state` fixes every
+development's start orientation as an immutable `RollState`.
 """
 
 from __future__ import annotations
@@ -65,21 +63,6 @@ class RollState:
     def base(self) -> FacetLabel:
         return FacetLabel.from_index(self.slots[0], self.n)
 
-    def slot(self, d: int) -> FacetLabel:
-        """Label currently in directional slot d (signed)."""
-        _check_direction(self.n, d)
-        return FacetLabel.from_index(self.slots[_slot_index(d)], self.n)
-
-    def is_coherent(self) -> bool:
-        """Slots hold each label once, antipodal labels in opposite slots."""
-        n = self.n
-        if sorted(self.slots) != list(range(2 * n)):
-            return False
-        return all(
-            self.slots[2 * k + 1] == antipode_index(self.slots[2 * k], n)
-            for k in range(n)
-        )
-
 
 def initial_state(n: int, base: FacetLabel) -> RollState:
     """Start orientation: the remaining axes fill slots +1..+(n-1) in
@@ -95,25 +78,10 @@ def initial_state(n: int, base: FacetLabel) -> RollState:
     return RollState(n, tuple(slots))
 
 
-def roll(state: RollState, d: int) -> RollState:
-    """Tip the cube one cell in direction d.
-
-    The facet toward d becomes the base; the old base swings up opposite d,
-    so walking back with roll(-d) undoes the move exactly.
-    """
-    _check_direction(state.n, d)
-    s = list(state.slots)
-    p, m = _slot_index(d), _slot_index(-d)
-    s[0], s[p], s[1], s[m] = s[p], s[1], s[m], s[0]
-    if s[1] != antipode_index(s[0], state.n):
-        raise RuntimeError(f"roll {d} broke antipodality: slots {s}")
-    return RollState(state.n, tuple(s))
-
-
 def _roll_in_place(slots: list[int], p: int) -> None:
     """Tip the cube toward directional slot p = _slot_index(d) by permuting
-    the slot list in place: base <- +d <- base* <- -d <- base, the same
-    4-cycle as `roll`.  The opposite slot is p ^ 1."""
+    the slot list in place: base <- +d <- base* <- -d <- base.  The
+    opposite slot is p ^ 1, and rolling toward it undoes the move."""
     m = p ^ 1
     slots[0], slots[p], slots[1], slots[m] = slots[p], slots[1], slots[m], slots[0]
 
@@ -134,16 +102,14 @@ class RollSequence:
 class Development:
     """Facets dropped onto lattice cells, in visiting order.
 
-    order[k] is the k-th facet placed (label index), coords[k] its cell,
-    parents[k] the label it unfolded from (-1 for the base), and
-    entry_dirs[k] the signed direction of that unfolding (0 for the base).
+    order[k] is the k-th facet placed (label index), coords[k] its cell and
+    parents[k] the label it unfolded from (-1 for the base).
     """
 
     n: int
     order: tuple[int, ...]
     coords: tuple[tuple[int, ...], ...]
     parents: tuple[int, ...]
-    entry_dirs: tuple[int, ...]
 
     @property
     def base(self) -> FacetLabel:
@@ -166,23 +132,6 @@ class Development:
             if par >= 0:
                 out.append((min(lab, par), max(lab, par)))
         return tuple(sorted(out))
-
-    def root_path(self, label: FacetLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Labels and entry directions from the base to the given facet."""
-        pos = {lab: k for k, lab in enumerate(self.order)}
-        k = pos[label.index(self.n)]
-        labels, dirs = [], []
-        while k >= 0:
-            labels.append(self.order[k])
-            d = self.entry_dirs[k]
-            par = self.parents[k]
-            if par < 0:
-                break
-            dirs.append(d)
-            k = pos[par]
-        labels.reverse()
-        dirs.reverse()
-        return tuple(labels), tuple(dirs)
 
 
 def development_json(dev: Development) -> dict:
@@ -213,7 +162,6 @@ def _develop_word(n: int, start_slots, dirs) -> Development:
     order = [base]
     coords = [(0,) * (n - 1)]
     parents = [-1]
-    entry = [0]
     placed = [False] * two_n
     placed[base] = True
     pos = [0] * (n - 1)
@@ -233,9 +181,8 @@ def _develop_word(n: int, start_slots, dirs) -> Development:
         order.append(new_base)
         coords.append(tuple(pos))
         parents.append(base)
-        entry.append(d)
         base = new_base
-    return Development(n, tuple(order), tuple(coords), tuple(parents), tuple(entry))
+    return Development(n, tuple(order), tuple(coords), tuple(parents))
 
 
 def develop_path(n: int, base: FacetLabel, dirs) -> Development:
@@ -270,7 +217,7 @@ def develop_tree(tree: SpanningSubgraph, base: FacetLabel) -> Development:
         adj[i].append(j)
         adj[j].append(i)
 
-    order, coords, parents, entry = [], [], [], []
+    order, coords, parents = [], [], []
     placed = [False] * (2 * n)
     # frames (facet, parent, parent's slots, parent's cell)
     stack = [(b, -1, list(initial_state(n, base).slots), [0] * (n - 1))]
@@ -278,7 +225,6 @@ def develop_tree(tree: SpanningSubgraph, base: FacetLabel) -> Development:
         lab, par, slots, pos = stack.pop()
         if placed[lab]:
             continue
-        d = 0
         if par >= 0:
             p = slots.index(lab)
             if p < 2:
@@ -288,36 +234,13 @@ def develop_tree(tree: SpanningSubgraph, base: FacetLabel) -> Development:
             slots = slots[:]
             _roll_in_place(slots, p)
             pos = pos[:]
-            d = -(p >> 1) if p & 1 else p >> 1
-            pos[abs(d) - 1] += 1 if d > 0 else -1
+            pos[(p >> 1) - 1] += -1 if p & 1 else 1
         placed[lab] = True
         order.append(lab)
         coords.append(tuple(pos))
         parents.append(par)
-        entry.append(d)
         for c in reversed(adj[lab]):
             if not placed[c]:
                 stack.append((c, lab, slots, pos))
-    return Development(
-        n, tuple(order), tuple(coords), tuple(parents), tuple(entry)
-    )
+    return Development(n, tuple(order), tuple(coords), tuple(parents))
 
-
-def uturn_audit(dev: Development):
-    """Check that no root-to-facet path uses both +d and -d.
-
-    Returns None when clean, otherwise (labels, dirs) for the first offending
-    path from the base to the facet whose entry direction doubles back.
-    """
-    used: dict[int, frozenset] = {}
-    pos = {lab: k for k, lab in enumerate(dev.order)}
-    for k, lab in enumerate(dev.order):
-        if dev.parents[k] < 0:
-            used[lab] = frozenset()
-            continue
-        d = dev.entry_dirs[k]
-        along = used[dev.parents[k]]
-        if -d in along:
-            return dev.root_path(FacetLabel.from_index(lab, dev.n))
-        used[lab] = along | {d}
-    return None

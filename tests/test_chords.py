@@ -6,26 +6,30 @@ import time
 
 import pytest
 
+import oracles
 from cubenets import chords
 from cubenets.chords import (
     ChordDiagram,
-    canonical_diagram,
     count_diagram_classes,
-    cycle_from_diagram,
-    diagram_from_cycle,
-    diagram_from_path,
-    diagram_orbit_size,
     diagram_stabilizer,
     edge_orbit_count,
     enumerate_diagrams,
-    insert_loop,
-    maxnet_profiles,
-    path_from_diagram,
     _apply_vertex_map,
     _dihedral_maps,
 )
 from cubenets.core import ResourceLimitError, SpanningSubgraph, canonical_form
 from cubenets.enumeration import build_table
+from oracles import (
+    canonical_diagram,
+    cycle_from_diagram,
+    diagram_from_cycle,
+    diagram_from_json,
+    diagram_from_path,
+    diagram_orbit_size,
+    insert_loop,
+    maxnet_profiles,
+    path_from_diagram,
+)
 
 
 def square_cycle():
@@ -55,7 +59,7 @@ def test_json_roundtrip():
     d = ChordDiagram(6, (5, 3, 4, 1, 2, 0))
     doc = d.to_json()
     assert doc == {"m": 6, "matching": [[0, 5], [1, 3], [2, 4]]}
-    assert ChordDiagram.from_json(doc) == d
+    assert diagram_from_json(doc) == d
 
 
 def test_square_cycle_diagram():
@@ -319,13 +323,13 @@ def test_table_to_twenty_is_fast_and_consistent():
 
 
 def test_cycle_reassembly_failure_raises(monkeypatch):
-    monkeypatch.setattr(chords, "validate", lambda sub: "forced problem")
+    monkeypatch.setattr(oracles, "validate", lambda sub: "forced problem")
     with pytest.raises(RuntimeError, match="forced problem"):
         cycle_from_diagram(ChordDiagram(4, (2, 3, 0, 1)), 2)
 
 
 def test_path_reassembly_failure_raises(monkeypatch):
-    monkeypatch.setattr(chords, "validate", lambda sub: "forced problem")
+    monkeypatch.setattr(oracles, "validate", lambda sub: "forced problem")
     with pytest.raises(RuntimeError, match="forced problem"):
         path_from_diagram(ChordDiagram(4, (2, 3, 0, 1)), 3, 2)
 

@@ -7,15 +7,15 @@ import time
 import pytest
 
 from cubenets import cli, enumeration
-from cubenets.chords import (
+from cubenets.chords import enumerate_diagrams
+from cubenets.cli import main
+from cubenets.enumeration import enumerate_cycles, enumerate_paths
+from oracles import (
     cycle_from_diagram,
     diagram_from_cycle,
     diagram_from_path,
-    enumerate_diagrams,
     path_from_diagram,
 )
-from cubenets.cli import main
-from cubenets.enumeration import enumerate_cycles, enumerate_paths
 
 
 def run(capsys, *argv):
@@ -104,11 +104,15 @@ def test_unwritable_output_exits_two(tmp_path, capsys, monkeypatch):
         raise AssertionError("the table was built before --output was checked")
 
     monkeypatch.setattr(cli, "build_table", never)
-    target = tmp_path / "missing" / "table.txt"
-    code, out, err = run(capsys, "table", "--max-dim", "3", "--output", str(target))
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and str(target) in err
-    assert not target.exists()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # a missing parent, a file as the parent, a directory as the target
+    for target in (tmp_path / "missing" / "table.txt", blocker / "table.txt", tmp_path):
+        with pytest.raises(OSError) as refused:
+            open(target, "w")
+        code, out, err = run(capsys, "table", "--max-dim", "3", "--output", str(target))
+        assert (code, out, err) == (2, "", f"{refused.value}\n")
+        assert list(tmp_path.iterdir()) == [blocker]
 
 
 def test_enumerate_trees_count(capsys):

@@ -8,8 +8,6 @@ from cubenets.core import FacetLabel, SpanningSubgraph
 from cubenets.nets import (
     CubePartition,
     bounding_box,
-    box_growth_trace,
-    canonical_net,
     collision,
     cube_partition_of,
     is_net,
@@ -18,6 +16,7 @@ from cubenets.nets import (
     verify_development,
 )
 from cubenets.rolling import Development, develop_path, develop_tree
+from oracles import box_growth_trace, canonical_net
 
 L = FacetLabel.parse
 
@@ -132,11 +131,10 @@ def test_verify_development_flags_partial():
 
 def hand_built(n, coords):
     """A development that visits facets in label order and puts them on the
-    given cells; its parents and entry directions play no part in checking."""
+    given cells; its parents play no part in checking."""
     k = len(coords)
     parents = (-1,) + tuple(range(k - 1))
-    entry_dirs = (0,) + (1,) * (k - 1)
-    return Development(n, tuple(range(k)), tuple(coords), parents, entry_dirs)
+    return Development(n, tuple(range(k)), tuple(coords), parents)
 
 
 def test_verify_development_flags_collision():

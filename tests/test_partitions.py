@@ -231,7 +231,7 @@ def test_conservation_check(monkeypatch):
         return False  # the token pushed onto the transfer point vanishes
 
     monkeypatch.setattr(partitions, "_slide", leaky)
-    with pytest.raises(RuntimeError, match="token conservation broken at slide 1"):
+    with pytest.raises(RuntimeError, match="phase discipline broken at slide 2: transfer must be occupied"):
         realization_slides(CubePartition((5, 2)))
 
 

@@ -17,9 +17,8 @@ from cubenets.rolling import (
     develop_tree,
     development_json,
     initial_state,
-    roll,
-    uturn_audit,
 )
+from oracles import is_coherent, roll, root_path, slot, uturn_audit
 
 L = FacetLabel.parse
 
@@ -27,8 +26,8 @@ L = FacetLabel.parse
 def state_table(state):
     d = {"base": str(state.base), "base*": str(state.base.antipode())}
     for k in range(1, state.n):
-        d[f"+{k}"] = str(state.slot(k))
-        d[f"-{k}"] = str(state.slot(-k))
+        d[f"+{k}"] = str(slot(state, k))
+        d[f"-{k}"] = str(slot(state, -k))
     return d
 
 
@@ -52,9 +51,9 @@ def reference_develop(tree, base, order=sorted):
                 continue
             slot_dir = None
             for d in range(1, n):
-                if state.slot(d).index(n) == c:
+                if slot(state, d).index(n) == c:
                     slot_dir = d
-                elif state.slot(-d).index(n) == c:
+                elif slot(state, -d).index(n) == c:
                     slot_dir = -d
             assert slot_dir is not None
             step = [0] * (n - 1)
@@ -72,7 +71,7 @@ def reference_develop(tree, base, order=sorted):
 def reference_develop_path(n, base, dirs):
     """Immutable-state oracle for develop_path: roll, then place the new base."""
     state = initial_state(n, base)
-    order, coords, parents, entry = [state.slots[0]], [(0,) * (n - 1)], [-1], [0]
+    order, coords, parents = [state.slots[0]], [(0,) * (n - 1)], [-1]
     for step, d in enumerate(dirs):
         prev = state.slots[0]
         state = roll(state, d)
@@ -84,8 +83,7 @@ def reference_develop_path(n, base, dirs):
         order.append(lab)
         coords.append(tuple(a + b for a, b in zip(coords[-1], unit)))
         parents.append(prev)
-        entry.append(d)
-    return Development(n, tuple(order), tuple(coords), tuple(parents), tuple(entry))
+    return Development(n, tuple(order), tuple(coords), tuple(parents))
 
 
 def outcome(fn, *args):
@@ -140,7 +138,7 @@ def test_initial_state_convention():
         "+2": "3",
         "-2": "3*",
     }
-    assert st.is_coherent()
+    assert is_coherent(st)
 
 
 def test_initial_state_skips_base_axis():
@@ -176,7 +174,7 @@ def test_roll_inverse_and_order_four():
         for _ in range(30):
             d = rng.choice([k for k in range(-(n - 1), n) if k != 0])
             st = roll(st, d)
-            assert st.is_coherent()
+            assert is_coherent(st)
             assert roll(roll(st, -d), d) == st
             four = st
             for _ in range(4):
@@ -419,7 +417,6 @@ def test_uturn_audit_flags_synthetic_backtrack():
         order=(0, 1, 3),
         coords=((0, 0), (1, 0), (0, 0)),
         parents=(-1, 0, 1),
-        entry_dirs=(0, 1, -1),
     )
     hit = uturn_audit(dev)
     assert hit is not None
@@ -436,7 +433,7 @@ def test_distance_from_base_strictly_grows():
         dev = develop_tree(tree, L("2"))
         coord_of = dict(zip(dev.order, dev.coords))
         for lab in dev.order:
-            labels, _dirs = dev.root_path(FacetLabel.from_index(lab, 4))
+            labels, _dirs = root_path(dev, FacetLabel.from_index(lab, 4))
             coords = [coord_of[l] for l in labels]
             dists = [sum(c * c for c in p) for p in coords]
             assert all(a < b for a, b in zip(dists, dists[1:]))
