@@ -49,15 +49,6 @@ class ChordDiagram:
     def chords(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, self.mate[i]) for i in range(self.m) if i < self.mate[i])
 
-    def loop_chords(self) -> tuple[tuple[int, int], ...]:
-        m = self.m
-        return tuple(
-            (i, j) for i, j in self.chords() if j - i == 1 or (i == 0 and j == m - 1)
-        )
-
-    def loops(self) -> int:
-        return len(self.loop_chords())
-
     def to_json(self) -> dict:
         return {"m": self.m, "matching": [list(c) for c in self.chords()]}
 

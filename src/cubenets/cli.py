@@ -1,10 +1,11 @@
 """Command-line surface: unfold, enumerate, verify, partitions, chords, table.
 
-Exit codes, all decided in `main`: 0 success, 1 a verification failure or a
-method disagreement, 2 bad usage, bad input, a request past a budget or an
-output file that cannot be written.  All output is UTF-8; JSON is the
-interchange format and stays stably ordered so fixed seeds give
-byte-identical runs.
+Each command returns its result and exit code, and `main` writes the
+result: a string as it is, any other value as indented JSON.  Exit codes: 0
+success, 1 a verification failure or a method disagreement, 2 bad usage, bad
+input, a request past a budget or an output file that cannot be written.
+All output is UTF-8; JSON is the interchange format and stays stably ordered
+so fixed seeds give byte-identical runs.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from .enumeration import (
     build_table,
     classify_path,
     count_classes,
-    enumerate_cycles,
-    enumerate_paths,
-    enumerate_trees,
+    enumerate_classes,
     verify_unfoldings,
 )
 from .nets import cube_partition_of, is_net, net_json, render_svg
@@ -80,14 +79,12 @@ def _parse_rolls(raw: str) -> list[int]:
     return moves
 
 
-def _format_development(dev, fmt: str, output) -> int:
+def _format_development(dev, fmt: str):
     if fmt == "svg":
-        _emit(render_svg(dev), output)
-        return 0
+        return render_svg(dev)
     doc = net_json(dev)
     if fmt == "json":
-        _emit(json.dumps(doc, indent=2), output)
-        return 0
+        return doc
     lines = [f"dimension {doc['n']}, base {doc['base']}"]
     for facet in doc["facets"]:
         coord = ",".join(str(v) for v in facet["coord"])
@@ -96,11 +93,10 @@ def _format_development(dev, fmt: str, output) -> int:
         lines.append("partition " + str(tuple(doc["partition"])))
     if not doc.get("spanning", True):
         lines.append("partial development: not spanning")
-    _emit("\n".join(lines), output)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_unfold(args) -> int:
+def _cmd_unfold(args):
     n = args.dim
     base = FacetLabel.parse(args.base)
     if base.axis > n:
@@ -115,36 +111,31 @@ def _cmd_unfold(args) -> int:
         dev = develop_tree(SpanningSubgraph.from_text(n, args.tree), base)
     if dev.is_spanning and not is_net(dev):
         print("development overlaps itself", file=sys.stderr)
-        return 1
-    return _format_development(dev, args.format, args.output)
+        return None, 1
+    return _format_development(dev, args.format), 0
 
 
-_ENUMERATORS = {"trees": enumerate_trees, "paths": enumerate_paths, "cycles": enumerate_cycles}
-
-
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     n, kind = args.dim, args.kind
     count = count_classes(kind, n, args.method, args.jobs)
     doc = {"n": n, "kind": kind, "count": count}
     if args.count_only:
-        _emit(json.dumps(doc), args.output)
-        return 0
+        return json.dumps(doc), 0
     if args.method == "chords":
         raise ValueError(
             "diagram route only counts classes; listing needs --method direct"
         )
-    subs = _ENUMERATORS[kind](n, args.jobs)
+    subs = enumerate_classes(kind, n, args.jobs)
     if kind == "paths":
         doc["classes"] = [
             {"edges": sub.to_json(), "ends": classify_path(sub)} for sub in subs
         ]
     else:
         doc["classes"] = [sub.to_json() for sub in subs]
-    _emit(json.dumps(doc, indent=2), args.output)
-    return 0
+    return doc, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     report = verify_unfoldings(
         args.dim,
         exhaustive=args.exhaustive,
@@ -152,11 +143,10 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
-    _emit(json.dumps(report.to_json(), indent=2), args.output)
-    return 0 if report.ok else 1
+    return report.to_json(), (0 if report.ok else 1)
 
 
-def _cmd_partitions(args) -> int:
+def _cmd_partitions(args):
     rows = []
     for p in enumerate_cube_partitions(args.dim):
         row = {"partition": list(p.parts)}
@@ -166,11 +156,10 @@ def _cmd_partitions(args) -> int:
             row["rolls"] = list(seq.moves)
             row["box"] = list(cube_partition_of(dev).parts)
         rows.append(row)
-    _emit(json.dumps({"n": args.dim, "partitions": rows}, indent=2), args.output)
-    return 0
+    return {"n": args.dim, "partitions": rows}, 0
 
 
-def _cmd_chords(args) -> int:
+def _cmd_chords(args):
     n = args.dim
     _check_dim(n)
     diagrams = enumerate_diagrams(2 * n, args.loops)
@@ -184,15 +173,13 @@ def _cmd_chords(args) -> int:
     doc["diagrams"] = rows
     if args.ext_net_counts and args.loops == 0:
         doc["net_class_total"] = sum(r["net_classes"] for r in rows)
-    _emit(json.dumps(doc, indent=2), args.output)
-    return 0
+    return doc, 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args):
     table = build_table(args.max_dim, args.method, args.jobs)
     if args.format == "json":
-        _emit(json.dumps(table.to_json(), indent=2), args.output)
-        return 0
+        return table.to_json(), 0
     names = ("n", "cycles", "paths", "ter", "ext")
     cells = [[str(getattr(r, name)) for name in names] for r in table.rows]
     widths = [
@@ -202,8 +189,7 @@ def _cmd_table(args) -> int:
     fmt = lambda row: " ".join(v.rjust(w) for v, w in zip(row, widths))
     header = fmt(names)
     lines = [header, "-" * len(header)] + [fmt(row) for row in cells]
-    _emit("\n".join(lines), args.output)
-    return 0
+    return "\n".join(lines), 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -269,7 +255,10 @@ def main(argv=None) -> int:
     try:
         if args.output:
             _check_output(args.output)
-        return args.func(args)
+        out, code = args.func(args)
+        if out is not None:
+            _emit(out if isinstance(out, str) else json.dumps(out, indent=2), args.output)
+        return code
     except RevisitError as exc:  # first: it is also a ValueError
         print(f"facet revisited: {exc}", file=sys.stderr)
         return 1

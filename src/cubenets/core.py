@@ -127,7 +127,7 @@ class SpanningSubgraph:
         _check_dim(self.n)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        norm = tuple(sorted(set(tuple(sorted(e)) for e in self.edges)))
+        norm = tuple(sorted({(i, j) if i < j else (j, i) for i, j in self.edges}))
         object.__setattr__(self, "edges", norm)
         two_n = 2 * self.n
         for i, j in norm:

@@ -58,6 +58,8 @@ CHORDS_COUNT_LIMIT = 20
 
 
 def _check_direct(kind: str, n: int) -> None:
+    if kind not in DIRECT_LIMITS:
+        raise ValueError(f"unknown kind {kind!r}")
     _check_budget(n, DIRECT_LIMITS[kind], "DIRECT_LIMITS", f"direct {kind} listings")
 
 
@@ -213,30 +215,28 @@ def _raw_walk_masks(n: int, shard: tuple[int, int], close: bool):
     """Masks of spanning paths (or, with `close`, cycles) whose walk starts
     0 -> 1, so every mask holds edge rank 0.  A cycle closes back to 0, and
     starting 0 -> 1 fixes its orientation, so each undirected cycle is walked
-    once.  Walks are sharded by their second step."""
+    once.  Walks are sharded by their second step and run on an explicit
+    stack, children pushed in reverse so that they pop in ascending order."""
     which, of = shard
-    two_n = 2 * n
+    full = (1 << (2 * n)) - 1
     grid = _edge_rank_grid(n)
-    neighbours = _neighbours(n)
-    closers = set(neighbours[0])
-
-    def rec(v, visited, depth, mask):
-        if depth == two_n:
+    backwards = [row[::-1] for row in _neighbours(n)]
+    closers = set(backwards[0])
+    seconds = [u for u in _neighbours(n)[1] if u != 0][which::of]
+    stack = [(v2, 0b11 | (1 << v2), 1 | (1 << grid[1][v2])) for v2 in reversed(seconds)]
+    while stack:
+        v, visited, mask = stack.pop()
+        if visited == full:
             if not close:
                 yield mask
             elif v in closers:
                 yield mask | (1 << grid[0][v])
-            return
+            continue
         row = grid[v]
-        for u in neighbours[v]:
+        for u in backwards[v]:
             bit = 1 << u
             if not visited & bit:
-                yield from rec(u, visited | bit, depth + 1, mask | (1 << row[u]))
-
-    seconds = [u for u in neighbours[1] if u != 0]
-    for k, v2 in enumerate(seconds):
-        if k % of == which:
-            yield from rec(v2, 0b11 | (1 << v2), 3, 1 | (1 << grid[1][v2]))
+                stack.append((u, visited | bit, mask | (1 << row[u])))
 
 
 def _raw_path_masks(n: int, shard: tuple[int, int] = (0, 1)):
@@ -277,12 +277,7 @@ def _dedup_restricted(n: int, masks, star: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# public enumeration, cached per dimension
-
-
-# the table's ter count classifies the same path listing its paths count
-# takes, so the cache is what keeps a table row to one walk per kind
-_CLASS_CACHE: dict[tuple[str, int], tuple[int, ...]] = {}
+# public enumeration, cached per (kind, dimension, worker count)
 
 
 def _shard_job(kind: str, n: int, which: int, of: int) -> list[int]:
@@ -300,38 +295,35 @@ def _shard_job(kind: str, n: int, which: int, of: int) -> list[int]:
 
 
 def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
-    # the dimension, the budget and the worker count are checked before the
-    # cache, so none of them depends on what an earlier call left there
+    # the kind, the dimension, the budget and the worker count are checked
+    # before the cache, so none of them depends on what an earlier call left
     _check_dim(n)
     _check_direct(kind, n)
     _check_jobs(jobs)
-    key = (kind, n)
-    if key not in _CLASS_CACHE:
-        # each stream is sharded by vertex 1's next neighbour (the second
-        # walk step, or the tree's second-lowest edge), so 2n-3 shards at most
-        of = min(jobs, 2 * n - 3)
-        parts = _run_shards(_shard_job, [(kind, n, w, of) for w in range(of)])
-        _CLASS_CACHE[key] = tuple(sorted(set().union(*parts)))
-    return _CLASS_CACHE[key]
+    return _listing(kind, n, jobs)
+
+
+@cache
+def _listing(kind: str, n: int, jobs: int) -> tuple[int, ...]:
+    # a table's ter count classifies the path listing its paths count takes,
+    # under the command's one `jobs`: the cache keeps it to one walk per kind.
+    # Shards split vertex 1's next neighbour (the second walk step, or the
+    # tree's second-lowest edge), so there are 2n-3 at most
+    of = min(jobs, 2 * n - 3)
+    parts = _run_shards(_shard_job, [(kind, n, w, of) for w in range(of)])
+    return tuple(sorted(set().union(*parts)))
+
+
+def enumerate_classes(kind: str, n: int, jobs: int = 1) -> tuple[SpanningSubgraph, ...]:
+    """All spanning "trees", "paths" or "cycles" of the Roberts graph up to
+    relabelling, one per class, sorted by edge mask."""
+    masks = _class_masks(kind, n, jobs)
+    return tuple(subgraph_from_mask(n, m, kind[:-1]) for m in masks)
 
 
 def enumerate_trees(n: int, jobs: int = 1) -> tuple[SpanningSubgraph, ...]:
     """All spanning trees of the Roberts graph up to relabelling, sorted."""
-    return tuple(
-        subgraph_from_mask(n, m, "tree") for m in _class_masks("trees", n, jobs)
-    )
-
-
-def enumerate_paths(n: int, jobs: int = 1) -> tuple[SpanningSubgraph, ...]:
-    return tuple(
-        subgraph_from_mask(n, m, "path") for m in _class_masks("paths", n, jobs)
-    )
-
-
-def enumerate_cycles(n: int, jobs: int = 1) -> tuple[SpanningSubgraph, ...]:
-    return tuple(
-        subgraph_from_mask(n, m, "cycle") for m in _class_masks("cycles", n, jobs)
-    )
+    return enumerate_classes("trees", n, jobs)
 
 
 def classify_path(p: SpanningSubgraph) -> str:
@@ -390,7 +382,8 @@ def _chord_count(kind: str, n: int) -> int:
 
 def _direct_count(kind: str, n: int, jobs: int) -> int:
     if kind == "ter":
-        return sum(1 for p in enumerate_paths(n, jobs) if classify_path(p) == "ter")
+        paths = enumerate_classes("paths", n, jobs)
+        return sum(1 for p in paths if classify_path(p) == "ter")
     return len(_class_masks(kind, n, jobs))
 
 
@@ -546,7 +539,7 @@ def verify_unfoldings(
     _check_jobs(jobs)
     if exhaustive:
         report = VerifyReport(n, "exhaustive")
-        for tree in enumerate_trees(n, jobs):
+        for tree in enumerate_classes("trees", n, jobs):
             _check_tree(report, tree)
         return report
     if seed is None:

@@ -4,8 +4,9 @@ The library holds what the CLI, the README and the benchmark run
 (`tests/test_reachable.py` checks that).  What follows checks the library
 from the side: the immutable roll engine, brute-force shape and diagram
 canonicalisation, the cycle/path <-> chord-diagram bijections, orbit and
-stabilizer sizes, and the JSON readers.  Each keeps the checks it raises
-on, so a test can still drive it into them.
+stabilizer sizes, the recursive Hamiltonian walk, and the JSON readers.
+Each keeps the checks it raises on, so a test can still drive it into
+them.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from cubenets.core import (
     FacetLabel,
     SignedPermutation,
     SpanningSubgraph,
+    _edge_rank_grid,
     _orbit_arrays,
     antipode_index,
     path_endpoints,
     validate,
 )
+from cubenets.enumeration import _neighbours
 from cubenets.nets import _box_scan
 from cubenets.rolling import Development, RollState
 
@@ -81,6 +84,39 @@ def orbit_masks(n: int, mask: int) -> set[int]:
 def stabilizer_order(n: int, mask: int) -> int:
     masks, _ = _orbit_arrays(n, mask)
     return int(np.count_nonzero(masks == np.uint64(mask)))
+
+
+# ---------------------------------------------------------------------------
+# the recursive Hamiltonian walk
+
+
+def recursive_walk_masks(n: int, shard: tuple[int, int], close: bool):
+    """The path (or, with `close`, cycle) masks of
+    `enumeration._raw_walk_masks`, walked by nested generators: the stream,
+    order included, that its explicit stack must reproduce."""
+    which, of = shard
+    two_n = 2 * n
+    grid = _edge_rank_grid(n)
+    neighbours = _neighbours(n)
+    closers = set(neighbours[0])
+
+    def rec(v, visited, depth, mask):
+        if depth == two_n:
+            if not close:
+                yield mask
+            elif v in closers:
+                yield mask | (1 << grid[0][v])
+            return
+        row = grid[v]
+        for u in neighbours[v]:
+            bit = 1 << u
+            if not visited & bit:
+                yield from rec(u, visited | bit, depth + 1, mask | (1 << row[u]))
+
+    seconds = [u for u in neighbours[1] if u != 0]
+    for k, v2 in enumerate(seconds):
+        if k % of == which:
+            yield from rec(v2, 0b11 | (1 << v2), 3, 1 | (1 << grid[1][v2]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +257,17 @@ def canonical_net(dev: Development) -> tuple[tuple[int, ...], ...]:
 # chord diagrams: canonical forms, orbits, and the cycle/path bijections
 
 
+def loop_chords(d: ChordDiagram) -> tuple[tuple[int, int], ...]:
+    """The chords across a single boundary edge of the polygon."""
+    return tuple(
+        (i, j) for i, j in d.chords() if j - i == 1 or (i == 0 and j == d.m - 1)
+    )
+
+
+def loops(d: ChordDiagram) -> int:
+    return len(loop_chords(d))
+
+
 def canonical_diagram(d: ChordDiagram) -> ChordDiagram:
     """Least mate table over all rotations and reflections of the polygon."""
     best = min(_apply_vertex_map(d, vm) for vm in _dihedral_maps(d.m))
@@ -293,7 +340,7 @@ def cycle_from_diagram(d: ChordDiagram, n: int) -> SpanningSubgraph:
     label pairs, polygon neighbours become cycle edges."""
     if d.m != 2 * n:
         raise ValueError(f"diagram on {d.m} vertices does not fit dimension {n}")
-    if d.loops():
+    if loops(d):
         raise ValueError("diagram has a loop; no spanning cycle produces one")
     return _reassemble(d, n, "cycle", -1)
 
@@ -305,8 +352,8 @@ def path_from_diagram(d: ChordDiagram, marked: int, n: int) -> SpanningSubgraph:
         raise ValueError(f"diagram on {d.m} vertices does not fit dimension {n}")
     if not 0 <= marked < d.m:
         raise ValueError(f"marked edge {marked} out of range")
-    loops = d.loop_chords()
-    if loops and set(loops) != {_edge_endpoints_chord(d.m, marked)}:
+    found = loop_chords(d)
+    if found and set(found) != {_edge_endpoints_chord(d.m, marked)}:
         raise ValueError("loop must sit across the marked edge")
     return _reassemble(d, n, "path", marked)
 
@@ -325,10 +372,10 @@ def insert_loop(d: ChordDiagram, edge: int) -> ChordDiagram:
     m = d.m
     if not 0 <= edge < m:
         raise ValueError(f"edge {edge} out of range")
-    loops = d.loop_chords()
-    if len(loops) > 1:
+    found = loop_chords(d)
+    if len(found) > 1:
         raise ValueError("diagram has several loops; nothing maps onto it")
-    if len(loops) == 1 and loops[0] != _edge_endpoints_chord(m, edge):
+    if len(found) == 1 and found[0] != _edge_endpoints_chord(m, edge):
         raise ValueError("loop must sit across the marked edge")
     shift = lambda v: v if v <= edge else v + 2
     mate = [-1] * (m + 2)
@@ -337,9 +384,9 @@ def insert_loop(d: ChordDiagram, edge: int) -> ChordDiagram:
         mate[a], mate[b] = b, a
     mate[edge + 1], mate[edge + 2] = edge + 2, edge + 1
     out = ChordDiagram(m + 2, tuple(mate))
-    if out.loops() != 1:
+    if loops(out) != 1:
         raise RuntimeError(
-            f"insertion left {out.loops()} loops; it must leave exactly the new one"
+            f"insertion left {loops(out)} loops; it must leave exactly the new one"
         )
     return out
 

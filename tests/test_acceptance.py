@@ -34,10 +34,9 @@ SAMPLE_SEED = 20260817
 
 
 def _fresh_tree_cache():
-    from cubenets.enumeration import _CLASS_CACHE
+    from cubenets.enumeration import _listing
 
-    for key in [k for k in _CLASS_CACHE if k[0] == "trees"]:
-        _CLASS_CACHE.pop(key)
+    _listing.cache_clear()
 
 
 def test_c1_tree_class_counts():

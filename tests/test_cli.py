@@ -9,11 +9,12 @@ import pytest
 from cubenets import cli, enumeration
 from cubenets.chords import enumerate_diagrams
 from cubenets.cli import main
-from cubenets.enumeration import enumerate_cycles, enumerate_paths
+from cubenets.enumeration import enumerate_classes
 from oracles import (
     cycle_from_diagram,
     diagram_from_cycle,
     diagram_from_path,
+    loop_chords,
     path_from_diagram,
 )
 
@@ -498,9 +499,9 @@ def _golden_text(name, capsys):
             capsys, "table", "--max-dim", "7", "--method", "both", "--format", "json"
         )
     if name == "diagram-from-path":
-        return repr([diagram_from_path(p)[0].mate for p in enumerate_paths(5)])
+        return repr([diagram_from_path(p)[0].mate for p in enumerate_classes("paths", 5)])
     if name == "diagram-from-cycle":
-        return repr([diagram_from_cycle(c).mate for c in enumerate_cycles(5)])
+        return repr([diagram_from_cycle(c).mate for c in enumerate_classes("cycles", 5)])
     if name.startswith("diagrams16-loops"):
         return repr([d.mate for d in enumerate_diagrams(16, int(name[-1]))])
     # name == "from-diagram": every dim-5 listing, opened at every allowed edge
@@ -509,7 +510,7 @@ def _golden_text(name, capsys):
     for d in loopless:
         edges += [path_from_diagram(d, e, 5).edges for e in range(10)]
     for d in enumerate_diagrams(10, 1):
-        (i, j), = d.loop_chords()
+        (i, j), = loop_chords(d)
         edges.append(path_from_diagram(d, 9 if (i, j) == (0, 9) else i, 5).edges)
     return repr(edges)
 

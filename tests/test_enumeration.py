@@ -26,13 +26,17 @@ from cubenets.enumeration import (
     build_table,
     classify_path,
     count_classes,
-    enumerate_cycles,
-    enumerate_paths,
+    enumerate_classes,
     enumerate_trees,
     random_spanning_tree,
     verify_unfoldings,
 )
-from oracles import apply_subgraph, orbit_masks, random_signed_permutation
+from oracles import (
+    apply_subgraph,
+    orbit_masks,
+    random_signed_permutation,
+    recursive_walk_masks,
+)
 
 
 def brute_classes(n, kind, size):
@@ -54,15 +58,15 @@ def test_tree_counts():
 
 
 def test_path_counts():
-    assert len(enumerate_paths(2)) == 1
-    assert len(enumerate_paths(3)) == 4
-    assert len(enumerate_paths(4)) == 24
+    assert len(enumerate_classes("paths", 2)) == 1
+    assert len(enumerate_classes("paths", 3)) == 4
+    assert len(enumerate_classes("paths", 4)) == 24
 
 
 def test_cycle_counts():
-    assert len(enumerate_cycles(2)) == 1
-    assert len(enumerate_cycles(3)) == 2
-    assert len(enumerate_cycles(4)) == 7
+    assert len(enumerate_classes("cycles", 2)) == 1
+    assert len(enumerate_classes("cycles", 3)) == 2
+    assert len(enumerate_classes("cycles", 4)) == 7
 
 
 def test_trees_match_brute_force():
@@ -75,14 +79,14 @@ def test_trees_match_brute_force():
 def test_paths_match_brute_force():
     for n in (2, 3):
         want = brute_classes(n, "path", 2 * n - 1)
-        got = {p.mask() for p in enumerate_paths(n)}
+        got = {p.mask() for p in enumerate_classes("paths", n)}
         assert got == want
 
 
 def test_cycles_match_brute_force():
     for n in (2, 3):
         want = brute_classes(n, "cycle", 2 * n)
-        got = {c.mask() for c in enumerate_cycles(n)}
+        got = {c.mask() for c in enumerate_classes("cycles", n)}
         assert got == want
 
 
@@ -92,9 +96,10 @@ def test_trees_match_brute_force_dim_four():
 
 def test_enumerated_objects_are_valid_and_canonical():
     for n in (2, 3, 4):
-        for sub in enumerate_trees(n) + enumerate_paths(n) + enumerate_cycles(n):
-            assert validate(sub) is None
-            assert canonical_mask(n, sub.mask()) == sub.mask()
+        for kind in ("trees", "paths", "cycles"):
+            for sub in enumerate_classes(kind, n):
+                assert validate(sub) is None
+                assert canonical_mask(n, sub.mask()) == sub.mask()
 
 
 def test_no_two_representatives_share_an_orbit():
@@ -106,7 +111,7 @@ def test_no_two_representatives_share_an_orbit():
 
 def test_representatives_survive_relabelling():
     rng = random.Random(5)
-    for p in enumerate_paths(3):
+    for p in enumerate_classes("paths", 3):
         for _ in range(5):
             g = random_signed_permutation(3, rng)
             moved = apply_subgraph(g, p)
@@ -115,7 +120,7 @@ def test_representatives_survive_relabelling():
 
 def test_classify_path_split():
     for n, want in [(2, (0, 1)), (3, (1, 3)), (4, (4, 20))]:
-        kinds = Counter(classify_path(p) for p in enumerate_paths(n))
+        kinds = Counter(classify_path(p) for p in enumerate_classes("paths", n))
         assert (kinds["ter"], kinds["ext"]) == want
 
 
@@ -123,9 +128,9 @@ def test_direct_limits_enforced():
     with pytest.raises(ResourceLimitError):
         enumerate_trees(DIRECT_LIMITS["trees"] + 1)
     with pytest.raises(ResourceLimitError):
-        enumerate_paths(6)
+        enumerate_classes("paths", 6)
     with pytest.raises(ResourceLimitError):
-        enumerate_cycles(7)
+        enumerate_classes("cycles", 7)
 
 
 def test_budget_does_not_depend_on_the_cache(monkeypatch):
@@ -138,22 +143,21 @@ def test_budget_does_not_depend_on_the_cache(monkeypatch):
 def test_direct_cycles_at_the_budget_ceiling():
     # n=6 is the largest direct cycle budget; both routes give 196 classes
     assert DIRECT_LIMITS["cycles"] == 6
-    cycles = enumerate_cycles(6)
+    cycles = enumerate_classes("cycles", 6)
     assert len(cycles) == 196 == count_diagram_classes(12, 0)
     assert all(c.mask() & 1 for c in cycles)  # each holds edge rank 0
 
 
 def test_parallel_cycles_match_serial():
-    from cubenets.enumeration import _CLASS_CACHE, _class_masks
+    from cubenets.enumeration import _class_masks
 
-    serial = [c.mask() for c in enumerate_cycles(4)]
-    _CLASS_CACHE.pop(("cycles", 4), None)
+    serial = [c.mask() for c in enumerate_classes("cycles", 4)]
     assert list(_class_masks("cycles", 4, jobs=2)) == serial
 
 
 def test_one_shard_runs_without_a_pool(monkeypatch):
     from cubenets import enumeration
-    from cubenets.enumeration import _CLASS_CACHE, _class_masks
+    from cubenets.enumeration import _class_masks, _listing
 
     def no_pool(*args, **kwargs):
         raise RuntimeError("a process pool was started")
@@ -162,8 +166,9 @@ def test_one_shard_runs_without_a_pool(monkeypatch):
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
     # paths and cycles at n=2 have one shard, so two jobs need no pool
     for kind in ("paths", "cycles"):
-        monkeypatch.delitem(_CLASS_CACHE, (kind, 2))
-        assert _class_masks(kind, 2, jobs=2) == serial[kind]
+        # the listing itself, past its cache, which another test may have
+        # filled for two jobs
+        assert _listing.__wrapped__(kind, 2, 2) == serial[kind]
     # one sample is one shard
     report = verify_unfoldings(4, samples=1, seed=2, jobs=2)
     assert report.trees_checked == 1
@@ -177,6 +182,20 @@ def test_raw_streams_fill_only_the_first_2n_minus_3_shards(n):
     for raw in (_raw_tree_masks, _raw_path_masks, _raw_cycle_masks):
         sizes = [sum(1 for _ in raw(n, (w, of))) for w in range(of)]
         assert all(sizes[: 2 * n - 3]) and sizes[2 * n - 3 :] == [0, 0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_walk_stack_matches_the_recursive_walk(n):
+    from cubenets.enumeration import _raw_walk_masks
+
+    # the explicit stack yields the nested generators' stream, order and all
+    for close in (False, True):
+        for of in range(1, 2 * n - 2):
+            for which in range(of):
+                shard = (which, of)
+                assert list(_raw_walk_masks(n, shard, close)) == list(
+                    recursive_walk_masks(n, shard, close)
+                )
 
 
 def spanning_trees_without_vertex_zero(n):
@@ -223,17 +242,15 @@ def test_raw_tree_stream_is_every_tree_with_facet_one_a_leaf_on_facet_two(n):
 
 
 def test_parallel_generation_matches_serial():
-    from cubenets.enumeration import _CLASS_CACHE, _class_masks
+    from cubenets.enumeration import _class_masks
 
     for n in (3, 4):
         serial = [t.mask() for t in enumerate_trees(n)]
-        _CLASS_CACHE.pop(("trees", n), None)
         assert list(_class_masks("trees", n, jobs=2)) == serial
     # paths are sharded by their second step, which leaves 2n-3 shards
     for n in (3, 4, 5):
-        serial = [p.mask() for p in enumerate_paths(n)]
+        serial = [p.mask() for p in enumerate_classes("paths", n)]
         for jobs in (2, 3):
-            _CLASS_CACHE.pop(("paths", n), None)
             assert list(_class_masks("paths", n, jobs=jobs)) == serial
 
 
@@ -331,6 +348,9 @@ def test_count_classes_refusals():
         with pytest.raises(ValueError) as err:
             count_classes("bogus", 3, method)
         assert str(err.value) == "unknown kind 'bogus'"
+    # the listing route too; "ter" is a count, not a listing
+    with pytest.raises(ValueError, match="unknown kind 'ter'"):
+        enumerate_classes("ter", 3)
 
 
 def test_table_direct_equals_chords():
@@ -390,13 +410,14 @@ def test_verify_samples_parallel_merge():
 
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_jobs_below_one_is_refused(jobs):
-    from cubenets.enumeration import _CLASS_CACHE
+    from cubenets.enumeration import _listing
 
-    # no shard list is built from the count, so nothing empty is cached
-    _CLASS_CACHE.pop(("trees", 3), None)
+    # the count is refused before the cached listing is read, so no shard
+    # list is built from it and nothing empty is cached
+    misses = _listing.cache_info().misses
     with pytest.raises(ValueError, match="need jobs >= 1"):
         enumerate_trees(3, jobs=jobs)
-    assert ("trees", 3) not in _CLASS_CACHE
+    assert _listing.cache_info().misses == misses
     assert len(enumerate_trees(3)) == 11
     # a verification never passes having checked no tree
     with pytest.raises(ValueError, match="need jobs >= 1"):

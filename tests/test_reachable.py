@@ -10,6 +10,9 @@ Reachability is by name, so it over-approximates: every `Name` and
 `Attribute` in a reached body reaches each definition of that name.  A
 reached class reaches its dunder methods and its class-body statements, a
 reached method its class, and module-level statements are always reached.
+So a name collision hides dead code: `args.loops` in `cli._cmd_chords`
+reaches any method named `loops`, and such a definition needs a grep for
+its call sites instead.
 """
 
 import ast
