@@ -15,6 +15,7 @@ import errno
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .chords import edge_orbit_count, enumerate_diagrams
 from .core import FacetLabel, SpanningSubgraph, _check_dim
@@ -59,13 +60,9 @@ def _check_output(output: str) -> None:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+        # print writes the end apart, so a large document is not copied
+        print(text, end="" if text.endswith("\n") else "\n", file=fh)
 
 
 def _parse_rolls(raw: str) -> list[int]:
@@ -117,14 +114,15 @@ def _cmd_unfold(args):
 
 def _cmd_enumerate(args):
     n, kind = args.dim, args.kind
+    _check_dim(n)
+    if args.method == "chords" and not args.count_only:
+        raise ValueError(
+            "diagram route only counts classes; listing needs --method direct"
+        )
     count = count_classes(kind, n, args.method, args.jobs)
     doc = {"n": n, "kind": kind, "count": count}
     if args.count_only:
         return json.dumps(doc), 0
-    if args.method == "chords":
-        raise ValueError(
-            "diagram route only counts classes; listing needs --method direct"
-        )
     subs = enumerate_classes(kind, n, args.jobs)
     if kind == "paths":
         doc["classes"] = [

@@ -21,6 +21,7 @@ the images of that shape and serves all three.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -43,7 +44,7 @@ from .core import (
     roberts_edges,
     subgraph_from_mask,
 )
-from .nets import cube_partition_of, verify_development
+from .nets import verify_development
 from .rolling import develop_tree
 
 
@@ -71,10 +72,10 @@ def _check_jobs(jobs: int) -> None:
 
 def _run_shards(fn, args: list[tuple]) -> list:
     """fn(*a) for each tuple in `args`, in order: in this process for one
-    tuple, else one process per tuple (callers pass at most `jobs`)."""
+    tuple, else over at most one process per tuple and per CPU."""
     if len(args) <= 1:
         return [fn(*a) for a in args]
-    with ProcessPoolExecutor(max_workers=len(args)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, *zip(*args)))
 
 
@@ -503,11 +504,11 @@ class VerifyReport:
 
 def _check_tree(report: VerifyReport, tree: SpanningSubgraph) -> None:
     dev = develop_tree(tree, FacetLabel(1))
-    problems = verify_development(dev)
+    problems, partition = verify_development(dev)
     if problems:
         report.failures.append({"tree": tree.to_json(), "problems": problems})
     else:
-        report.partition_counts[cube_partition_of(dev).parts] += 1
+        report.partition_counts[partition.parts] += 1
     report.trees_checked += 1
 
 

@@ -1,9 +1,10 @@
-"""Geometry of developments: collision checks, bounding boxes, SVG pictures.
+"""Geometry of developments: the net check, bounding boxes, SVG pictures.
 
 A spanning development with all 2n cells distinct is a net.  Its bounding
 box always has n-1 extents that are at least 2 and sum to 3n-2, i.e. the
 extents form an integer partition of 3n-2 into n-1 parts of size >= 2; the
 box sum grows by exactly one with every facet placed after the first.
+One pass over the cells, `_box_scan`, yields what all three checks read.
 """
 
 from __future__ import annotations
@@ -39,17 +40,36 @@ class CubePartition:
         return len(self.parts) + 1
 
 
+def _box_scan(coords) -> tuple[Optional[tuple[int, int]], list[int], tuple[int, ...]]:
+    """One pass over cells in visiting order: the positions (j, k) of the
+    first cell k to repeat an earlier cell j (None if all differ), the
+    box-extent sum after each cell (a cell adds what it pushes the box out
+    by) and the final extents in axis order."""
+    lo = list(coords[0])
+    hi = lo[:]
+    total = len(lo)
+    trace = []
+    seen = {}
+    hit = None
+    for j, pos in enumerate(coords):
+        # cells after the first repeat need not be remembered
+        if hit is None and seen.setdefault(pos, j) != j:
+            hit = (seen[pos], j)
+        for k, v in enumerate(pos):
+            if v < lo[k]:
+                total += lo[k] - v
+                lo[k] = v
+            elif v > hi[k]:
+                total += v - hi[k]
+                hi[k] = v
+        trace.append(total)
+    return hit, trace, tuple(h - l + 1 for l, h in zip(lo, hi))
+
+
 def collision(dev: Development) -> Optional[tuple[FacetLabel, FacetLabel]]:
     """First pair of facets landing on the same cell, in visiting order."""
-    seen: dict[tuple[int, ...], int] = {}
-    for lab, pos in zip(dev.order, dev.coords):
-        if pos in seen:
-            return (
-                FacetLabel.from_index(seen[pos], dev.n),
-                FacetLabel.from_index(lab, dev.n),
-            )
-        seen[pos] = lab
-    return None
+    hit = _box_scan(dev.coords)[0]
+    return hit and tuple(FacetLabel.from_index(dev.order[k], dev.n) for k in hit)
 
 
 def is_net(dev: Development) -> bool:
@@ -68,51 +88,33 @@ def cube_partition_of(dev: Development) -> CubePartition:
     return CubePartition(bounding_box(dev))
 
 
-def _box_scan(coords) -> tuple[list[int], tuple[int, ...]]:
-    """Box-extent sum after each cell, kept running (a cell adds what it
-    pushes the box out by), and the final extents in axis order."""
-    lo = list(coords[0])
-    hi = lo[:]
-    total = len(lo)
-    trace = [total]
-    for pos in coords[1:]:
-        for k, v in enumerate(pos):
-            if v < lo[k]:
-                total += lo[k] - v
-                lo[k] = v
-            elif v > hi[k]:
-                total += v - hi[k]
-                hi[k] = v
-        trace.append(total)
-    return trace, tuple(h - l + 1 for l, h in zip(lo, hi))
-
-
-def verify_development(dev: Development) -> list[str]:
-    """All the ways a development fails to be a well-behaved net."""
+def verify_development(dev: Development) -> tuple[list[str], Optional[CubePartition]]:
+    """All the ways a development fails to be a well-behaved net, and the
+    partition of its box extents when there are none (else None)."""
+    hit, trace, extents = _box_scan(dev.coords)
     problems = []
-    hit = collision(dev)
     if hit is not None:
-        problems.append(f"collision between {hit[0]} and {hit[1]}")
+        a, b = (FacetLabel.from_index(dev.order[k], dev.n) for k in hit)
+        problems.append(f"collision between {a} and {b}")
     if not dev.is_spanning:
         problems.append(f"covers {len(dev.order)} of {2 * dev.n} facets")
-        return problems
-    trace, extents = _box_scan(dev.coords)
-    n = dev.n
-    if trace != list(range(n - 1, 3 * n - 1)):
+        return problems, None
+    if trace != list(range(dev.n - 1, 3 * dev.n - 1)):
         problems.append(f"box sum trace {trace} is not unit growth")
-    if hit is None:
-        try:
-            CubePartition(extents)
-        except ValueError as e:
-            problems.append(str(e))
-    return problems
+    try:
+        # cells that collide leave the extents unjudged
+        partition = None if hit else CubePartition(extents)
+    except ValueError as e:
+        return problems + [str(e)], None
+    return problems, (None if problems else partition)
 
 
 def net_json(dev: Development) -> dict:
     """Development interchange form plus the bounding-box partition."""
     doc = development_json(dev)
-    if is_net(dev):
-        doc["partition"] = list(cube_partition_of(dev).parts)
+    partition = verify_development(dev)[1]
+    if partition is not None:
+        doc["partition"] = list(partition.parts)
     return doc
 
 
@@ -124,10 +126,8 @@ def render_svg(dev: Development) -> str:
     """Flat picture of a 3-cube net: one 100-unit square per facet."""
     if dev.n != 3:
         raise ValueError("SVG rendering is only for dimension 3")
-    xs = [p[0] for p in dev.coords]
-    ys = [p[1] for p in dev.coords]
-    lox, hix = min(xs), max(xs)
-    loy, hiy = min(ys), max(ys)
+    lox, loy = map(min, zip(*dev.coords))
+    hix, hiy = map(max, zip(*dev.coords))
     width = (hix - lox + 1) * _SVG_CELL + 2 * _SVG_STROKE
     height = (hiy - loy + 1) * _SVG_CELL + 2 * _SVG_STROKE
     lines = [

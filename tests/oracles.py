@@ -225,7 +225,7 @@ def box_growth_trace(dev: Development) -> list[int]:
     Starts at n-1 (a single cell) and, for any tree development, steps up by
     exactly one per facet, ending at 3n-2.
     """
-    return _box_scan(dev.coords)[0]
+    return _box_scan(dev.coords)[1]
 
 
 def canonical_points(points, dim: int) -> tuple[tuple[int, ...], ...]:

@@ -100,6 +100,16 @@ def test_unfold_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["partition"] == [4, 3]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "svg"])
+def test_output_file_holds_the_stdout_bytes(fmt, tmp_path, capsys):
+    argv = ["unfold", "--dim", "3", "--tree", "1-2,1-2*,1-3,1-3*,2-1*", "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.endswith("\n") and not out.endswith("\n\n")
+    target = tmp_path / f"net.{fmt}"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
 def test_unwritable_output_exits_two(tmp_path, capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the table was built before --output was checked")
@@ -145,10 +155,20 @@ def test_enumerate_chords_method(capsys):
         capsys, "enumerate", "--dim", "3", "--kind", "trees",
         "--method", "chords", "--count-only",
     )[0] == 2
-    # diagram route cannot list classes
-    assert run(
-        capsys, "enumerate", "--dim", "4", "--kind", "cycles", "--method", "chords"
-    )[0] == 2
+
+
+def test_enumerate_chords_listing_refused_before_counting(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("classes were counted before the listing was refused")
+
+    monkeypatch.setattr(cli, "count_classes", never)
+    # the diagram route cannot list classes, whatever the kind or dimension
+    for kind, dim in (("cycles", "4"), ("paths", "20"), ("trees", "3")):
+        code, out, err = run(
+            capsys, "enumerate", "--dim", dim, "--kind", kind, "--method", "chords"
+        )
+        assert (code, out) == (2, "")
+        assert err == "diagram route only counts classes; listing needs --method direct\n"
 
 
 def test_enumerate_both_methods_agree(capsys):
@@ -521,7 +541,9 @@ def _golden_text(name, capsys):
 # tree listing before the tree walker moved to an explicit stack, and the
 # sampled verifications before one-job runs went through the shard merge, and
 # the diagram listings before they dropped the packed bulk expansion, and the
-# n=12 sampled verification before the sampler drew from getrandbits directly
+# n=12 sampled verification before the sampler drew from getrandbits directly;
+# the SVG entry was taken again when stdout stopped adding a blank line after
+# the closing tag, so it now matches the bytes `--output` writes
 GOLDEN = {
     "trees4": "a94ce90f45a722064308f830d5d3904fc23b7dca54f629af811be8535ac8240a",
     "paths2": "e11e6846daf7e3d731f8816e54c75e57bdf7569d1087ec9f5edbcdd6e182d104",
@@ -538,7 +560,7 @@ GOLDEN = {
     "from-diagram": "6fea9b4cea4e57368885b2f0ff7897562d498a17085ebc7df570085d2af3fdaf",
     "readme-unfold-rolls-text": "c91413c9cabeb79986972c5d233a742656f30ef5dd929866bb31e9586c3e559b",
     "readme-unfold-tree-json": "8232a038ae4c8fcb0b90f46c1be002cd1a349108162080b93a7cab1aa7b2ddbc",
-    "readme-unfold-tree-svg": "6302c08bea6df4eefbfa858697ab85bb33694171aa7f1aa0d2628705feeccf2f",
+    "readme-unfold-tree-svg": "16c76f2c6d6f988c64ac4fd6dfc482a1e96bdc4266e2631781df1b169e53e193",
     "readme-verify-exhaustive": "5bd6c88bc4e21f4542e9a6561b2b328723411eecdf17ddeda2a5e92cf067536d",
     "readme-partitions-realize": "88b5b2cec169c5263fafc626f74e13a561c6afac044c27eedfca1448c7cdd536",
     "readme-chords-net-counts": "8a581d201b14b80c18ef7e7ebbef118681768b47848c1add1b84c5451f7e1046",

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cubenets.core import (
+    FacetLabel,
     SpanningSubgraph,
     antipode_index,
     canonical_mask,
@@ -31,6 +32,8 @@ from cubenets.enumeration import (
     random_spanning_tree,
     verify_unfoldings,
 )
+from cubenets.nets import cube_partition_of
+from cubenets.rolling import develop_tree
 from oracles import (
     apply_subgraph,
     orbit_masks,
@@ -406,6 +409,63 @@ def test_verify_samples_parallel_merge():
     assert sum(report.partition_counts.values()) == 50
     again = verify_unfoldings(4, samples=50, seed=3, jobs=2)
     assert again.to_json() == report.to_json()
+
+
+def box_histogram(trees):
+    """Box partitions of the trees' developments from 1, each box taken by
+    `cube_partition_of`, apart from the verification pass."""
+    return Counter(cube_partition_of(develop_tree(t, FacetLabel(1))).parts for t in trees)
+
+
+def test_verify_histograms_match_a_separate_box():
+    report = verify_unfoldings(4, exhaustive=True)
+    assert report.ok
+    assert report.partition_counts == box_histogram(enumerate_classes("trees", 4))
+    assert report.partition_counts == {
+        (4, 3, 3): 214, (4, 4, 2): 24, (5, 3, 2): 22, (6, 2, 2): 1,
+    }
+    for n in range(2, 7):
+        report = verify_unfoldings(n, samples=200, seed=n)
+        rng = random.Random(f"{n}:0")  # the one shard's stream
+        trees = [random_spanning_tree(n, rng) for _ in range(200)]
+        assert report.ok
+        assert report.partition_counts == box_histogram(trees)
+
+
+def test_worker_pool_is_capped_by_the_cpu_count(monkeypatch):
+    from cubenets import enumeration
+    from cubenets.enumeration import _listing
+
+    asked = []
+
+    class InProcessPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
+    reports = []
+    for cpus in (3, 64, None):
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda cpus=cpus: cpus)
+        # forty shards of one tree each, whatever the pool size
+        reports.append(verify_unfoldings(4, samples=40, seed=3, jobs=40).to_json())
+    assert asked == [3, 40, 1]
+    assert reports[0]["trees_checked"] == 40 and reports.count(reports[0]) == 3
+    asked.clear()
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    # the n=4 tree listing has five shards
+    assert _listing.__wrapped__("trees", 4, 5) == _listing.__wrapped__("trees", 4, 1)
+    assert asked == [2]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

@@ -83,7 +83,8 @@ def test_growth_trace_random_trees():
         for _ in range(15):
             dev = develop_tree(random_tree(n, rng), L("1"))
             assert box_growth_trace(dev) == list(range(n - 1, 3 * n - 1))
-            assert verify_development(dev) == []
+            problems, partition = verify_development(dev)
+            assert problems == [] and partition == cube_partition_of(dev)
 
 
 def test_partition_requires_spanning():
@@ -125,8 +126,9 @@ def test_canonical_net_separates_different_paths():
 
 
 def test_verify_development_flags_partial():
-    report = verify_development(develop_path(3, L("1"), [1, 2]))
+    report, partition = verify_development(develop_path(3, L("1"), [1, 2]))
     assert any("covers 3 of 6" in p for p in report)
+    assert partition is None
 
 
 def hand_built(n, coords):
@@ -141,29 +143,47 @@ def test_verify_development_flags_collision():
     # 2* lands back on 2's cell; the box complaint comes from the same scan,
     # and the partition is not judged once cells collide
     dev = hand_built(2, [(0,), (1,), (2,), (1,)])
-    assert verify_development(dev) == [
+    assert verify_development(dev) == ([
         "collision between 2 and 2*",
         "box sum trace [1, 2, 3, 3] is not unit growth",
-    ]
+    ], None)
 
 
 def test_verify_development_flags_collision_in_partial():
     dev = hand_built(3, [(0, 0), (1, 0), (0, 0)])
-    assert verify_development(dev) == ["collision between 1 and 3", "covers 3 of 6 facets"]
+    assert verify_development(dev) == (
+        ["collision between 1 and 3", "covers 3 of 6 facets"], None
+    )
 
 
 def test_verify_development_flags_jumps_of_two():
     dev = hand_built(3, [(0, 0), (2, 0), (4, 0), (0, 2), (0, 4), (2, 2)])
-    assert verify_development(dev) == [
+    assert verify_development(dev) == ([
         "box sum trace [2, 4, 6, 8, 10, 10] is not unit growth",
         "parts (5, 5) sum to 10, expected 7",
-    ]
+    ], None)
+
+
+def test_verify_development_withholds_partition_of_a_bad_trace():
+    # cells distinct and a legal (4, 3) box, but the second cell grows it by two
+    dev = hand_built(3, [(0, 0), (2, 0), (1, 0), (3, 0), (0, 1), (0, 2)])
+    assert bounding_box(dev) == (4, 3)
+    assert verify_development(dev) == (
+        ["box sum trace [2, 4, 4, 5, 6, 7] is not unit growth"], None
+    )
+
+
+def test_collision_names_the_first_repeat_in_visiting_order():
+    # 3 repeats 1's cell before 2* repeats 2's
+    dev = hand_built(3, [(0, 0), (1, 0), (0, 0), (2, 0), (1, 0), (3, 0)])
+    assert collision(dev) == (L("1"), L("3"))
+    assert not is_net(dev)
 
 
 def test_verify_development_flags_illegal_partition():
     # six cells in a row: distinct, growing by one, but a box of height 1
     dev = hand_built(3, [(k, 0) for k in range(6)])
-    assert verify_development(dev) == ["parts must all be at least 2, got (6, 1)"]
+    assert verify_development(dev) == (["parts must all be at least 2, got (6, 1)"], None)
 
 
 def test_net_json_includes_partition():

@@ -98,25 +98,28 @@ def test_tree_developments_are_nets_with_unit_growth(n, seed):
 
 
 def naive_box_scan(coords):
-    """Box extents recomputed from scratch after every cell, and their sums."""
+    """The first cell that repeats an earlier one, by position, and the box
+    extents recomputed from scratch after every cell, and their sums."""
+    repeats = [(coords.index(c), k) for k, c in enumerate(coords) if coords.index(c) < k]
     extents = [
         tuple(max(axis) - min(axis) + 1 for axis in zip(*coords[: k + 1]))
         for k in range(len(coords))
     ]
-    return [sum(e) for e in extents], extents[-1]
+    return (repeats or [None])[0], [sum(e) for e in extents], extents[-1]
 
 
 @st.composite
 def cell_sequences(draw):
     dim = draw(st.integers(min_value=1, max_value=5))
-    cell = st.tuples(*[st.integers(min_value=-50, max_value=50)] * dim)
+    # a small span makes repeated cells common, a wide one rare
+    span = draw(st.sampled_from([2, 50]))
+    cell = st.tuples(*[st.integers(min_value=-span, max_value=span)] * dim)
     return draw(st.lists(cell, min_size=1, max_size=30))
 
 
 @given(cell_sequences())
 def test_box_scan_matches_naive_recomputation(coords):
-    trace, extents = _box_scan(coords)
-    assert (trace, extents) == naive_box_scan(coords)
+    assert _box_scan(coords) == naive_box_scan(coords)
 
 
 @given(st.integers(min_value=2, max_value=5), seeds)
