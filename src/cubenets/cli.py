@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from json.encoder import encode_basestring_ascii
 
 from .chords import edge_orbit_count, enumerate_diagrams
 from .core import FacetLabel, SpanningSubgraph, _check_dim
@@ -29,9 +30,9 @@ from .enumeration import (
     enumerate_classes,
     verify_unfoldings,
 )
-from .nets import cube_partition_of, is_net, net_json, render_svg
+from .nets import CubePartition, cube_partition_of, is_net, net_json, render_svg
 from .partitions import enumerate_cube_partitions, realize_partition
-from .rolling import RevisitError, develop_path, develop_tree
+from .rolling import RevisitError, develop_path, develop_tree, develop_word_block
 
 
 def _positive_int(raw: str) -> int:
@@ -63,6 +64,30 @@ def _emit(text: str, output: str | None) -> None:
     with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
         # print writes the end apart, so a large document is not copied
         print(text, end="" if text.endswith("\n") else "\n", file=fh)
+
+
+def _indented_json(doc, pad: str = "\n") -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte, without the pure-Python
+    encoder that `indent` selects: containers are laid out here, a list of
+    plain ints in one join, strings by the encoder's own C quoting, and any
+    other value by `json.dumps`.  Keys must be strings, as in every
+    document this CLI writes."""
+    if type(doc) is str:
+        return encode_basestring_ascii(doc)
+    inner = pad + "  "
+    if isinstance(doc, dict) and doc:
+        items = (
+            f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}"
+            for k, v in doc.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(doc, (list, tuple)) and doc:
+        if all(type(v) is int for v in doc):
+            items = map(str, doc)
+        else:
+            items = (_indented_json(v, inner) for v in doc)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(doc)
 
 
 def _parse_rolls(raw: str) -> list[int]:
@@ -145,15 +170,18 @@ def _cmd_verify(args):
 
 
 def _cmd_partitions(args):
-    rows = []
-    for p in enumerate_cube_partitions(args.dim):
-        row = {"partition": list(p.parts)}
-        if args.realize:
-            seq = realize_partition(p)
-            dev = seq.develop()
+    parts = enumerate_cube_partitions(args.dim)
+    rows = [{"partition": list(p.parts)} for p in parts]
+    if args.realize:
+        seqs = [realize_partition(p) for p in parts]
+        extents, ok = develop_word_block(
+            [seq.start.slots for seq in seqs], [seq.moves for seq in seqs]
+        )
+        for row, seq, ext, rolled in zip(rows, seqs, extents.tolist(), ok.tolist()):
             row["rolls"] = list(seq.moves)
-            row["box"] = list(cube_partition_of(dev).parts)
-        rows.append(row)
+            # a word the block refuses is developed alone, for its exact error
+            box = CubePartition(ext) if rolled else cube_partition_of(seq.develop())
+            row["box"] = list(box.parts)
     return {"n": args.dim, "partitions": rows}, 0
 
 
@@ -255,7 +283,7 @@ def main(argv=None) -> int:
             _check_output(args.output)
         out, code = args.func(args)
         if out is not None:
-            _emit(out if isinstance(out, str) else json.dumps(out, indent=2), args.output)
+            _emit(out if isinstance(out, str) else _indented_json(out), args.output)
         return code
     except RevisitError as exc:  # first: it is also a ValueError
         print(f"facet revisited: {exc}", file=sys.stderr)

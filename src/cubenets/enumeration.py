@@ -27,6 +27,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .core import (
     subgraph_from_mask,
 )
 from .nets import verify_development
-from .rolling import develop_tree
+from .rolling import develop_parent_block, develop_tree, tree_block_size
 
 
 class CountMismatchError(Exception):
@@ -334,10 +335,11 @@ def classify_path(p: SpanningSubgraph) -> str:
     return "ter" if antipode_index(a, p.n) == b else "ext"
 
 
-def random_spanning_tree(n: int, rng: random.Random) -> SpanningSubgraph:
-    """Uniform spanning tree of the Roberts graph by loop-erased walks.  Each
-    step draws its neighbour's rank by the rejection loop over `getrandbits`
-    that `rng.randrange(2n-2)` runs, so the stream is that call's, draw for
+def _random_parents(n: int, rng: random.Random) -> list[int]:
+    """Uniform spanning tree of the Roberts graph by loop-erased walks, as
+    each facet's parent toward facet 1 (-1 for facet 1 itself).  Each step
+    draws its neighbour's rank by the rejection loop over `getrandbits` that
+    `rng.randrange(2n-2)` runs, so the stream is that call's, draw for
     draw."""
     two_n = 2 * n
     k = two_n - 2
@@ -347,7 +349,6 @@ def random_spanning_tree(n: int, rng: random.Random) -> SpanningSubgraph:
     in_tree = [False] * two_n
     succ = [-1] * two_n
     in_tree[0] = True
-    edges = []
     for v0 in range(1, two_n):
         u = v0
         while not in_tree[u]:
@@ -358,9 +359,39 @@ def random_spanning_tree(n: int, rng: random.Random) -> SpanningSubgraph:
         u = v0
         while not in_tree[u]:
             in_tree[u] = True
-            edges.append((u, succ[u]))
             u = succ[u]
-    return SpanningSubgraph(n, "tree", tuple(edges))
+    return succ
+
+
+def _tree_from_parents(parents: list[int]) -> SpanningSubgraph:
+    """The tree whose facet v > 0 hangs from parents[v]."""
+    return SpanningSubgraph(
+        len(parents) // 2, "tree", tuple(enumerate(parents))[1:]
+    )
+
+
+def _parents_of(tree: SpanningSubgraph) -> list[int]:
+    """Each facet's parent toward facet 1 in the tree (-1 for facet 1, and
+    for any facet the tree does not reach)."""
+    adj = [[] for _ in range(2 * tree.n)]
+    for i, j in tree.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    parents = [-1] * (2 * tree.n)
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w and parents[w] < 0:
+                parents[w] = u
+                stack.append(w)
+    return parents
+
+
+def random_spanning_tree(n: int, rng: random.Random) -> SpanningSubgraph:
+    """Uniform spanning tree of the Roberts graph, drawing the stream
+    `_random_parents` draws."""
+    return _tree_from_parents(_random_parents(n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +543,33 @@ def _check_tree(report: VerifyReport, tree: SpanningSubgraph) -> None:
     report.trees_checked += 1
 
 
+def _check_trees(report: VerifyReport, parent_rows) -> None:
+    """Check trees given as parent lists rooted at facet 1, in blocks.
+
+    A tree that `develop_parent_block` rolls passes `verify_development`
+    exactly when its box extents sum to 3n-2 and each is at least 2 (the
+    identity in `nets`), so such trees are counted from their extents.
+    Every other tree goes through `_check_tree`, in stream order, for its
+    exact failure entry or error.
+    """
+    n = report.n
+    rows = iter(parent_rows)
+    while block := list(islice(rows, tree_block_size(n))):
+        cells, rolled = develop_parent_block(block)
+        spans = (cells.max(1) - cells.min(1)).tolist()
+        for parents, ok, span in zip(block, rolled.tolist(), spans):
+            extents = [s + 1 for s in span]
+            if ok and sum(extents) == 3 * n - 2 and min(extents) >= 2:
+                report.partition_counts[tuple(sorted(extents, reverse=True))] += 1
+                report.trees_checked += 1
+            else:
+                _check_tree(report, _tree_from_parents(parents))
+
+
 def _sample_shard_job(n: int, count: int, seed: int, shard: int) -> VerifyReport:
     rng = random.Random(f"{seed}:{shard}")
     report = VerifyReport(n, "samples", seed)
-    for _ in range(count):
-        _check_tree(report, random_spanning_tree(n, rng))
+    _check_trees(report, (_random_parents(n, rng) for _ in range(count)))
     return report
 
 
@@ -533,15 +586,17 @@ def verify_unfoldings(
     as far as the tree listing does (DIRECT_LIMITS["trees"]); otherwise
     `samples` random trees are drawn from the given seed, or from a fresh
     one that the report names, split over `jobs` shards.  Exactly one of
-    `exhaustive` and `samples > 0` must be asked for."""
+    `exhaustive` and `samples > 0` must be asked for, and a seed only with
+    samples."""
     if exhaustive == (samples > 0):
         raise ValueError("need exactly one of exhaustive or samples > 0")
+    if exhaustive and seed is not None:
+        raise ValueError("a seed only applies to samples, not to exhaustive mode")
     _check_dim(n)
     _check_jobs(jobs)
     if exhaustive:
         report = VerifyReport(n, "exhaustive")
-        for tree in enumerate_classes("trees", n, jobs):
-            _check_tree(report, tree)
+        _check_trees(report, map(_parents_of, enumerate_classes("trees", n, jobs)))
         return report
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)

@@ -5,6 +5,13 @@ box always has n-1 extents that are at least 2 and sum to 3n-2, i.e. the
 extents form an integer partition of 3n-2 into n-1 parts of size >= 2; the
 box sum grows by exactly one with every facet placed after the first.
 One pass over the cells, `_box_scan`, yields what all three checks read.
+
+For a development built by unit rolls the box alone decides: each cell
+after the first lies next to a placed one and grows the extent sum by at
+most one, from n-1, so the extents sum to 3n-2 only if every cell grows the
+box, which is the unit growth trace and leaves no cell to collide.  The
+sampled and exhaustive checks read the boxes of the block kernel in
+`rolling` that way, and call `verify_development` only to word a failure.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubenets import cli, enumeration
 from cubenets.chords import enumerate_diagrams
@@ -300,6 +302,12 @@ def test_verify_exhaustive_has_no_seed(capsys):
     assert "seed" not in json.loads(out)
 
 
+def test_verify_exhaustive_refuses_a_seed(capsys):
+    code, out, err = run(capsys, "verify", "--dim", "4", "--exhaustive", "--seed", "3")
+    assert (code, out) == (2, "")
+    assert err == "a seed only applies to samples, not to exhaustive mode\n"
+
+
 def test_verify_exhaustive_budget_is_the_library_constant(capsys, monkeypatch):
     limit = enumeration.DIRECT_LIMITS["trees"]
     code, out, err = run(capsys, "verify", "--dim", str(limit + 1), "--exhaustive")
@@ -580,3 +588,25 @@ GOLDEN = {
 def test_direct_route_golden(name, capsys):
     text = _golden_text(name, capsys)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(st.integers(), min_size=1)
+        | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text(), inner)
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_documents)
+def test_indented_json_matches_json_dumps(doc):
+    assert cli._indented_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_indented_json_cases():
+    for doc in ({}, [], (), {"a": []}, [{}], [True, 1, None], "ö\n", {"é": [1, -2]}):
+        assert cli._indented_json(doc) == json.dumps(doc, indent=2)

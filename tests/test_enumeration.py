@@ -23,7 +23,12 @@ from cubenets.enumeration import (
     DIRECT_LIMITS,
     EnumerationTable,
     ResourceLimitError,
+    VerifyReport,
+    _check_tree,
+    _check_trees,
+    _parents_of,
     _raw_tree_masks,
+    _tree_from_parents,
     build_table,
     classify_path,
     count_classes,
@@ -33,7 +38,7 @@ from cubenets.enumeration import (
     verify_unfoldings,
 )
 from cubenets.nets import cube_partition_of
-from cubenets.rolling import develop_tree
+from cubenets.rolling import develop_tree, tree_block_size
 from oracles import (
     apply_subgraph,
     orbit_masks,
@@ -432,6 +437,75 @@ def test_verify_histograms_match_a_separate_box():
         assert report.partition_counts == box_histogram(trees)
 
 
+def scalar_report(n, counts, seed):
+    """The sampled report as it was built before blocks: each shard's trees
+    drawn, developed and checked one at a time."""
+    report = VerifyReport(n, "samples", seed)
+    for shard, count in enumerate(counts):
+        rng = random.Random(f"{seed}:{shard}")
+        for _ in range(count):
+            _check_tree(report, random_spanning_tree(n, rng))
+    return report
+
+
+def test_block_reports_equal_the_scalar_route():
+    block = tree_block_size(12)
+    for samples in (block - 1, block, block + 1):
+        report = verify_unfoldings(12, samples=samples, seed=samples)
+        assert report.to_json() == scalar_report(12, [samples], samples).to_json()
+    # two shards of block + 1 and block trees, over two workers
+    report = verify_unfoldings(12, samples=2 * block + 1, seed=8, jobs=2)
+    assert report.to_json() == scalar_report(12, [block + 1, block], 8).to_json()
+
+
+def test_exhaustive_parent_arrays_are_the_listed_trees():
+    trees = enumerate_classes("trees", 4)
+    assert [_tree_from_parents(_parents_of(t)) for t in trees] == list(trees)
+
+
+def test_a_tree_the_block_refuses_takes_the_scalar_route(monkeypatch):
+    from cubenets import enumeration
+
+    kernel = enumeration.develop_parent_block
+
+    def refuse_row_3(parents):
+        cells, ok = kernel(parents)
+        ok[3] = False
+        return cells, ok
+
+    monkeypatch.setattr(enumeration, "develop_parent_block", refuse_row_3)
+    assert verify_unfoldings(6, samples=20, seed=4).to_json() == (
+        scalar_report(6, [20], 4).to_json()
+    )
+    # the scalar route's failure entry is the report's, in stream order
+    monkeypatch.setattr(
+        enumeration, "verify_development", lambda dev: (["planted problem"], None)
+    )
+    report = verify_unfoldings(6, samples=20, seed=4)
+    rng = random.Random("4:0")
+    trees = [random_spanning_tree(6, rng) for _ in range(20)]
+    assert report.trees_checked == 20
+    assert report.failures == [{"tree": trees[3].to_json(), "problems": ["planted problem"]}]
+    assert report.partition_counts == box_histogram(trees[:3] + trees[4:])
+
+
+@pytest.mark.parametrize(
+    "parents",
+    [
+        [-1, 0, 0, 0, 0, 0],  # facet 1 and its antipode 1* joined
+        [-1, 2, 1, 0, 0, 0],  # 2 and 3 hang from each other
+    ],
+    ids=["antipodal-edge", "cycle"],
+)
+def test_parent_arrays_that_are_not_trees_raise_develop_trees_error(parents):
+    with pytest.raises(ValueError) as scalar:
+        develop_tree(_tree_from_parents(parents), FacetLabel(1))
+    with pytest.raises(ValueError) as block:
+        _check_trees(VerifyReport(3, "samples", 0), [parents])
+    assert str(block.value) == str(scalar.value)
+    assert str(block.value).startswith("not a spanning tree: ")
+
+
 def test_worker_pool_is_capped_by_the_cpu_count(monkeypatch):
     from cubenets import enumeration
     from cubenets.enumeration import _listing
@@ -499,3 +573,6 @@ def test_verify_argument_errors():
     # exactly one mode: samples are not quietly dropped beside exhaustive
     with pytest.raises(ValueError, match="exactly one"):
         verify_unfoldings(3, exhaustive=True, samples=5)
+    # and a seed is not quietly dropped beside exhaustive
+    with pytest.raises(ValueError, match="a seed only applies to samples"):
+        verify_unfoldings(4, exhaustive=True, seed=3)

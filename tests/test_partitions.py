@@ -4,9 +4,10 @@ import hashlib
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from cubenets import partitions
+from cubenets import cli, partitions
 from cubenets.cli import main
 from cubenets.core import ResourceLimitError
 from cubenets.nets import CubePartition, bounding_box, cube_partition_of
@@ -20,6 +21,7 @@ from cubenets.partitions import (
     realize_partition,
     reservoir_parts,
 )
+from cubenets.rolling import RollSequence, develop_word_block
 
 
 def brute_partitions(n):
@@ -189,6 +191,32 @@ def test_realization_roundtrip(n):
         assert cube_partition_of(dev) == p
         # direction k spans exactly part k cells
         assert bounding_box(dev) == p.parts
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_word_block_boxes_match_the_developments(n):
+    seqs = [realize_partition(p) for p in enumerate_cube_partitions(n)]
+    extents, ok = develop_word_block(
+        np.array([seq.start.slots for seq in seqs]), np.array([seq.moves for seq in seqs])
+    )
+    assert ok.all()
+    for seq, ext in zip(seqs, extents.tolist()):
+        assert CubePartition(ext) == cube_partition_of(seq.develop())
+
+
+def test_realize_hands_a_refused_word_to_the_one_word_engine(monkeypatch, capsys):
+    # a word the block refuses is developed alone and fails as it always did
+    def realize(p):
+        seq = realize_partition(p)
+        if p.parts == (4, 3, 3):
+            return RollSequence(p.n, seq.start, (1, -1) + seq.moves[2:])
+        return seq
+
+    monkeypatch.setattr(cli, "realize_partition", realize)
+    assert main(["partitions", "--dim", "4", "--realize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "facet revisited: facet 1 revisited at step 1\n"
 
 
 def test_realize_dim12_golden(capsys):

@@ -15,9 +15,9 @@ from cubenets.chords import (
 )
 from cubenets.core import FacetLabel, antipode_index, canonical_mask, roberts_edges
 from cubenets.enumeration import random_spanning_tree
-from cubenets.nets import _box_scan, is_net
+from cubenets.nets import _box_scan, bounding_box, is_net, verify_development
 from cubenets.partitions import enumerate_cube_partitions, realize_partition
-from cubenets.rolling import develop_tree, initial_state
+from cubenets.rolling import develop_path, develop_tree, initial_state
 from oracles import (
     apply_subgraph,
     box_growth_trace,
@@ -29,7 +29,7 @@ from oracles import (
     roll,
     uturn_audit,
 )
-from test_rolling import reference_develop
+from test_rolling import reference_develop, roll_words
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=6)
@@ -95,6 +95,22 @@ def test_tree_developments_are_nets_with_unit_growth(n, seed):
     assert uturn_audit(dev) is None
     trace = box_growth_trace(dev)
     assert trace == list(range(n - 1, 3 * n - 1))
+
+
+@settings(deadline=None)
+@given(roll_words())
+def test_roll_built_development_passes_exactly_when_its_extents_sum_to_3n_minus_2(case):
+    # the identity the block check rests on: a cell next to a placed one
+    # grows the extent sum by at most one, from n-1 over 2n-1 cells
+    n, base, word = case
+    try:
+        dev = develop_path(n, base, word)
+    except ValueError:
+        return
+    if dev.is_spanning:
+        extents = bounding_box(dev)
+        identity = sum(extents) == 3 * n - 2 and min(extents) >= 2
+        assert (verify_development(dev)[0] == []) == identity
 
 
 def naive_box_scan(coords):

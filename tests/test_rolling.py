@@ -2,21 +2,26 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubenets import rolling
 from cubenets.core import FacetLabel, SpanningSubgraph
-from cubenets.nets import is_net
+from cubenets.enumeration import _parents_of, random_spanning_tree
+from cubenets.nets import bounding_box, is_net
 from cubenets.rolling import (
     Development,
     RevisitError,
     RollSequence,
+    develop_parent_block,
     develop_path,
     develop_tree,
+    develop_word_block,
     development_json,
     initial_state,
+    tree_block_size,
 )
 from oracles import is_coherent, roll, root_path, slot, uturn_audit
 
@@ -437,3 +442,78 @@ def test_distance_from_base_strictly_grows():
             coords = [coord_of[l] for l in labels]
             dists = [sum(c * c for c in p) for p in coords]
             assert all(a < b for a, b in zip(dists, dists[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the one-at-a-time engine
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 70])
+def test_parent_block_cells_match_develop_tree(n):
+    # at n=70 the 140 labels no longer fit the int8 slot table
+    rng = random.Random(n)
+    trees = [random_spanning_tree(n, rng) for _ in range(5 if n == 70 else 40)]
+    cells, ok = develop_parent_block(np.array([_parents_of(t) for t in trees]))
+    assert ok.all()
+    for tree, block_cells in zip(trees, cells.tolist()):
+        dev = develop_tree(tree, L("1"))
+        assert {lab: block_cells[lab] for lab in dev.order} == {
+            lab: list(pos) for lab, pos in zip(dev.order, dev.coords)
+        }
+        if n <= 5:
+            assert reference_develop(tree, L("1")) == {
+                lab: tuple(pos) for lab, pos in enumerate(block_cells)
+            }
+
+
+def test_parent_block_marks_rows_that_are_not_trees():
+    n = 4
+    tree = _parents_of(SpanningSubgraph.from_text(n, "1-2,1-2*,1-3,1-3*,1-4,1-4*,2-1*"))
+    assert tree == [-1, 0, 0, 0, 1, 0, 0, 0]
+
+    def edited(parents):
+        row = tree[:]
+        for v, p in parents.items():
+            row[v] = p
+        return row
+
+    # label indices at n=4: 0..3 are facets 1..4, 4..7 are 1*..4*
+    rows = [
+        tree,
+        edited({1: 1}),  # facet 2 hangs from itself
+        edited({1: 5}),  # facet 2 hangs from its antipode 2*
+        edited({1: 2, 2: 1}),  # 2 and 3 hang from each other
+        edited({3: -1}),  # facet 4 has no parent
+        edited({0: 7}),  # facet 1's own entry is not read
+    ]
+    assert develop_parent_block(np.array(rows))[1].tolist() == [
+        True, False, False, False, False, True,
+    ]
+
+
+def test_tree_blocks_hold_about_64_kb_of_slots():
+    # one byte per slot up to 2n = 127, two past it
+    assert tree_block_size(12) == (64 << 10) // 24**2 == 113
+    assert tree_block_size(40) == (64 << 10) // 80**2
+    assert tree_block_size(70) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(roll_words())
+def test_word_block_matches_develop_path(case):
+    n, base, word = case
+    start = initial_state(n, base).slots
+    extents, ok = develop_word_block([start], [word])
+    got = outcome(develop_path, n, base, word)
+    assert ok.tolist() == [isinstance(got, Development)]
+    if ok[0]:
+        assert tuple(extents[0].tolist()) == bounding_box(got)
+
+
+def test_word_block_rolls_many_words_at_once():
+    # the oracle cases of every outcome, side by side in one block
+    words = [[1, 2, 3, 1, 1, 2, 3], [1, 2, -2, 1, 1, 1, 1], [1, 0, 1, 1, 1, 1, 1]]
+    starts = [initial_state(4, base).slots for base in (L("2*"), L("1"), L("3"))]
+    extents, ok = develop_word_block(starts, words)
+    assert ok.tolist() == [True, False, False]
+    assert tuple(extents[0].tolist()) == bounding_box(develop_path(4, L("2*"), words[0]))
