@@ -18,6 +18,8 @@ import sys
 from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .chords import edge_orbit_count, enumerate_diagrams
 from .core import FacetLabel, SpanningSubgraph, _check_dim
 from .enumeration import (
@@ -30,9 +32,15 @@ from .enumeration import (
     enumerate_classes,
     verify_unfoldings,
 )
-from .nets import CubePartition, cube_partition_of, is_net, net_json, render_svg
-from .partitions import enumerate_cube_partitions, realize_partition
-from .rolling import RevisitError, develop_path, develop_tree, develop_word_block
+from .nets import cube_partition_of, is_net, net_json, render_svg
+from .partitions import enumerate_cube_partitions, realization_block, realization_slides
+from .rolling import (
+    RevisitError,
+    develop_path,
+    develop_tree,
+    develop_word_block,
+    initial_state,
+)
 
 
 def _positive_int(raw: str) -> int:
@@ -170,19 +178,33 @@ def _cmd_verify(args):
 
 
 def _cmd_partitions(args):
-    parts = enumerate_cube_partitions(args.dim)
+    n = args.dim
+    parts = enumerate_cube_partitions(n)
     rows = [{"partition": list(p.parts)} for p in parts]
-    if args.realize:
-        seqs = [realize_partition(p) for p in parts]
-        extents, ok = develop_word_block(
-            [seq.start.slots for seq in seqs], [seq.moves for seq in seqs]
-        )
-        for row, seq, ext, rolled in zip(rows, seqs, extents.tolist(), ok.tolist()):
-            row["rolls"] = list(seq.moves)
-            # a word the block refuses is developed alone, for its exact error
-            box = CubePartition(ext) if rolled else cube_partition_of(seq.develop())
-            row["box"] = list(box.parts)
-    return {"n": args.dim, "partitions": rows}, 0
+    if not args.realize:
+        return {"n": n, "partitions": rows}, 0
+    words, ok = realization_block(parts)
+    for k in np.flatnonzero(~ok).tolist():
+        # a word the block refuses is built alone, for its exact error
+        words[k] = realization_slides(parts[k])
+    start = initial_state(n, FacetLabel(1)).slots
+    extents, rolled = develop_word_block(np.broadcast_to(start, (len(words), 2 * n)), words)
+    boxes = -np.sort(-extents, 1)
+    legal = rolled & (boxes.sum(1) == 3 * n - 2) & (boxes[:, -1] >= 2)
+    for k in np.flatnonzero(~legal).tolist():
+        # a word the block refuses, or whose box is no partition, is
+        # developed alone for its exact error
+        boxes[k] = cube_partition_of(develop_path(n, FacetLabel(1), words[k].tolist())).parts
+    for row, word, box in zip(rows, words.tolist(), boxes.tolist()):
+        if box != row["partition"]:
+            print(
+                f"partition {tuple(row['partition'])} realized with box {tuple(box)}",
+                file=sys.stderr,
+            )
+            return None, 1
+        row["rolls"] = word
+        row["box"] = box
+    return {"n": n, "partitions": rows}, 0
 
 
 def _cmd_chords(args):

@@ -17,11 +17,12 @@ from cubenets.partitions import (
     TokenClassification,
     classify_tokens,
     enumerate_cube_partitions,
+    realization_block,
     realization_slides,
     realize_partition,
     reservoir_parts,
 )
-from cubenets.rolling import RollSequence, develop_word_block
+from cubenets.rolling import develop_word_block
 
 
 def brute_partitions(n):
@@ -78,6 +79,24 @@ def test_enumerate_matches_brute_force(n):
 def test_enumerate_matches_compositions(n):
     got = tuple(p.parts for p in enumerate_cube_partitions(n))
     assert got == tuple(composition_partitions(n))
+
+
+def partition_numbers(top):
+    """p(0), ..., p(top), counted by the coin-change recurrence."""
+    counts = [1] + [0] * top
+    for part in range(1, top + 1):
+        for total in range(part, top + 1):
+            counts[total] += counts[total - part]
+    return counts
+
+
+def test_listing_holds_every_partition_of_the_excess_but_one():
+    # taking 2 from each part leaves a partition of n into at most n-1
+    # parts: every partition of n but 1+1+...+1
+    p = partition_numbers(PARTITIONS_LIMIT)
+    for n in range(2, PARTITIONS_LIMIT + 1):
+        assert len(enumerate_cube_partitions(n)) == p[n] - 1
+    assert p[36] - 1 == 17976
 
 
 def test_extreme_partitions_present():
@@ -204,19 +223,67 @@ def test_word_block_boxes_match_the_developments(n):
         assert CubePartition(ext) == cube_partition_of(seq.develop())
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_realization_block_matches_the_one_board_route(n):
+    parts = enumerate_cube_partitions(n)
+    words, ok = realization_block(parts)
+    assert words.shape == (len(parts), 2 * n - 1)
+    assert ok.all()
+    assert [tuple(word) for word in words.tolist()] == [realization_slides(p) for p in parts]
+
+
+def swap_one_word(realization_block, target, word):
+    """`realization_block` with partition `target`'s word swapped for `word`."""
+
+    def block(parts):
+        words, ok = realization_block(parts)
+        words[[p.parts for p in parts].index(target)] = word
+        return words, ok
+
+    return block
+
+
 def test_realize_hands_a_refused_word_to_the_one_word_engine(monkeypatch, capsys):
     # a word the block refuses is developed alone and fails as it always did
-    def realize(p):
-        seq = realize_partition(p)
-        if p.parts == (4, 3, 3):
-            return RollSequence(p.n, seq.start, (1, -1) + seq.moves[2:])
-        return seq
-
-    monkeypatch.setattr(cli, "realize_partition", realize)
+    word = (1, -1) + realization_slides(CubePartition((4, 3, 3)))[2:]
+    monkeypatch.setattr(
+        cli, "realization_block", swap_one_word(realization_block, (4, 3, 3), word)
+    )
     assert main(["partitions", "--dim", "4", "--realize"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "facet revisited: facet 1 revisited at step 1\n"
+
+
+def test_realize_checks_each_box_against_its_partition(monkeypatch, capsys):
+    # (5, 3, 2)'s word has the same length as (6, 2, 2)'s and rolls without
+    # a revisit, but its box is (5, 3, 2)
+    word = realization_slides(CubePartition((5, 3, 2)))
+    monkeypatch.setattr(
+        cli, "realization_block", swap_one_word(realization_block, (6, 2, 2), word)
+    )
+    assert main(["partitions", "--dim", "4", "--realize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "partition (6, 2, 2) realized with box (5, 3, 2)\n"
+
+
+@pytest.mark.parametrize("extents", [(1, 1, 1), (7, 1, 2)])
+def test_realize_redevelops_a_block_box_that_is_no_partition(monkeypatch, capsys, extents):
+    # a box that sums wrong, or has a part below 2, is not trusted: its word
+    # is developed alone, which here boxes it rightly
+    assert main(["partitions", "--dim", "4", "--realize"]) == 0
+    expected = capsys.readouterr().out
+    real = cli.develop_word_block
+
+    def block(starts, words):
+        boxes, ok = real(starts, words)
+        boxes[1] = extents
+        return boxes, ok
+
+    monkeypatch.setattr(cli, "develop_word_block", block)
+    assert main(["partitions", "--dim", "4", "--realize"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_realize_dim12_golden(capsys):
@@ -272,3 +339,104 @@ def test_full_board_check(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="board not full"):
         realization_slides(CubePartition((5, 2)))
+
+
+# Each fault breaks one board of a listing: the block refuses that row only,
+# and the one-board route raises its exact error for it.
+CLASSIFICATION_FAULTS = {
+    # test_phase_check's classification: a word two slides too long
+    "phase, long word": (
+        (5, 2), dict(singletons=(2,), towers=(1, 2), middles=((1, 2),)),
+        RuntimeError, "phase discipline broken at slide 3: transfer must be empty",
+    ),
+    # legal slides that fill the board, but the first middle slide, a
+    # non-tower, finds the transfer point empty
+    "phase": (
+        (4, 3, 3), dict(singletons=(), towers=(2, 3), middles=((1, 3),)),
+        RuntimeError, "phase discipline broken at slide 2: transfer must be occupied",
+    ),
+    # test_full_board_check's classification: a word three slides short
+    "full board, short word": (
+        (5, 2), dict(singletons=(), towers=(1,), middles=()),
+        RuntimeError, r"board not full after realizing \(5, 2\)",
+    ),
+    "empty reservoir": (
+        (6, 2, 2), dict(singletons=(2,), towers=(1,), middles=((1, 2), (2, 2))),
+        IllegalSlideError, "reservoir for direction 2 is empty",
+    ),
+    "far slot taken": (
+        (5, 3, 2), dict(singletons=(2,), towers=(1,), middles=((1, 2), (2, 2))),
+        IllegalSlideError, r"direction 2 is finished \(end slot occupied\)",
+    ),
+    "direction out of range": (
+        (4, 3, 3), dict(singletons=(3,), towers=(1, 4), middles=((1, 2),)),
+        IllegalSlideError, "direction 4 out of range",
+    ),
+}
+
+
+def misclassify(monkeypatch, fault):
+    """Classify the fault's partition by its fields, every other one truly."""
+    target, fields, error, message = CLASSIFICATION_FAULTS[fault]
+    real = partitions.classify_tokens
+    monkeypatch.setattr(
+        partitions,
+        "classify_tokens",
+        lambda p: TokenClassification(**fields) if p.parts == target else real(p),
+    )
+    return target, error, message
+
+
+@pytest.mark.parametrize("fault", sorted(CLASSIFICATION_FAULTS))
+def test_block_refuses_only_a_misclassified_board(monkeypatch, fault):
+    target, error, message = misclassify(monkeypatch, fault)
+    parts = enumerate_cube_partitions(len(target) + 1)
+    _words, ok = realization_block(parts)
+    assert ok.tolist() == [p.parts != target for p in parts]
+    with pytest.raises(error, match=message):
+        realization_slides(CubePartition(target))
+
+
+# (4, 4, 2) slides 1, 2, 1, 3, 2, 1, 2; its transfer point holds a token
+# after slides 2, 4, 5 and 6
+LEAKS = {
+    "middle phase": (2, "phase discipline broken at slide 3: transfer must be occupied"),
+    "last slide": (6, r"board not full after realizing \(4, 4, 2\)"),
+}
+
+
+@pytest.mark.parametrize("leak", sorted(LEAKS))
+def test_block_refuses_only_a_board_that_loses_a_token(monkeypatch, leak):
+    step, message = LEAKS[leak]
+    parts = enumerate_cube_partitions(4)
+    row = [p.parts for p in parts].index((4, 4, 2))
+    real_rows, real_one = partitions._slide_rows, partitions._slide
+    slides = {"block": 0, "board": 0}
+
+    def leaky_rows(res, near, far, transfer, d):
+        transfer, legal = real_rows(res, near, far, transfer, d)
+        if slides["block"] == step:
+            transfer[row] = False
+        slides["block"] += 1
+        return transfer, legal
+
+    def leaky_one(res, near, far, transfer, d):
+        transfer = real_one(res, near, far, transfer, d)
+        leaked = slides["board"] == step
+        slides["board"] += 1
+        return transfer and not leaked
+
+    monkeypatch.setattr(partitions, "_slide_rows", leaky_rows)
+    monkeypatch.setattr(partitions, "_slide", leaky_one)
+    _words, ok = realization_block(parts)
+    assert ok.tolist() == [k != row for k in range(len(parts))]
+    with pytest.raises(RuntimeError, match=message):
+        realization_slides(parts[row])
+
+
+def test_realize_hands_a_refused_board_to_the_one_board_route(monkeypatch, capsys):
+    _target, _error, message = misclassify(monkeypatch, "direction out of range")
+    assert main(["partitions", "--dim", "4", "--realize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
