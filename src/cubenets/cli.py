@@ -2,8 +2,10 @@
 
 Each command returns its result and exit code, and `main` writes the
 result: a string as it is, any other value as indented JSON.  Exit codes: 0
-success, 1 a verification failure or a method disagreement, 2 bad usage, bad
-input, a request past a budget or an output file that cannot be written.
+success, 1 a verification failure (among them an internal check that
+fails, reported as its RuntimeError's message) or a method disagreement, 2
+bad usage, bad input, a request past a budget or an output file that
+cannot be written.
 All output is UTF-8; JSON is the interchange format and stays stably ordered
 so fixed seeds give byte-identical runs.
 """
@@ -32,15 +34,9 @@ from .enumeration import (
     enumerate_classes,
     verify_unfoldings,
 )
-from .nets import cube_partition_of, is_net, net_json, render_svg
-from .partitions import enumerate_cube_partitions, realization_block, realization_slides
-from .rolling import (
-    RevisitError,
-    develop_path,
-    develop_tree,
-    develop_word_block,
-    initial_state,
-)
+from .nets import is_net, net_json, render_svg
+from .partitions import enumerate_cube_partitions, realization_block
+from .rolling import RevisitError, develop_path, develop_tree, develop_word_block
 
 
 def _positive_int(raw: str) -> int:
@@ -183,18 +179,14 @@ def _cmd_partitions(args):
     rows = [{"partition": list(p.parts)} for p in parts]
     if not args.realize:
         return {"n": n, "partitions": rows}, 0
-    words, ok = realization_block(parts)
-    for k in np.flatnonzero(~ok).tolist():
-        # a word the block refuses is built alone, for its exact error
-        words[k] = realization_slides(parts[k])
-    start = initial_state(n, FacetLabel(1)).slots
-    extents, rolled = develop_word_block(np.broadcast_to(start, (len(words), 2 * n)), words)
+    words = realization_block(parts)
+    extents, rolled = develop_word_block(n, words)
+    if not rolled.all():
+        # a word the block cannot roll is developed alone, for its exact error
+        k = int(rolled.argmin())
+        develop_path(n, FacetLabel(1), words[k].tolist())
+        raise RuntimeError(f"roll block refused the word of {parts[k].parts}, which develops")
     boxes = -np.sort(-extents, 1)
-    legal = rolled & (boxes.sum(1) == 3 * n - 2) & (boxes[:, -1] >= 2)
-    for k in np.flatnonzero(~legal).tolist():
-        # a word the block refuses, or whose box is no partition, is
-        # developed alone for its exact error
-        boxes[k] = cube_partition_of(develop_path(n, FacetLabel(1), words[k].tolist())).parts
     for row, word, box in zip(rows, words.tolist(), boxes.tolist()):
         if box != row["partition"]:
             print(
@@ -316,6 +308,9 @@ def main(argv=None) -> int:
     except (ResourceLimitError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # an internal check that failed
+        print(str(exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

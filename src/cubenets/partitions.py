@@ -8,10 +8,9 @@ where the transfer point (the base's antipode) is shared by all tracks, and
 a slide along d is exactly a roll in direction +d.  Part k of the partition,
 minus one, is the number of slides direction k must make.
 
-`realization_slides` plays one partition's word on a board of Python lists
-and raises on the first broken rule; `realization_block` plays the boards
-of many partitions at once as numpy arrays and only marks the rows that
-break one, for the one-board route to word the error.
+`realization_block` plays the boards of many partitions at once as numpy
+arrays and raises on the first broken rule of the first board that breaks
+one; `realize_partition` plays a block of one.
 """
 
 from __future__ import annotations
@@ -109,25 +108,6 @@ def classify_tokens(p: CubePartition) -> TokenClassification:
     )
 
 
-def _slide(res: list, near: list, far: list, transfer: bool, d: int) -> bool:
-    """Move every token on track d one place up and pull a fresh one from the
-    reservoir, in place: far <- transfer <- near <- reservoir.  The board is
-    the reservoir counts and the near/far occupancy lists; the shared
-    transfer point's occupancy goes in and its new value is returned."""
-    if not 1 <= d <= len(res):
-        raise IllegalSlideError(f"direction {d} out of range")
-    i = d - 1
-    if res[i] < 1:
-        raise IllegalSlideError(f"reservoir for direction {d} is empty")
-    if far[i]:
-        raise IllegalSlideError(f"direction {d} is finished (end slot occupied)")
-    far[i] = transfer
-    transfer = near[i]
-    near[i] = True
-    res[i] -= 1
-    return transfer
-
-
 def _schedule(cls: TokenClassification) -> tuple[list[int], range]:
     """The three-phase slide word of a classification: one bottom slide per
     tower, middles alternating with singletons, one top slide per tower.
@@ -143,58 +123,49 @@ def _schedule(cls: TokenClassification) -> tuple[list[int], range]:
     return [*cls.towers, *step2, *cls.towers], range(t, t + len(step2))
 
 
-def realization_slides(p: CubePartition) -> tuple[int, ...]:
-    """Slide word realizing the partition, by the three-phase schedule.
-    The word is played on a board before it is returned; an illegal slide
-    raises IllegalSlideError, and a broken phase or a board left unfilled
-    raises RuntimeError (`_slide` conserves tokens itself)."""
-    cls = classify_tokens(p)
-    word, middle = _schedule(cls)
-    res = list(reservoir_parts(p))
-    near = [False] * len(res)
-    far = [False] * len(res)
-    transfer = False
-    towers = set(cls.towers)
-    for idx, d in enumerate(word):
-        if idx in middle and transfer == (d in towers):
-            raise RuntimeError(
-                f"phase discipline broken at slide {idx}: transfer must be "
-                f"{'empty' if d in towers else 'occupied'}"
-            )
-        transfer = _slide(res, near, far, transfer, d)
-    if any(res) or not (all(near) and all(far) and transfer):
-        raise RuntimeError(f"board not full after realizing {p.parts}")
-    return tuple(word)
+# the rules a slide can break, by the code `_slide_rows` gives each board
+_ILLEGAL_SLIDES = {
+    1: "direction {} out of range",
+    2: "reservoir for direction {} is empty",
+    3: "direction {} is finished (end slot occupied)",
+}
 
 
 def _slide_rows(res, near, far, transfer, d):
-    """`_slide` on every board of a block at once, board k along its own
-    direction d[k].  The boards are (B, n-1) reservoir counts and near/far
-    occupancy and a (B,) transfer column; returns the new transfer column
-    and the mask of boards where the slide was legal.  A board outside the
-    mask is left in no particular state."""
+    """Slide every board of a block at once, board k along its own direction
+    d[k]: every token on that track moves one place up and a fresh one
+    comes from the reservoir, far <- transfer <- near <- reservoir.  The
+    boards are (B, n-1) reservoir counts and near/far occupancy and a (B,)
+    transfer column, the one point all tracks share.  Returns the new
+    transfer column and each board's code: 0 for a legal slide, else the
+    first rule of `_ILLEGAL_SLIDES` it breaks.  A board with a nonzero code
+    is left in no particular state."""
     k = np.arange(len(d))
-    legal = (d >= 1) & (d <= res.shape[1])
-    i = np.where(legal, d - 1, 0)
-    legal &= (res[k, i] >= 1) & ~far[k, i]
+    in_range = (d >= 1) & (d <= res.shape[1])
+    i = np.where(in_range, d - 1, 0)
+    # each rule overwrites the code of the rules after it
+    why = np.where(far[k, i], np.int8(3), np.int8(0))
+    why[res[k, i] < 1] = 2
+    why[~in_range] = 1
     far[k, i] = transfer
     transfer = near[k, i]
     near[k, i] = True
     res[k, i] -= 1
-    return transfer, legal
+    return transfer, why
 
 
-def realization_block(parts) -> tuple[np.ndarray, np.ndarray]:
-    """`realization_slides` for B partitions of one n at once.
+def realization_block(parts) -> np.ndarray:
+    """Slide words realizing B partitions of one n, as a (B, 2n-1) array.
 
-    Returns the (B, 2n-1) slide words and a (B,) mask of the rows that
-    `realization_slides` returns without raising; a word outside the mask
-    is meaningless, and `realization_slides` gives its exact error.  Each
-    word comes from `_schedule`; then all B boards are played at once, one
-    slide column per step, with every check of the one-board route made
-    per row.  A word of another length than 2n-1 cannot fill its board,
-    since each legal slide spends one of the 2n-1 reservoir tokens; it is
-    played as a row of zeros, which the range check refuses.
+    Each word comes from `_schedule`; then all B boards are played at once,
+    one slide column per step, and each board must end full: every
+    reservoir spent and every near, far and transfer point holding a token.
+    The first board in row order that breaks a rule raises, with the first
+    rule it breaks: a word of another length than 2n-1, refused before it
+    is played (it is played as zeros, which no board accepts); at each
+    slide the phase, then the slide's own rules; the full board after the
+    last.  An illegal slide raises IllegalSlideError, anything else
+    RuntimeError.
     """
     n = parts[0].n
     width = 2 * n - 1
@@ -209,8 +180,9 @@ def realization_block(parts) -> tuple[np.ndarray, np.ndarray]:
     # the first phase slides each tower once, so is_tower[b, d] says
     # whether direction d is a tower of row b; in the middle phase row b's
     # transfer point must hold a token exactly when the sliding direction
-    # is not one of its towers
-    d = np.clip(words, 0, n - 1)
+    # is not one of its towers.  A direction out of range reads column 0,
+    # which only a row refused in its first phase marks.
+    d = np.where((words >= 1) & (words < n), words, 0)
     is_tower = np.zeros((B, n), bool)
     first_phase = np.nonzero(steps < start[:, None])
     is_tower[first_phase[0], d[first_phase]] = True
@@ -219,20 +191,39 @@ def realization_block(parts) -> tuple[np.ndarray, np.ndarray]:
     near = np.zeros(res.shape, bool)
     far = np.zeros(res.shape, bool)
     transfer = np.zeros(B, bool)
-    ok = np.ones(B, bool)
-    # held[b, j]: whether row b's transfer point holds a token before slide j
+    # held[b, j]: whether row b's transfer point holds a token before slide
+    # j; why[b, j]: the code `_slide_rows` gives slide j of row b
     held = np.empty(words.shape, bool)
+    why = np.empty(words.shape, np.int8)
     for j in steps:
         held[:, j] = transfer
-        transfer, legal = _slide_rows(res, near, far, transfer, words[:, j])
-        ok &= legal
-    ok &= (~middle | (held == want)).all(1)
-    ok &= ~res.any(1) & near.all(1) & far.all(1) & transfer
-    return words, ok
+        transfer, why[:, j] = _slide_rows(res, near, far, transfer, words[:, j])
+    phase = middle & (held != want)
+    full = ~res.any(1) & near.all(1) & far.all(1) & transfer
+    refused = phase.any(1) | why.any(1) | ~full
+    if not refused.any():
+        return words
+    b = int(refused.argmax())
+    p, word = parts[b], schedules[b][0]
+    broken = phase[b] | (why[b] > 0)
+    j = int(broken.argmax())
+    if len(word) != width:
+        raise RuntimeError(
+            f"slide word for {p.parts} has {len(word)} slides, not 2n-1 = {width}"
+        )
+    if not broken.any():
+        raise RuntimeError(f"board not full after realizing {p.parts}")
+    if phase[b, j]:
+        raise RuntimeError(
+            f"phase discipline broken at slide {j}: transfer must be "
+            f"{'occupied' if want[b, j] else 'empty'}"
+        )
+    raise IllegalSlideError(_ILLEGAL_SLIDES[why[b, j]].format(word[j]))
 
 
 def realize_partition(p: CubePartition) -> RollSequence:
     """Roll word from facet 1 whose development has bounding box exactly p
-    (slides along track d become rolls in direction +d)."""
-    word = realization_slides(p)
+    (slides along track d become rolls in direction +d): the block of one
+    partition, which raises as `realization_block` does."""
+    word = tuple(realization_block([p])[0].tolist())
     return RollSequence(p.n, initial_state(p.n, FacetLabel(1)), word)

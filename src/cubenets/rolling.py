@@ -17,10 +17,11 @@ The block kernel applies the same move to many developments at once, as
 fancy indexing on numpy slot arrays (`_roll_rows`).  `develop_parent_block`
 rolls a block of trees given as parent arrays, one depth level of all of
 them per step, into their cells; `develop_word_block` rolls a block of
-equal-length words and keeps only each one's running box.  Each also marks
-the rows the one-at-a-time engine would refuse, so a caller can hand those
-to it for the exact error.  The one-at-a-time engine stays the route for
-single developments and the kernel's test oracle.
+equal-length words and keeps only each one's running box.  Each also
+returns a mask of the rows the one-at-a-time engine develops without
+raising, so a caller can hand any other row to it for the exact error.
+The one-at-a-time engine stays the route for single developments and the
+kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -341,25 +342,25 @@ def develop_parent_block(parents) -> tuple[np.ndarray, np.ndarray]:
     return cells, ok
 
 
-def develop_word_block(starts, words) -> tuple[np.ndarray, np.ndarray]:
-    """Roll B words of one length at once, word b from the 2n start slots
-    starts[b].  Returns the (B, n-1) bounding-box extents of the
-    developments in axis order, and a (B,) mask of the words that
-    `_develop_word` develops without raising: every direction in range and
-    no facet placed twice.  The extents of a row outside the mask are
-    meaningless.  Only the running box is kept, never the cells."""
-    starts, words = np.asarray(starts), np.asarray(words, np.intp)
-    B, two_n = starts.shape
-    n = two_n // 2
+def develop_word_block(n: int, words) -> tuple[np.ndarray, np.ndarray]:
+    """Roll B words of one length at once in dimension n.  Returns the
+    (B, n-1) bounding-box extents of the developments in axis order, and a
+    (B,) mask of the words that `develop_path` develops without raising:
+    every direction in range and no facet placed twice.  The extents of a
+    row outside the mask are meaningless.  Only the running box is kept,
+    never the cells.  Neither depends on the start orientation, which only
+    names the facets, so every row starts from the slots labelled 0..2n-1."""
+    words = np.asarray(words, np.intp)
+    B, two_n = len(words), 2 * n
     k = np.arange(B)
     valid = (words != 0) & (np.abs(words) < n)
     ok = valid.all(1)
     # direction d's slot sits at d + n - 1; a direction out of range rolls as +1
     slot_of = np.array([_slot_index(d) if d else 2 for d in range(1 - n, n)])
     steps = _slot_steps(n)
-    slots = starts.astype(_index_dtype(n))
+    slots = np.broadcast_to(np.arange(two_n), (B, two_n)).astype(_index_dtype(n))
     placed = np.zeros((B, two_n), bool)
-    placed[k, slots[:, 0]] = True
+    placed[:, 0] = True
     pos = np.zeros((B, n - 1), np.int32)
     lo, hi = pos.copy(), pos.copy()
     for p in slot_of[np.where(valid, words, 1) + n - 1].T:

@@ -2,7 +2,8 @@
 
 The library holds what the CLI, the README and the benchmark run
 (`tests/test_reachable.py` checks that).  What follows checks the library
-from the side: the immutable roll engine, brute-force shape and diagram
+from the side: the immutable roll engine, the token board played one
+partition and one slide at a time, brute-force shape and diagram
 canonicalisation, the cycle/path <-> chord-diagram bijections, orbit and
 stabilizer sizes, the recursive Hamiltonian walk, and the JSON readers.
 Each keeps the checks it raises on, so a test can still drive it into
@@ -17,7 +18,7 @@ from math import ceil
 
 import numpy as np
 
-from cubenets import rolling
+from cubenets import partitions, rolling
 from cubenets.chords import (
     ChordDiagram,
     _apply_vertex_map,
@@ -36,7 +37,8 @@ from cubenets.core import (
     validate,
 )
 from cubenets.enumeration import _neighbours
-from cubenets.nets import _box_scan
+from cubenets.nets import CubePartition, _box_scan
+from cubenets.partitions import IllegalSlideError
 from cubenets.rolling import Development, RollState
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,59 @@ def roll(state: RollState, d: int) -> RollState:
     if s[1] != antipode_index(s[0], state.n):
         raise RuntimeError(f"roll {d} broke antipodality: slots {s}")
     return RollState(state.n, tuple(s))
+
+
+# ---------------------------------------------------------------------------
+# the token board, one partition on Python lists
+#
+# `partitions.classify_tokens` and `partitions._schedule` are read through
+# the module, so a test that patches them there reaches the oracle too; a
+# test that patches `slide` here reaches `realization_slides`.
+
+
+def slide(res: list, near: list, far: list, transfer: bool, d: int) -> bool:
+    """Move every token on track d one place up and pull a fresh one from the
+    reservoir, in place: far <- transfer <- near <- reservoir.  The board is
+    the reservoir counts and the near/far occupancy lists; the shared
+    transfer point's occupancy goes in and its new value is returned."""
+    if not 1 <= d <= len(res):
+        raise IllegalSlideError(f"direction {d} out of range")
+    i = d - 1
+    if res[i] < 1:
+        raise IllegalSlideError(f"reservoir for direction {d} is empty")
+    if far[i]:
+        raise IllegalSlideError(f"direction {d} is finished (end slot occupied)")
+    far[i] = transfer
+    transfer = near[i]
+    near[i] = True
+    res[i] -= 1
+    return transfer
+
+
+def realization_slides(p: CubePartition) -> tuple[int, ...]:
+    """Slide word realizing the partition, by the three-phase schedule,
+    played one slide at a time before it is returned: an illegal slide
+    raises IllegalSlideError, and a broken phase or a board left unfilled
+    raises RuntimeError (`slide` conserves tokens itself).  A word of
+    another length than 2n-1 is played as it is, so it fails one of these
+    checks, where `partitions.realization_block` refuses it unplayed."""
+    cls = partitions.classify_tokens(p)
+    word, middle = partitions._schedule(cls)
+    res = list(partitions.reservoir_parts(p))
+    near = [False] * len(res)
+    far = [False] * len(res)
+    transfer = False
+    towers = set(cls.towers)
+    for idx, d in enumerate(word):
+        if idx in middle and transfer == (d in towers):
+            raise RuntimeError(
+                f"phase discipline broken at slide {idx}: transfer must be "
+                f"{'empty' if d in towers else 'occupied'}"
+            )
+        transfer = slide(res, near, far, transfer, d)
+    if any(res) or not (all(near) and all(far) and transfer):
+        raise RuntimeError(f"board not full after realizing {p.parts}")
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cubenets
 
 SRC = Path(cubenets.__file__).resolve().parent
@@ -32,3 +34,38 @@ def test_tree_counts_under_python_O():
             capture_output=True, text=True, env=env, check=True,
         )
         assert run.stdout == f'{{"n": {dim}, "kind": "trees", "count": {count}}}\n'
+
+
+# A fault injected into the 4-cube's (4, 3, 3) board, with the exit code
+# and stderr of `partitions --dim 4 --realize`
+REFUSALS = {
+    "direction out of range": (
+        "singletons=(3,), towers=(1, 4), middles=((1, 2),)", 2,
+        "direction 4 out of range\n",
+    ),
+    "phase": (
+        "singletons=(), towers=(2, 3), middles=((1, 3),)", 1,
+        "phase discipline broken at slide 2: transfer must be occupied\n",
+    ),
+}
+
+INJECT = """
+import sys
+from cubenets import cli, partitions
+real = partitions.classify_tokens
+fault = partitions.TokenClassification({fields})
+partitions.classify_tokens = lambda p: fault if p.parts == (4, 3, 3) else real(p)
+sys.exit(cli.main(["partitions", "--dim", "4", "--realize"]))
+"""
+
+
+@pytest.mark.parametrize("fault", sorted(REFUSALS))
+def test_realize_refusals_under_python_O(fault):
+    fields, code, err = REFUSALS[fault]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    for flags in ([], ["-O"]):
+        run = subprocess.run(
+            [sys.executable, *flags, "-c", INJECT.format(fields=fields)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, "", err)

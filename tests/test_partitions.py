@@ -18,11 +18,13 @@ from cubenets.partitions import (
     classify_tokens,
     enumerate_cube_partitions,
     realization_block,
-    realization_slides,
     realize_partition,
     reservoir_parts,
 )
 from cubenets.rolling import develop_word_block
+
+import oracles
+from oracles import realization_slides
 
 
 def brute_partitions(n):
@@ -136,16 +138,16 @@ def test_classification_example():
 
 
 # ---------------------------------------------------------------------------
-# slides
+# slides on the oracle's board
 
 
 def play(parts, word):
     """Board (reservoirs, near, far, transfer) after sliding `word` from the
-    empty board of the partition, one `partitions._slide` per direction."""
+    empty board of the partition, one `oracles.slide` per direction."""
     res = list(reservoir_parts(CubePartition(parts)))
     near, far, transfer = [False] * len(res), [False] * len(res), False
     for d in word:
-        transfer = partitions._slide(res, near, far, transfer, d)
+        transfer = oracles.slide(res, near, far, transfer, d)
     return res, near, far, transfer
 
 
@@ -183,8 +185,9 @@ def test_slide_preconditions():
 
 
 def test_realization_words_frozen_examples():
-    assert realization_slides(CubePartition((4, 3))) == (1, 2, 1, 1, 2)
-    assert realization_slides(CubePartition((4,))) == (1, 1, 1)
+    for parts, word in (((4, 3), (1, 2, 1, 1, 2)), ((4,), (1, 1, 1))):
+        assert realization_slides(CubePartition(parts)) == word
+        assert realize_partition(CubePartition(parts)).moves == word
 
 
 def test_realize_matches_staircase_placements():
@@ -196,7 +199,7 @@ def test_realize_matches_staircase_placements():
 def test_slide_count_per_direction():
     for n in range(2, 9):
         for p in enumerate_cube_partitions(n):
-            word = realization_slides(p)
+            word = realize_partition(p).moves
             counts = Counter(word)
             for d, r in enumerate(reservoir_parts(p), 1):
                 assert counts[d] == r
@@ -215,9 +218,7 @@ def test_realization_roundtrip(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_word_block_boxes_match_the_developments(n):
     seqs = [realize_partition(p) for p in enumerate_cube_partitions(n)]
-    extents, ok = develop_word_block(
-        np.array([seq.start.slots for seq in seqs]), np.array([seq.moves for seq in seqs])
-    )
+    extents, ok = develop_word_block(n, np.array([seq.moves for seq in seqs]))
     assert ok.all()
     for seq, ext in zip(seqs, extents.tolist()):
         assert CubePartition(ext) == cube_partition_of(seq.develop())
@@ -226,9 +227,8 @@ def test_word_block_boxes_match_the_developments(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_realization_block_matches_the_one_board_route(n):
     parts = enumerate_cube_partitions(n)
-    words, ok = realization_block(parts)
+    words = realization_block(parts)
     assert words.shape == (len(parts), 2 * n - 1)
-    assert ok.all()
     assert [tuple(word) for word in words.tolist()] == [realization_slides(p) for p in parts]
 
 
@@ -236,9 +236,9 @@ def swap_one_word(realization_block, target, word):
     """`realization_block` with partition `target`'s word swapped for `word`."""
 
     def block(parts):
-        words, ok = realization_block(parts)
+        words = realization_block(parts)
         words[[p.parts for p in parts].index(target)] = word
-        return words, ok
+        return words
 
     return block
 
@@ -253,37 +253,46 @@ def test_realize_hands_a_refused_word_to_the_one_word_engine(monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "facet revisited: facet 1 revisited at step 1\n"
+    # a refused word that the one-word engine develops is an internal fault
+    monkeypatch.setattr(cli, "realization_block", realization_block)
+    real = cli.develop_word_block
+
+    def block(n, words):
+        boxes, ok = real(n, words)
+        ok[1] = False
+        return boxes, ok
+
+    monkeypatch.setattr(cli, "develop_word_block", block)
+    assert main(["partitions", "--dim", "4", "--realize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "roll block refused the word of (5, 3, 2), which develops\n"
 
 
 def test_realize_checks_each_box_against_its_partition(monkeypatch, capsys):
     # (5, 3, 2)'s word has the same length as (6, 2, 2)'s and rolls without
     # a revisit, but its box is (5, 3, 2)
     word = realization_slides(CubePartition((5, 3, 2)))
-    monkeypatch.setattr(
-        cli, "realization_block", swap_one_word(realization_block, (6, 2, 2), word)
-    )
-    assert main(["partitions", "--dim", "4", "--realize"]) == 1
+    with monkeypatch.context() as m:
+        m.setattr(cli, "realization_block", swap_one_word(realization_block, (6, 2, 2), word))
+        assert main(["partitions", "--dim", "4", "--realize"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "partition (6, 2, 2) realized with box (5, 3, 2)\n"
-
-
-@pytest.mark.parametrize("extents", [(1, 1, 1), (7, 1, 2)])
-def test_realize_redevelops_a_block_box_that_is_no_partition(monkeypatch, capsys, extents):
-    # a box that sums wrong, or has a part below 2, is not trusted: its word
-    # is developed alone, which here boxes it rightly
-    assert main(["partitions", "--dim", "4", "--realize"]) == 0
-    expected = capsys.readouterr().out
+    # a box that sums wrong, or has a part below 2, fails the same check
     real = cli.develop_word_block
+    for extents, box in (((1, 1, 1), (1, 1, 1)), ((7, 1, 2), (7, 2, 1))):
 
-    def block(starts, words):
-        boxes, ok = real(starts, words)
-        boxes[1] = extents
-        return boxes, ok
+        def block(n, words):
+            boxes, ok = real(n, words)
+            boxes[1] = extents
+            return boxes, ok
 
-    monkeypatch.setattr(cli, "develop_word_block", block)
-    assert main(["partitions", "--dim", "4", "--realize"]) == 0
-    assert capsys.readouterr().out == expected
+        monkeypatch.setattr(cli, "develop_word_block", block)
+        assert main(["partitions", "--dim", "4", "--realize"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"partition (5, 3, 2) realized with box {box}\n"
 
 
 def test_realize_dim12_golden(capsys):
@@ -297,7 +306,7 @@ def test_realize_dim12_golden(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the schedule checks raise, so they survive python -O
+# the oracle's checks raise, so they survive python -O
 
 
 def fake_classification(**fields):
@@ -319,13 +328,13 @@ def test_phase_check(monkeypatch):
 
 
 def test_conservation_check(monkeypatch):
-    real = partitions._slide
+    real = oracles.slide
 
     def leaky(res, near, far, transfer, d):
         real(res, near, far, transfer, d)
         return False  # the token pushed onto the transfer point vanishes
 
-    monkeypatch.setattr(partitions, "_slide", leaky)
+    monkeypatch.setattr(oracles, "slide", leaky)
     with pytest.raises(RuntimeError, match="phase discipline broken at slide 2: transfer must be occupied"):
         realization_slides(CubePartition((5, 2)))
 
@@ -341,8 +350,32 @@ def test_full_board_check(monkeypatch):
         realization_slides(CubePartition((5, 2)))
 
 
-# Each fault breaks one board of a listing: the block refuses that row only,
-# and the one-board route raises its exact error for it.
+# ---------------------------------------------------------------------------
+# a broken board: the block, the block of one and the CLI raise the
+# oracle's error for it
+
+
+def raised(fn, *args):
+    """The class and message of the error that fn(*args) raises."""
+    with pytest.raises(Exception) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+def assert_every_route_raises(capsys, parts, target, error, message):
+    """The block of the listing, the block of the target alone and
+    `partitions --realize` each end in error(message); the CLI prints it as
+    one stderr line and nothing on stdout."""
+    assert raised(realization_block, parts) == (error, message)
+    assert raised(realize_partition, CubePartition(target)) == (error, message)
+    code = main(["partitions", "--dim", str(parts[0].n), "--realize"])
+    assert code == (2 if error is IllegalSlideError else 1)
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+
+
+# Each fault breaks one board of a listing: the oracle raises its message
+# for that board only
 CLASSIFICATION_FAULTS = {
     # test_phase_check's classification: a word two slides too long
     "phase, long word": (
@@ -358,7 +391,7 @@ CLASSIFICATION_FAULTS = {
     # test_full_board_check's classification: a word three slides short
     "full board, short word": (
         (5, 2), dict(singletons=(), towers=(1,), middles=()),
-        RuntimeError, r"board not full after realizing \(5, 2\)",
+        RuntimeError, "board not full after realizing (5, 2)",
     ),
     "empty reservoir": (
         (6, 2, 2), dict(singletons=(2,), towers=(1,), middles=((1, 2), (2, 2))),
@@ -366,59 +399,85 @@ CLASSIFICATION_FAULTS = {
     ),
     "far slot taken": (
         (5, 3, 2), dict(singletons=(2,), towers=(1,), middles=((1, 2), (2, 2))),
-        IllegalSlideError, r"direction 2 is finished \(end slot occupied\)",
+        IllegalSlideError, "direction 2 is finished (end slot occupied)",
     ),
     "direction out of range": (
         (4, 3, 3), dict(singletons=(3,), towers=(1, 4), middles=((1, 2),)),
         IllegalSlideError, "direction 4 out of range",
     ),
+    # a middle slide out of range, with the transfer point occupied as a
+    # non-tower needs it; direction 3, the last in range, is a tower
+    "direction out of range, middle phase": (
+        (4, 3, 3), dict(singletons=(4,), towers=(1, 3), middles=((1, 2),)),
+        IllegalSlideError, "direction 4 out of range",
+    ),
+}
+
+# the block refuses a word of another length than 2n-1 before playing it
+UNPLAYED = {
+    "phase, long word": "slide word for (5, 2) has 7 slides, not 2n-1 = 5",
+    "full board, short word": "slide word for (5, 2) has 2 slides, not 2n-1 = 5",
 }
 
 
-def misclassify(monkeypatch, fault):
-    """Classify the fault's partition by its fields, every other one truly."""
-    target, fields, error, message = CLASSIFICATION_FAULTS[fault]
+def misclassify(monkeypatch, *faults):
+    """Classify each fault's partition by its fields, every other one truly."""
+    fields = {CLASSIFICATION_FAULTS[f][0]: CLASSIFICATION_FAULTS[f][1] for f in faults}
     real = partitions.classify_tokens
     monkeypatch.setattr(
         partitions,
         "classify_tokens",
-        lambda p: TokenClassification(**fields) if p.parts == target else real(p),
+        lambda p: TokenClassification(**fields[p.parts]) if p.parts in fields else real(p),
     )
-    return target, error, message
 
 
 @pytest.mark.parametrize("fault", sorted(CLASSIFICATION_FAULTS))
-def test_block_refuses_only_a_misclassified_board(monkeypatch, fault):
-    target, error, message = misclassify(monkeypatch, fault)
+def test_block_refuses_only_a_misclassified_board(monkeypatch, capsys, fault):
+    target, _fields, error, message = CLASSIFICATION_FAULTS[fault]
+    misclassify(monkeypatch, fault)
     parts = enumerate_cube_partitions(len(target) + 1)
-    _words, ok = realization_block(parts)
-    assert ok.tolist() == [p.parts != target for p in parts]
-    with pytest.raises(error, match=message):
-        realization_slides(CubePartition(target))
+    others = [p for p in parts if p.parts != target]
+    assert [tuple(word) for word in realization_block(others).tolist()] == [
+        realization_slides(p) for p in others
+    ]
+    assert raised(realization_slides, CubePartition(target)) == (error, message)
+    assert_every_route_raises(capsys, parts, target, error, UNPLAYED.get(fault, message))
+
+
+def test_the_first_broken_row_raises(monkeypatch, capsys):
+    # (5, 3, 2), row 1, breaks at slide 4 and (4, 3, 3), row 3, at slide 1
+    misclassify(monkeypatch, "far slot taken", "direction out of range")
+    parts = enumerate_cube_partitions(4)
+    assert [p.parts for p in parts] == [(6, 2, 2), (5, 3, 2), (4, 4, 2), (4, 3, 3)]
+    message = "direction 2 is finished (end slot occupied)"
+    assert_every_route_raises(capsys, parts, (5, 3, 2), IllegalSlideError, message)
+    assert raised(realization_block, parts[2:]) == (IllegalSlideError, "direction 4 out of range")
 
 
 # (4, 4, 2) slides 1, 2, 1, 3, 2, 1, 2; its transfer point holds a token
 # after slides 2, 4, 5 and 6
 LEAKS = {
     "middle phase": (2, "phase discipline broken at slide 3: transfer must be occupied"),
-    "last slide": (6, r"board not full after realizing \(4, 4, 2\)"),
+    "last slide": (6, "board not full after realizing (4, 4, 2)"),
 }
 
 
 @pytest.mark.parametrize("leak", sorted(LEAKS))
-def test_block_refuses_only_a_board_that_loses_a_token(monkeypatch, leak):
+def test_block_refuses_only_a_board_that_loses_a_token(monkeypatch, capsys, leak):
+    # the token on (4, 4, 2)'s transfer point after slide `step` vanishes
     step, message = LEAKS[leak]
     parts = enumerate_cube_partitions(4)
     row = [p.parts for p in parts].index((4, 4, 2))
-    real_rows, real_one = partitions._slide_rows, partitions._slide
+    real_rows, real_one = partitions._slide_rows, oracles.slide
     slides = {"block": 0, "board": 0}
 
     def leaky_rows(res, near, far, transfer, d):
-        transfer, legal = real_rows(res, near, far, transfer, d)
-        if slides["block"] == step:
-            transfer[row] = False
+        transfer, why = real_rows(res, near, far, transfer, d)
+        if slides["block"] % 7 == step:
+            # (4, 4, 2)'s row of the listing, or the block of it alone
+            transfer[row if len(d) > 1 else 0] = False
         slides["block"] += 1
-        return transfer, legal
+        return transfer, why
 
     def leaky_one(res, near, far, transfer, d):
         transfer = real_one(res, near, far, transfer, d)
@@ -427,16 +486,6 @@ def test_block_refuses_only_a_board_that_loses_a_token(monkeypatch, leak):
         return transfer and not leaked
 
     monkeypatch.setattr(partitions, "_slide_rows", leaky_rows)
-    monkeypatch.setattr(partitions, "_slide", leaky_one)
-    _words, ok = realization_block(parts)
-    assert ok.tolist() == [k != row for k in range(len(parts))]
-    with pytest.raises(RuntimeError, match=message):
-        realization_slides(parts[row])
-
-
-def test_realize_hands_a_refused_board_to_the_one_board_route(monkeypatch, capsys):
-    _target, _error, message = misclassify(monkeypatch, "direction out of range")
-    assert main(["partitions", "--dim", "4", "--realize"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == message + "\n"
+    monkeypatch.setattr(oracles, "slide", leaky_one)
+    assert raised(realization_slides, parts[row]) == (RuntimeError, message)
+    assert_every_route_raises(capsys, parts, (4, 4, 2), RuntimeError, message)
