@@ -279,20 +279,25 @@ def test_realize_checks_each_box_against_its_partition(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "partition (6, 2, 2) realized with box (5, 3, 2)\n"
-    # a box that sums wrong, or has a part below 2, fails the same check
+
+
+@pytest.mark.parametrize("extents", [(1, 1, 1), (7, 1, 2)])
+def test_realize_redevelops_a_block_box_that_is_no_partition(monkeypatch, capsys, extents):
+    # a box that sums wrong, or has a part below 2, is no longer developed
+    # again: it fails the box == partition check like any other mismatch
     real = cli.develop_word_block
-    for extents, box in (((1, 1, 1), (1, 1, 1)), ((7, 1, 2), (7, 2, 1))):
 
-        def block(n, words):
-            boxes, ok = real(n, words)
-            boxes[1] = extents
-            return boxes, ok
+    def block(n, words):
+        boxes, ok = real(n, words)
+        boxes[1] = extents
+        return boxes, ok
 
-        monkeypatch.setattr(cli, "develop_word_block", block)
-        assert main(["partitions", "--dim", "4", "--realize"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"partition (5, 3, 2) realized with box {box}\n"
+    monkeypatch.setattr(cli, "develop_word_block", block)
+    assert main(["partitions", "--dim", "4", "--realize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    box = tuple(sorted(extents, reverse=True))
+    assert captured.err == f"partition (5, 3, 2) realized with box {box}\n"
 
 
 def test_realize_dim12_golden(capsys):
@@ -442,6 +447,17 @@ def test_block_refuses_only_a_misclassified_board(monkeypatch, capsys, fault):
     ]
     assert raised(realization_slides, CubePartition(target)) == (error, message)
     assert_every_route_raises(capsys, parts, target, error, UNPLAYED.get(fault, message))
+
+
+def test_realize_hands_a_refused_board_to_the_one_board_route(monkeypatch, capsys):
+    # the one-board route is now the block itself: the CLI prints the
+    # refused board's error as the list-based board words it
+    misclassify(monkeypatch, "direction out of range")
+    _target, _fields, _error, message = CLASSIFICATION_FAULTS["direction out of range"]
+    assert main(["partitions", "--dim", "4", "--realize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 def test_the_first_broken_row_raises(monkeypatch, capsys):
