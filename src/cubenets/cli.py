@@ -36,7 +36,7 @@ from .enumeration import (
 )
 from .nets import is_net, net_json, render_svg
 from .partitions import enumerate_cube_partitions, realization_block
-from .rolling import RevisitError, develop_path, develop_tree, develop_word_block
+from .rolling import RevisitError, develop_path, develop_tree, develop_word_block, initial_state
 
 
 def _positive_int(raw: str) -> int:
@@ -66,8 +66,9 @@ def _check_output(output: str) -> None:
 
 def _emit(text: str, output: str | None) -> None:
     with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
-        # print writes the end apart, so a large document is not copied
-        print(text, end="" if text.endswith("\n") else "\n", file=fh)
+        # print writes the end apart, so a large document is not copied; the
+        # flush makes a closed stdout pipe raise here, inside `main`
+        print(text, end="" if text.endswith("\n") else "\n", file=fh, flush=True)
 
 
 def _indented_json(doc, pad: str = "\n") -> str:
@@ -180,12 +181,7 @@ def _cmd_partitions(args):
     if not args.realize:
         return {"n": n, "partitions": rows}, 0
     words = realization_block(parts)
-    extents, rolled = develop_word_block(n, words)
-    if not rolled.all():
-        # a word the block cannot roll is developed alone, for its exact error
-        k = int(rolled.argmin())
-        develop_path(n, FacetLabel(1), words[k].tolist())
-        raise RuntimeError(f"roll block refused the word of {parts[k].parts}, which develops")
+    extents, _ = develop_word_block(initial_state(n, FacetLabel(1)), words)
     boxes = -np.sort(-extents, 1)
     for row, word, box in zip(rows, words.tolist(), boxes.tolist()):
         if box != row["partition"]:
@@ -297,7 +293,12 @@ def main(argv=None) -> int:
             _check_output(args.output)
         out, code = args.func(args)
         if out is not None:
-            _emit(out if isinstance(out, str) else _indented_json(out), args.output)
+            try:
+                _emit(out if isinstance(out, str) else _indented_json(out), args.output)
+            except BrokenPipeError:
+                # the reader closed stdout: end quietly with the command's
+                # code, and let the flush at exit write to devnull instead
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except RevisitError as exc:  # first: it is also a ValueError
         print(f"facet revisited: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ from .core import (
     subgraph_from_mask,
 )
 from .nets import verify_development
-from .rolling import develop_parent_block, develop_tree, tree_block_size
+from .rolling import _tree_walk, develop_parent_block, develop_tree, tree_block_size
 
 
 class CountMismatchError(Exception):
@@ -370,24 +370,6 @@ def _tree_from_parents(parents: list[int]) -> SpanningSubgraph:
     )
 
 
-def _parents_of(tree: SpanningSubgraph) -> list[int]:
-    """Each facet's parent toward facet 1 in the tree (-1 for facet 1, and
-    for any facet the tree does not reach)."""
-    adj = [[] for _ in range(2 * tree.n)]
-    for i, j in tree.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    parents = [-1] * (2 * tree.n)
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w and parents[w] < 0:
-                parents[w] = u
-                stack.append(w)
-    return parents
-
-
 def random_spanning_tree(n: int, rng: random.Random) -> SpanningSubgraph:
     """Uniform spanning tree of the Roberts graph, drawing the stream
     `_random_parents` draws."""
@@ -596,7 +578,8 @@ def verify_unfoldings(
     _check_jobs(jobs)
     if exhaustive:
         report = VerifyReport(n, "exhaustive")
-        _check_trees(report, map(_parents_of, enumerate_classes("trees", n, jobs)))
+        trees = enumerate_classes("trees", n, jobs)
+        _check_trees(report, (_tree_walk(tree, 0)[0] for tree in trees))
         return report
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)

@@ -7,21 +7,23 @@ direction +-1..+-(n-1).  Rolling in direction d is a 4-cycle on the slots
 word or a spanning tree repeats that move, dropping each facet onto the
 lattice cell where it first becomes the base.
 
-One engine does the developing: `_roll_in_place` turns a mutable slot list
-toward a slot index.  `develop_path` and `RollSequence.develop` pass each
-direction's slot; `develop_tree` rolls at the slot where it finds the child
-and steps along that slot's axis.  `initial_state` fixes every
-development's start orientation as an immutable `RollState`.
+Every roll word goes through one routine, `develop_word_block`: it rolls a
+block of equal-length words from one start orientation at once, as fancy
+indexing on numpy slot arrays (`_roll_rows`), keeps the labels placed at
+each step and each word's running box, and raises the error of the first
+word it refuses.  `develop_path` and `RollSequence.develop` are blocks of
+one; `initial_state` fixes every development's start orientation as an
+immutable `RollState`.
 
-The block kernel applies the same move to many developments at once, as
-fancy indexing on numpy slot arrays (`_roll_rows`).  `develop_parent_block`
-rolls a block of trees given as parent arrays, one depth level of all of
-them per step, into their cells; `develop_word_block` rolls a block of
-equal-length words and keeps only each one's running box.  Each also
-returns a mask of the rows the one-at-a-time engine develops without
-raising, so a caller can hand any other row to it for the exact error.
-The one-at-a-time engine stays the route for single developments and the
-kernel's test oracle.
+Trees are developed one at a time: `_tree_walk` gives each facet's parent
+and the preorder, and `develop_tree` places each facet by rolling a copy of
+its parent's slot list toward the slot where it finds the facet
+(`_roll_in_place`) and stepping along that slot's axis.  A tree block of
+one costs about five times as much per tree, and the tests develop tens of
+thousands of single trees.  `develop_parent_block` rolls a block of
+trees given as parent arrays, one depth level of all of them per step, and
+marks the rows that are trees, so that `develop_tree` names the fault of
+any other.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class RollSequence:
     moves: tuple[int, ...]
 
     def develop(self) -> "Development":
-        return _develop_word(self.n, self.start.slots, self.moves)
+        return _word_development(self.start, self.moves)
 
 
 @dataclass(frozen=True)
@@ -168,54 +170,57 @@ def development_json(dev: Development) -> dict:
     return doc
 
 
-def _develop_word(n: int, start_slots, dirs) -> Development:
-    two_n = 2 * n
-    slots = list(start_slots)
-    base = slots[0]
-    order = [base]
-    coords = [(0,) * (n - 1)]
-    parents = [-1]
-    placed = [False] * two_n
-    placed[base] = True
-    pos = [0] * (n - 1)
-    for step, d in enumerate(dirs):
-        _check_direction(n, d)
-        _roll_in_place(slots, _slot_index(d))
-        new_base = slots[0]
-        if slots[1] != antipode_index(new_base, n):
-            raise RuntimeError(f"roll {d} at step {step} broke antipodality")
-        if placed[new_base]:
-            raise RevisitError(FacetLabel.from_index(new_base, n), step)
-        placed[new_base] = True
-        if d > 0:
-            pos[d - 1] += 1
-        else:
-            pos[-d - 1] -= 1
-        order.append(new_base)
-        coords.append(tuple(pos))
-        parents.append(base)
-        base = new_base
-    return Development(n, tuple(order), tuple(coords), tuple(parents))
+def _word_development(start: RollState, dirs) -> Development:
+    """The development of one word from `start`: a block of one.  Each
+    facet unfolds from the one placed before it, one unit step away."""
+    n = start.n
+    order = tuple(develop_word_block(start, [dirs])[1][0].tolist())
+    w = np.asarray(dirs, np.intp).reshape(-1, 1)
+    unit = np.sign(w) * (np.abs(w) == np.arange(1, n))
+    coords = np.cumsum(np.vstack([np.zeros((1, n - 1), np.intp), unit]), 0)
+    return Development(n, order, tuple(map(tuple, coords.tolist())), (-1, *order[:-1]))
 
 
 def develop_path(n: int, base: FacetLabel, dirs) -> Development:
     """Roll from the start orientation through a word of directions, placing
     each facet as it lands.  Words shorter than 2n-1 leave the development
-    partial; revisits raise RevisitError."""
-    return _develop_word(n, initial_state(n, base).slots, dirs)
+    partial; a direction out of range raises ValueError and a revisit
+    RevisitError."""
+    return _word_development(initial_state(n, base), dirs)
+
+
+def _tree_walk(tree: SpanningSubgraph, root: int) -> tuple[list[int], list[int]]:
+    """Each facet's parent toward `root` in the tree (-1 for the root and for
+    any facet the tree does not reach), and the facets reached, in preorder
+    with children in label order."""
+    # tree.edges is a sorted tuple of sorted pairs, so every row comes out sorted
+    adj = [[] for _ in range(2 * tree.n)]
+    for i, j in tree.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    parents = [-1] * (2 * tree.n)
+    preorder, stack = [], [root]
+    while stack:
+        u = stack.pop()
+        preorder.append(u)
+        for w in reversed(adj[u]):
+            if w != root and parents[w] < 0:
+                parents[w] = u
+                stack.append(w)
+    return parents, preorder
 
 
 def develop_tree(tree: SpanningSubgraph, base: FacetLabel) -> Development:
-    """Unfold a validated spanning tree by depth-first rolling from base.
+    """Unfold a validated spanning tree by rolling from base.
 
     Each tree child of a facet sits in some directional slot of the
     orientation that facet was placed in; rolling that way places the child.
-    The walk runs in preorder on an explicit stack, each child taking its
-    own copy of its parent's slots rolled once, so nothing is rolled back
-    and no tree is too deep.  Children are visited in label order, but the
-    resulting placement does not depend on that order: any other order would
-    put every facet on the same cell.  A cycle raises ValueError, and so does
-    a tree or path `validate` refuses: "not a spanning tree: <problem>".
+    Facets are placed in `_tree_walk`'s preorder, each from its own copy of
+    its parent's slots, so nothing is rolled back and no tree is too deep.
+    The placement does not depend on the order of children: any other
+    order would put every facet on the same cell.  A cycle raises
+    ValueError, and so does a tree or path `validate` refuses: "not a
+    spanning <kind>: <problem>".
     """
     if tree.kind == "cycle":
         raise ValueError("cannot develop a cycle; delete an edge first")
@@ -224,38 +229,22 @@ def develop_tree(tree: SpanningSubgraph, base: FacetLabel) -> Development:
         raise ValueError(f"not a spanning {tree.kind}: {problem}")
     n = tree.n
     b = base.index(n)
-    # tree.edges is a sorted tuple of sorted pairs, so every row comes out sorted
-    adj = [[] for _ in range(2 * n)]
-    for i, j in tree.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-
-    order, coords, parents = [], [], []
-    placed = [False] * (2 * n)
-    # frames (facet, parent, parent's slots, parent's cell)
-    stack = [(b, -1, list(initial_state(n, base).slots), [0] * (n - 1))]
-    while stack:
-        lab, par, slots, pos = stack.pop()
-        if placed[lab]:
-            continue
-        if par >= 0:
-            p = slots.index(lab)
-            if p < 2:
-                raise RuntimeError(
-                    f"tree child {lab} of {par} sits at the base antipode"
-                )
-            slots = slots[:]
-            _roll_in_place(slots, p)
-            pos = pos[:]
-            pos[(p >> 1) - 1] += -1 if p & 1 else 1
-        placed[lab] = True
-        order.append(lab)
-        coords.append(tuple(pos))
-        parents.append(par)
-        for c in reversed(adj[lab]):
-            if not placed[c]:
-                stack.append((c, lab, slots, pos))
-    return Development(n, tuple(order), tuple(coords), tuple(parents))
+    parents, order = _tree_walk(tree, b)
+    # each facet's orientation when placed, and its cell
+    slots, cells = [None] * (2 * n), [None] * (2 * n)
+    slots[b], cells[b] = list(initial_state(n, base).slots), (0,) * (n - 1)
+    for lab in order[1:]:
+        par = parents[lab]
+        p = slots[par].index(lab)
+        if p < 2:
+            raise RuntimeError(f"tree child {lab} of {par} sits at the base antipode")
+        slots[lab] = rolled = slots[par][:]
+        _roll_in_place(rolled, p)
+        pos = list(cells[par])
+        pos[(p >> 1) - 1] += -1 if p & 1 else 1
+        cells[lab] = tuple(pos)
+    coords = tuple(cells[lab] for lab in order)
+    return Development(n, tuple(order), coords, tuple(parents[lab] for lab in order))
 
 
 # ---------------------------------------------------------------------------
@@ -342,33 +331,42 @@ def develop_parent_block(parents) -> tuple[np.ndarray, np.ndarray]:
     return cells, ok
 
 
-def develop_word_block(n: int, words) -> tuple[np.ndarray, np.ndarray]:
-    """Roll B words of one length at once in dimension n.  Returns the
-    (B, n-1) bounding-box extents of the developments in axis order, and a
-    (B,) mask of the words that `develop_path` develops without raising:
-    every direction in range and no facet placed twice.  The extents of a
-    row outside the mask are meaningless.  Only the running box is kept,
-    never the cells.  Neither depends on the start orientation, which only
-    names the facets, so every row starts from the slots labelled 0..2n-1."""
-    words = np.asarray(words, np.intp)
-    B, two_n = len(words), 2 * n
-    k = np.arange(B)
+def develop_word_block(start: RollState, words) -> tuple[np.ndarray, np.ndarray]:
+    """Roll B words of one length L at once from the orientation `start`.
+
+    Returns the (B, n-1) bounding-box extents of the developments in axis
+    order, and the (B, L+1) labels placed at each step, base first.  Only
+    the running box is kept, never the cells.  The first word in row order
+    that breaks a rule raises at its first broken step, checking the
+    direction before the facet it lands: a direction out of range raises
+    ValueError, and a facet placed twice RevisitError.
+    """
+    n = start.n
+    words = np.asarray(words)
+    B, L = words.shape
     valid = (words != 0) & (np.abs(words) < n)
-    ok = valid.all(1)
     # direction d's slot sits at d + n - 1; a direction out of range rolls as +1
     slot_of = np.array([_slot_index(d) if d else 2 for d in range(1 - n, n)])
     steps = _slot_steps(n)
-    slots = np.broadcast_to(np.arange(two_n), (B, two_n)).astype(_index_dtype(n))
-    placed = np.zeros((B, two_n), bool)
-    placed[:, 0] = True
+    slots = np.tile(np.array(start.slots, _index_dtype(n)), (B, 1))
+    placed = np.empty((B, L + 1), slots.dtype)
+    placed[:, 0] = start.slots[0]
     pos = np.zeros((B, n - 1), np.int32)
     lo, hi = pos.copy(), pos.copy()
-    for p in slot_of[np.where(valid, words, 1) + n - 1].T:
+    rolls = slot_of[np.where(valid, words, 1).astype(np.intp, copy=False) + n - 1]
+    for t, p in enumerate(rolls.T):
         _roll_rows(slots, p)
-        base = slots[:, 0]
-        ok &= ~placed[k, base]
-        placed[k, base] = True
+        placed[:, t + 1] = slots[:, 0]
         pos += steps[p]
         np.minimum(lo, pos, out=lo)
         np.maximum(hi, pos, out=hi)
-    return hi - lo + 1, ok
+    # a row revisits a facet exactly when its sorted labels repeat one
+    refused = ~valid.all(1) | (np.diff(np.sort(placed, 1), axis=1) == 0).any(1)
+    if refused.any():
+        b = int(refused.argmax())
+        fresh = np.zeros(L + 1, bool)
+        fresh[np.unique(placed[b], return_index=True)[1]] = True
+        t = int((~valid[b] | ~fresh[1:]).argmax())
+        _check_direction(n, int(words[b, t]))
+        raise RevisitError(FacetLabel.from_index(int(placed[b, t + 1]), n), t)
+    return hi - lo + 1, placed

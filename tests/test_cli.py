@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -72,6 +76,16 @@ def test_unfold_revisit_is_failure(capsys):
     code, out, err = run(capsys, "unfold", "--dim", "3", "--rolls", "+1,-1")
     assert code == 1
     assert "revisited" in err
+
+
+def test_unfold_rolls_refusals_name_the_broken_step(capsys):
+    revisit = ("--rolls", "+1,-2,+1,+3,+1,+4,-2,+1,-2,+1", "--base", "3*")
+    assert run(capsys, "unfold", "--dim", "5", *revisit) == (
+        1, "", "facet revisited: facet 1 revisited at step 9\n",
+    )
+    assert run(capsys, "unfold", "--dim", "5", "--rolls", "+1,-2,+1,+3,+5") == (
+        2, "", "direction 5 out of range for dimension 5\n",
+    )
 
 
 UNFOLD_USAGE_ERRORS = {
@@ -466,6 +480,31 @@ def test_jobs_below_one_exits_two(argv, value, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"argument {argv[-1]}: {value!r}: not a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv,keep",
+    [
+        (("partitions", "--dim", "20", "--realize"), 100),  # 0.6 MB, past a pipe's buffer
+        (("unfold", "--dim", "3", "--rolls", "+1,+2"), 0),  # closed before the first write
+    ],
+    ids=["mid-document", "before-writing"],
+)
+def test_a_closed_stdout_pipe_ends_quietly_with_the_commands_code(argv, keep):
+    # as in `cubenets ... | head -c 100`: no broken-pipe message, and the
+    # command's exit code, not the bad-usage 2
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubenets.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert len(proc.stdout.read(keep)) == keep
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_bad_usage_exits_two():

@@ -26,7 +26,6 @@ from cubenets.enumeration import (
     VerifyReport,
     _check_tree,
     _check_trees,
-    _parents_of,
     _raw_tree_masks,
     _tree_from_parents,
     build_table,
@@ -38,7 +37,7 @@ from cubenets.enumeration import (
     verify_unfoldings,
 )
 from cubenets.nets import cube_partition_of
-from cubenets.rolling import develop_tree, tree_block_size
+from cubenets.rolling import _tree_walk, develop_tree, tree_block_size
 from oracles import (
     apply_subgraph,
     orbit_masks,
@@ -460,7 +459,7 @@ def test_block_reports_equal_the_scalar_route():
 
 def test_exhaustive_parent_arrays_are_the_listed_trees():
     trees = enumerate_classes("trees", 4)
-    assert [_tree_from_parents(_parents_of(t)) for t in trees] == list(trees)
+    assert [_tree_from_parents(_tree_walk(t, 0)[0]) for t in trees] == list(trees)
 
 
 def test_a_tree_the_block_refuses_takes_the_scalar_route(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from cubenets import cli, partitions
 from cubenets.cli import main
-from cubenets.core import ResourceLimitError
+from cubenets.core import FacetLabel, ResourceLimitError
 from cubenets.nets import CubePartition, bounding_box, cube_partition_of
 from cubenets.partitions import (
     PARTITIONS_LIMIT,
@@ -21,7 +21,7 @@ from cubenets.partitions import (
     realize_partition,
     reservoir_parts,
 )
-from cubenets.rolling import develop_word_block
+from cubenets.rolling import develop_word_block, initial_state
 
 import oracles
 from oracles import realization_slides
@@ -218,10 +218,12 @@ def test_realization_roundtrip(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_word_block_boxes_match_the_developments(n):
     seqs = [realize_partition(p) for p in enumerate_cube_partitions(n)]
-    extents, ok = develop_word_block(n, np.array([seq.moves for seq in seqs]))
-    assert ok.all()
-    for seq, ext in zip(seqs, extents.tolist()):
-        assert CubePartition(ext) == cube_partition_of(seq.develop())
+    start = initial_state(n, FacetLabel(1))
+    extents, placed = develop_word_block(start, np.array([seq.moves for seq in seqs]))
+    for seq, ext, labels in zip(seqs, extents.tolist(), placed.tolist()):
+        dev = seq.develop()
+        assert CubePartition(ext) == cube_partition_of(dev)
+        assert tuple(labels) == dev.order
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -244,7 +246,7 @@ def swap_one_word(realization_block, target, word):
 
 
 def test_realize_hands_a_refused_word_to_the_one_word_engine(monkeypatch, capsys):
-    # a word the block refuses is developed alone and fails as it always did
+    # a word the roll block refuses fails with the revisit it makes
     word = (1, -1) + realization_slides(CubePartition((4, 3, 3)))[2:]
     monkeypatch.setattr(
         cli, "realization_block", swap_one_word(realization_block, (4, 3, 3), word)
@@ -253,20 +255,6 @@ def test_realize_hands_a_refused_word_to_the_one_word_engine(monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "facet revisited: facet 1 revisited at step 1\n"
-    # a refused word that the one-word engine develops is an internal fault
-    monkeypatch.setattr(cli, "realization_block", realization_block)
-    real = cli.develop_word_block
-
-    def block(n, words):
-        boxes, ok = real(n, words)
-        ok[1] = False
-        return boxes, ok
-
-    monkeypatch.setattr(cli, "develop_word_block", block)
-    assert main(["partitions", "--dim", "4", "--realize"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "roll block refused the word of (5, 3, 2), which develops\n"
 
 
 def test_realize_checks_each_box_against_its_partition(monkeypatch, capsys):
@@ -287,10 +275,10 @@ def test_realize_redevelops_a_block_box_that_is_no_partition(monkeypatch, capsys
     # again: it fails the box == partition check like any other mismatch
     real = cli.develop_word_block
 
-    def block(n, words):
-        boxes, ok = real(n, words)
+    def block(start, words):
+        boxes, placed = real(start, words)
         boxes[1] = extents
-        return boxes, ok
+        return boxes, placed
 
     monkeypatch.setattr(cli, "develop_word_block", block)
     assert main(["partitions", "--dim", "4", "--realize"]) == 1

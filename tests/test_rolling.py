@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cubenets import rolling
 from cubenets.core import FacetLabel, SpanningSubgraph
-from cubenets.enumeration import _parents_of, random_spanning_tree
+from cubenets.enumeration import random_spanning_tree
 from cubenets.nets import bounding_box, is_net
 from cubenets.rolling import (
     Development,
@@ -26,6 +26,11 @@ from cubenets.rolling import (
 from oracles import is_coherent, roll, root_path, slot, uturn_audit
 
 L = FacetLabel.parse
+
+
+def parents_of(tree):
+    """Each facet's parent toward facet 1, as verify's block takes it."""
+    return rolling._tree_walk(tree, 0)[0]
 
 
 def state_table(state):
@@ -102,12 +107,13 @@ def outcome(fn, *args):
 
 
 @st.composite
-def roll_words(draw):
+def roll_words(draw, n=None, base=None):
     """A dimension, a base, and a word that mostly avoids revisits: each step
     is a random direction, or one chosen by the oracle to land on a fresh
     facet, or (rarely) out of range."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    base = FacetLabel(draw(st.integers(1, n)), draw(st.booleans()))
+    if n is None:
+        n = draw(st.integers(min_value=2, max_value=8))
+        base = FacetLabel(draw(st.integers(1, n)), draw(st.booleans()))
     state = initial_state(n, base)
     seen = {state.slots[0]}
     word = []
@@ -252,13 +258,19 @@ def test_line_development_dim2():
     ]
 
 
-def test_word_engine_antipodality_check(monkeypatch):
+def test_word_engine_half_roll_is_caught_by_the_oracle(monkeypatch):
+    # a planted roll that swaps only the base and the slot rolled toward
+    # breaks antipodality; no check in the engine looks for that, so the
+    # oracle must see the development change
     def half_roll(slots, p):
-        slots[0], slots[p] = slots[p], slots[0]
+        k = np.arange(len(p))
+        slots[k, 0], slots[k, p] = slots[k, p], slots[k, 0]
 
-    monkeypatch.setattr(rolling, "_roll_in_place", half_roll)
-    with pytest.raises(RuntimeError, match="antipodality"):
-        develop_path(3, L("1"), [1, 2])
+    word = [1, 2, 1, 2, 1]
+    want = reference_develop_path(3, L("1"), word)
+    assert develop_path(3, L("1"), word) == want
+    monkeypatch.setattr(rolling, "_roll_rows", half_roll)
+    assert outcome(develop_path, 3, L("1"), word) != want
 
 
 @settings(max_examples=400, deadline=None)
@@ -273,15 +285,24 @@ def test_develop_path_matches_roll_oracle(case):
 
 
 def test_roll_oracle_cases_cover_every_outcome():
-    # the word strategy above reaches spanning words, revisits and bad
-    # directions; pin one of each so the comparison never runs vacuously
+    # the word strategy above reaches spanning words, revisits, bad
+    # directions and the empty word; pin one of each so the comparison
+    # never runs vacuously
     spanning = [1, 2, 3, 1, 1, 2, 3]
-    cases = [(4, L("2*"), spanning), (3, L("1"), [1, 2, -2]), (3, L("1"), [1, 0])]
+    cases = [
+        (4, L("2*"), spanning),
+        (3, L("1"), [1, 2, -2]),
+        (3, L("1"), [1, 0]),
+        (3, L("3*"), []),
+    ]
     got = [outcome(develop_path, *c) for c in cases]
     assert got[0].is_spanning
     assert got[1] == ("revisit", "2", 2)
     assert got[2] == ("value", "direction 0 out of range for dimension 3")
+    assert got[3] == Development(3, (5,), ((0, 0),), (-1,))
     assert got == [outcome(reference_develop_path, *c) for c in cases]
+    for (n, base, word), want in zip(cases, got):
+        assert outcome(RollSequence(n, initial_state(n, base), tuple(word)).develop) == want
 
 
 def test_roll_sequence_develops_like_path():
@@ -453,7 +474,7 @@ def test_parent_block_cells_match_develop_tree(n):
     # at n=70 the 140 labels no longer fit the int8 slot table
     rng = random.Random(n)
     trees = [random_spanning_tree(n, rng) for _ in range(5 if n == 70 else 40)]
-    cells, ok = develop_parent_block(np.array([_parents_of(t) for t in trees]))
+    cells, ok = develop_parent_block(np.array([parents_of(t) for t in trees]))
     assert ok.all()
     for tree, block_cells in zip(trees, cells.tolist()):
         dev = develop_tree(tree, L("1"))
@@ -468,7 +489,7 @@ def test_parent_block_cells_match_develop_tree(n):
 
 def test_parent_block_marks_rows_that_are_not_trees():
     n = 4
-    tree = _parents_of(SpanningSubgraph.from_text(n, "1-2,1-2*,1-3,1-3*,1-4,1-4*,2-1*"))
+    tree = parents_of(SpanningSubgraph.from_text(n, "1-2,1-2*,1-3,1-3*,1-4,1-4*,2-1*"))
     assert tree == [-1, 0, 0, 0, 1, 0, 0, 0]
 
     def edited(parents):
@@ -498,23 +519,49 @@ def test_tree_blocks_hold_about_64_kb_of_slots():
     assert tree_block_size(70) == 1
 
 
-@settings(max_examples=400, deadline=None)
-@given(roll_words())
+@st.composite
+def word_blocks(draw):
+    """A dimension, a base, and two or three words from it cut to one length."""
+    n, base, word = draw(roll_words())
+    words = [word] + [draw(roll_words(n, base))[2] for _ in range(draw(st.integers(1, 2)))]
+    length = min(map(len, words))
+    return n, base, [w[:length] for w in words]
+
+
+@settings(max_examples=250, deadline=None)
+@given(word_blocks())
 def test_word_block_matches_develop_path(case):
-    # the block rolls from no particular base: the start only names the
-    # facets, so develop_path agrees from every base
-    n, _base, word = case
-    extents, ok = develop_word_block(n, [word])
-    for base in [FacetLabel(axis, star) for axis in range(1, n + 1) for star in (False, True)]:
-        got = outcome(develop_path, n, base, word)
-        assert ok.tolist() == [isinstance(got, Development)]
-        if ok[0]:
-            assert tuple(extents[0].tolist()) == bounding_box(got)
+    # every row against the oracle; a block with a refused row raises the
+    # first such row's error
+    n, base, words = case
+    want = [outcome(reference_develop_path, n, base, word) for word in words]
+    got = outcome(develop_word_block, initial_state(n, base), words)
+    refused = [w for w in want if not isinstance(w, Development)]
+    if refused:
+        assert got == refused[0]
+    else:
+        extents, placed = got
+        assert placed.dtype == np.int8
+        assert placed.tolist() == [list(dev.order) for dev in want]
+        assert [tuple(e) for e in extents.tolist()] == [bounding_box(dev) for dev in want]
 
 
 def test_word_block_rolls_many_words_at_once():
-    # the oracle cases of every outcome, side by side in one block
-    words = [[1, 2, 3, 1, 1, 2, 3], [1, 2, -2, 1, 1, 1, 1], [1, 0, 1, 1, 1, 1, 1]]
-    extents, ok = develop_word_block(4, words)
-    assert ok.tolist() == [True, False, False]
-    assert tuple(extents[0].tolist()) == bounding_box(develop_path(4, L("2*"), words[0]))
+    # the oracle cases of every outcome, side by side in one block: the
+    # first refused row raises, even where a later row breaks earlier
+    spanning, revisit, bad = [1, 2, 3, 1, 1, 2, 3], [1, 2, -2, 1, 1, 1, 1], [1, 0, 1, 1, 1, 1, 1]
+    start = initial_state(4, L("2*"))
+    assert outcome(develop_word_block, start, [spanning, revisit, bad]) == (
+        outcome(reference_develop_path, 4, L("2*"), revisit)
+    ) == ("revisit", "1", 2)
+    assert outcome(develop_word_block, start, [spanning, bad, revisit]) == (
+        "value", "direction 0 out of range for dimension 4",
+    )
+    extents, placed = develop_word_block(start, [spanning, spanning[::-1]])
+    dev = develop_path(4, L("2*"), spanning)
+    assert tuple(extents[0].tolist()) == bounding_box(dev)
+    assert tuple(placed[0].tolist()) == dev.order
+    # empty words place the base alone
+    extents, placed = develop_word_block(start, [[], []])
+    assert extents.tolist() == [[1, 1, 1]] * 2
+    assert placed.tolist() == [[start.slots[0]]] * 2
