@@ -530,7 +530,9 @@ def _check_trees(report: VerifyReport, parent_rows) -> None:
 
     A tree that `develop_parent_block` rolls passes `verify_development`
     exactly when its box extents sum to 3n-2 and each is at least 2 (the
-    identity in `nets`), so such trees are counted from their extents.
+    identity in `nets`).  Each block's extents, that test and the passing
+    trees' partitions (their extents in descending order) are array
+    operations over the whole block, and the partitions are counted.
     Every other tree goes through `_check_tree`, in stream order, for its
     exact failure entry or error.
     """
@@ -538,14 +540,13 @@ def _check_trees(report: VerifyReport, parent_rows) -> None:
     rows = iter(parent_rows)
     while block := list(islice(rows, tree_block_size(n))):
         cells, rolled = develop_parent_block(block)
-        spans = (cells.max(1) - cells.min(1)).tolist()
-        for parents, ok, span in zip(block, rolled.tolist(), spans):
-            extents = [s + 1 for s in span]
-            if ok and sum(extents) == 3 * n - 2 and min(extents) >= 2:
-                report.partition_counts[tuple(sorted(extents, reverse=True))] += 1
-                report.trees_checked += 1
-            else:
-                _check_tree(report, _tree_from_parents(parents))
+        extents = cells.max(1).astype(np.intp) - cells.min(1) + 1
+        passed = rolled & (extents.sum(1) == 3 * n - 2) & (extents.min(1) >= 2)
+        parts = np.sort(extents[passed], 1)[:, ::-1]
+        report.partition_counts.update(map(tuple, parts.tolist()))
+        report.trees_checked += len(parts)
+        for b in np.flatnonzero(~passed).tolist():
+            _check_tree(report, _tree_from_parents(block[b]))
 
 
 def _sample_shard_job(n: int, count: int, seed: int, shard: int) -> VerifyReport:

@@ -19,11 +19,13 @@ Trees are developed one at a time: `_tree_walk` gives each facet's parent
 and the preorder, and `develop_tree` places each facet by rolling a copy of
 its parent's slot list toward the slot where it finds the facet
 (`_roll_in_place`) and stepping along that slot's axis.  A tree block of
-one costs about five times as much per tree, and the tests develop tens of
+one costs about three times as much per tree, and the tests develop tens of
 thousands of single trees.  `develop_parent_block` rolls a block of
 trees given as parent arrays, one depth level of all of them per step, and
 marks the rows that are trees, so that `develop_tree` names the fault of
-any other.
+any other.  It keeps no slot list: each placed facet's orientation is the
+slot of every axis's unstarred label, one entry per axis, since a label
+and its antipode always sit in a pair of slots 2k and 2k+1.
 """
 
 from __future__ import annotations
@@ -257,13 +259,21 @@ def _index_dtype(n: int):
     return np.int8 if 2 * n <= 127 else np.int16 if 2 * n <= 32767 else np.int32
 
 
+def _tree_bytes(n: int) -> int:
+    """Bytes `develop_parent_block` holds per tree: each of its 2n facet
+    rows keeps five intp row indices, 2n+3 entries of the index type (its
+    parent, orientation, cell, slot and two flags) and a placed flag."""
+    entry = np.dtype(_index_dtype(n)).itemsize
+    return 2 * n * (5 * np.dtype(np.intp).itemsize + (2 * n + 3) * entry + 1)
+
+
 def tree_block_size(n: int) -> int:
-    """Trees per `develop_parent_block` call whose slot table fills about
-    64 KB, so a block's memory does not grow with the number of trees.
-    (With 128 KB blocks, 40000 trees at n=12 peaked about 1 MB above 4000;
-    with 64 KB, 0.1 MB, for a few percent more time.)"""
-    row = (2 * n) ** 2 * np.dtype(_index_dtype(n)).itemsize
-    return max(1, (64 << 10) // row)
+    """Trees per `develop_parent_block` call whose rows fill about 192 KB,
+    so a block's memory does not grow with the number of trees.  (At n=12,
+    `verify` with blocks of 120 trees peaked within 0.1 MB at 4000 and at
+    200000 samples; with blocks of 160, 0.4 MB apart, for a few percent
+    less time.)"""
+    return max(1, (192 << 10) // _tree_bytes(n))
 
 
 @cache
@@ -291,44 +301,74 @@ def develop_parent_block(parents) -> tuple[np.ndarray, np.ndarray]:
 
     `parents` holds B rows of 2n entries; row b gives each facet's tree
     parent as a label index, or -1, and its entry 0, facet 1's own, is not
-    read.  Returns the
-    (B, 2n, n-1) cells by facet label, equal to `develop_tree`'s placement
-    from facet 1, and a (B,) mask of the rows that are such a tree: every
-    facet reaches facet 1 by stepping to parents, and every child sits in a
-    directional slot of its parent's orientation (so no facet hangs from
-    itself or its antipode).  The cells of a row outside the mask are
-    meaningless.
+    read.  Returns the (B, 2n, n-1) cells by facet label, equal to
+    `develop_tree`'s placement from facet 1, and a (B,) mask of the rows
+    that are such a tree: every facet reaches facet 1 by stepping to
+    parents, and every child sits in a directional slot of its parent's
+    orientation (so no facet hangs from itself or its antipode).  The cells
+    of a row outside the mask are meaningless.
 
-    Each round places, in all B trees at once, every facet whose parent is
-    placed: the facets of one depth.  Its slot is looked up in the parent's
-    row of a (B, 2n, 2n) slot table, and the row is rolled toward it.
+    Facet v of tree b is flat row v*B + b, so the cells come back as a view
+    whose reductions over facets run along whole rows.  Each round places,
+    in all B trees at once, every facet whose parent is placed: the facets
+    of one depth.  A facet's orientation is kept per axis, as the slot of
+    the axis's unstarred label; the starred label sits in that slot xor 1.
+    A child's slot s in its parent's orientation is then one gather, and
+    rolling toward it (`_roll_in_place`) moves two axes: the child's to the
+    base and the parent's to slot s xor 1.  Every other axis keeps its slot.
     """
     n = len(parents[0]) // 2
     parents = np.asarray(parents, _index_dtype(n))
     B, two_n = parents.shape
+    rows = B * two_n
+    p = parents.T
+    star = (np.arange(two_n) >= n).astype(p.dtype)
+    axis = np.arange(two_n)[:, None] % n
+    own = np.arange(rows).reshape(two_n, B)
+    # the parent's row; a last row that is never placed stands for parent -1
+    up = p.astype(np.intp) * B + np.arange(B)
+    up[p < 0] = rows
+    # flat indices into the orientations: the child's axis in its parent's
+    # and in its own, and its parent's axis in its own
+    look = (up * n + axis).ravel()
+    child_axis = (own * n + axis).ravel()
+    parent_axis = (own * n + p % n).ravel()
+    up = up.ravel()
+    # the roll puts the child's unstarred label in slot star and the
+    # parent's in slot s xor 1 xor star
+    child_star = np.repeat(star, B)
+    parent_flip = 1 ^ star[p].ravel()
+    placed = np.zeros(rows + 1, bool)
+    placed[:B] = True
+    slots = initial_state(n, FacetLabel(1)).slots
+    orient = np.empty((rows, n), p.dtype)
+    orient[:B] = [slots.index(a) for a in range(n)]
+    cells = np.zeros((rows, n - 1), p.dtype)
     steps = _slot_steps(n)
-    rows = np.arange(B)[:, None]
-    # a last column that is never placed stands for parent -1
-    placed = np.zeros((B, two_n + 1), bool)
-    placed[:, 0] = True
-    ok = np.ones(B, bool)
-    slots = np.empty((B, two_n, two_n), parents.dtype)
-    slots[:, 0] = initial_state(n, FacetLabel(1)).slots
-    cells = np.zeros((B, two_n, n - 1), parents.dtype)
+    # each facet's slot in its parent's orientation; facet 1's rows keep 2
+    slot = np.full(rows, 2, p.dtype)
+    flat_orient = orient.reshape(-1)
+    # whole rows move as single void items, which numpy copies faster than
+    # rows of small integers
+    orient_rows = orient.view(np.dtype((np.void, orient.itemsize * n))).ravel()
+    cell_rows = cells.view(np.dtype((np.void, cells.itemsize * (n - 1)))).ravel()
     while True:
-        b, v = np.nonzero(placed[rows, parents] > placed[:, :two_n])
-        if not len(b):
+        i = np.flatnonzero(placed[up] > placed[:-1])
+        if not len(i):
             break
-        p = parents[b, v]
-        table = slots[b, p]
-        s = (table == v[:, None]).argmax(1)
-        ok[b[s < 2]] = False
-        _roll_rows(table, s)
-        slots[b, v] = table
-        cells[b, v] = cells[b, p] + steps[s]
-        placed[b, v] = True
-    ok &= placed[:, :two_n].all(1)
-    return cells, ok
+        u = up[i]
+        v_star = child_star[i]
+        s = flat_orient[look[i]] ^ v_star
+        orient_rows[i] = orient_rows[u]
+        flat_orient[child_axis[i]] = v_star
+        flat_orient[parent_axis[i]] = s ^ parent_flip[i]
+        step = cells.take(u, 0)
+        step += steps.take(s, 0)
+        cell_rows[i] = step.view(cell_rows.dtype).ravel()
+        slot[i] = s
+        placed[i] = True
+    ok = placed[:-1].reshape(two_n, B).all(0) & (slot.reshape(two_n, B) >= 2).all(0)
+    return cells.reshape(two_n, B, n - 1).transpose(1, 0, 2), ok
 
 
 def develop_word_block(start: RollState, words) -> tuple[np.ndarray, np.ndarray]:

@@ -2,10 +2,11 @@
 
 The library holds what the CLI, the README and the benchmark run
 (`tests/test_reachable.py` checks that).  What follows checks the library
-from the side: the immutable roll engine, the token board played one
-partition and one slide at a time, brute-force shape and diagram
-canonicalisation, the cycle/path <-> chord-diagram bijections, orbit and
-stabilizer sizes, the recursive Hamiltonian walk, and the JSON readers.
+from the side: the immutable roll engine, the tree block on a full slot
+table, the token board played one partition and one slide at a time,
+brute-force shape and diagram canonicalisation, the cycle/path <->
+chord-diagram bijections, orbit and stabilizer sizes, the recursive
+Hamiltonian walk, and the JSON readers.
 Each keeps the checks it raises on, so a test can still drive it into
 them.
 """
@@ -158,6 +159,42 @@ def roll(state: RollState, d: int) -> RollState:
     if s[1] != antipode_index(s[0], state.n):
         raise RuntimeError(f"roll {d} broke antipodality: slots {s}")
     return RollState(state.n, tuple(s))
+
+
+def slot_table_parent_block(parents) -> tuple[np.ndarray, np.ndarray]:
+    """`rolling.develop_parent_block` on a (B, 2n, 2n) slot table: the same
+    cells and mask, with each facet's whole slot list kept.
+
+    Each round places, in all B trees at once, every facet whose parent is
+    placed.  Its slot is looked up in the parent's row of the table, and
+    the row is rolled toward it with `rolling._roll_rows`.
+    """
+    n = len(parents[0]) // 2
+    parents = np.asarray(parents, rolling._index_dtype(n))
+    B, two_n = parents.shape
+    steps = rolling._slot_steps(n)
+    rows = np.arange(B)[:, None]
+    # a last column that is never placed stands for parent -1
+    placed = np.zeros((B, two_n + 1), bool)
+    placed[:, 0] = True
+    ok = np.ones(B, bool)
+    slots = np.empty((B, two_n, two_n), parents.dtype)
+    slots[:, 0] = rolling.initial_state(n, FacetLabel(1)).slots
+    cells = np.zeros((B, two_n, n - 1), parents.dtype)
+    while True:
+        b, v = np.nonzero(placed[rows, parents] > placed[:, :two_n])
+        if not len(b):
+            break
+        p = parents[b, v]
+        table = slots[b, p]
+        s = (table == v[:, None]).argmax(1)
+        ok[b[s < 2]] = False
+        rolling._roll_rows(table, s)
+        slots[b, v] = table
+        cells[b, v] = cells[b, p] + steps[s]
+        placed[b, v] = True
+    ok &= placed[:, :two_n].all(1)
+    return cells, ok
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ random tree sampling, the headline table, and the verification harness."""
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ from cubenets.enumeration import (
     verify_unfoldings,
 )
 from cubenets.nets import cube_partition_of
-from cubenets.rolling import _tree_walk, develop_tree, tree_block_size
+from cubenets.rolling import _tree_bytes, _tree_walk, develop_tree, tree_block_size
 from oracles import (
     apply_subgraph,
     orbit_masks,
@@ -455,6 +456,21 @@ def test_block_reports_equal_the_scalar_route():
     # two shards of block + 1 and block trees, over two workers
     report = verify_unfoldings(12, samples=2 * block + 1, seed=8, jobs=2)
     assert report.to_json() == scalar_report(12, [block + 1, block], 8).to_json()
+
+
+def test_verify_memory_stays_flat_in_the_sample_count():
+    # ten blocks of trees peak within one block's bytes of one block
+    block = tree_block_size(12)
+    verify_unfoldings(12, samples=block, seed=1)  # fill the caches first
+    peaks = []
+    for samples in (block, 10 * block):
+        tracemalloc.start()
+        try:
+            verify_unfoldings(12, samples=samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < block * _tree_bytes(12)
 
 
 def test_exhaustive_parent_arrays_are_the_listed_trees():

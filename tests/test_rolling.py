@@ -23,7 +23,14 @@ from cubenets.rolling import (
     initial_state,
     tree_block_size,
 )
-from oracles import is_coherent, roll, root_path, slot, uturn_audit
+from oracles import (
+    is_coherent,
+    roll,
+    root_path,
+    slot,
+    slot_table_parent_block,
+    uturn_audit,
+)
 
 L = FacetLabel.parse
 
@@ -471,7 +478,7 @@ def test_distance_from_base_strictly_grows():
 
 @pytest.mark.parametrize("n", [*range(2, 10), 70])
 def test_parent_block_cells_match_develop_tree(n):
-    # at n=70 the 140 labels no longer fit the int8 slot table
+    # at n=70 the 140 labels no longer fit int8 entries
     rng = random.Random(n)
     trees = [random_spanning_tree(n, rng) for _ in range(5 if n == 70 else 40)]
     cells, ok = develop_parent_block(np.array([parents_of(t) for t in trees]))
@@ -512,11 +519,50 @@ def test_parent_block_marks_rows_that_are_not_trees():
     ]
 
 
-def test_tree_blocks_hold_about_64_kb_of_slots():
-    # one byte per slot up to 2n = 127, two past it
-    assert tree_block_size(12) == (64 << 10) // 24**2 == 113
-    assert tree_block_size(40) == (64 << 10) // 80**2
-    assert tree_block_size(70) == 1
+def planted_rows(n, rng):
+    """Random parent rows of the n-cube, most with one planted fault: a
+    facet hanging from itself or from its antipode, two facets hanging
+    from each other, a facet with no parent, or a few random entries."""
+    rows = []
+    for k in range(60 if n < 60 else 12):
+        row = parents_of(random_spanning_tree(n, rng))
+        v, w = rng.randrange(1, 2 * n), rng.randrange(1, 2 * n)
+        fault = k % 6
+        if fault == 1:
+            row[v] = v
+        elif fault == 2:
+            row[v] = (v + n) % (2 * n)
+        elif fault == 3 and v != w:
+            row[v], row[w] = w, v
+        elif fault == 4:
+            row[v] = -1
+        elif fault == 5:
+            for _ in range(rng.randrange(1, 4)):
+                row[rng.randrange(2 * n)] = rng.randrange(-1, 2 * n)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 70])
+def test_parent_block_matches_the_slot_table_oracle(n):
+    # n=63 is the last dimension whose labels fit int8 entries, 64 the first
+    # on int16
+    rows = planted_rows(n, random.Random(n))
+    cells, ok = develop_parent_block(rows)
+    want_cells, want_ok = slot_table_parent_block(rows)
+    assert cells.dtype == want_cells.dtype == (np.int8 if n <= 63 else np.int16)
+    assert ok.tolist() == want_ok.tolist()
+    assert ok.any() and not ok.all()
+    assert cells[ok].tolist() == want_cells[ok].tolist()
+
+
+def test_tree_blocks_hold_about_192_kb_of_rows():
+    # a facet row holds five 8-byte row indices, 2n+3 entries of one byte
+    # up to 2n = 127 and of two past it, and a placed flag
+    assert rolling._tree_bytes(12) == 24 * (5 * 8 + 27 + 1)
+    assert tree_block_size(12) == (192 << 10) // (24 * 68) == 120
+    assert tree_block_size(40) == (192 << 10) // (80 * (40 + 83 + 1))
+    assert tree_block_size(70) == (192 << 10) // (140 * (40 + 143 * 2 + 1)) == 4
 
 
 @st.composite
