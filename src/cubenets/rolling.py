@@ -15,17 +15,14 @@ word it refuses.  `develop_path` and `RollSequence.develop` are blocks of
 one; `initial_state` fixes every development's start orientation as an
 immutable `RollState`.
 
-Trees are developed one at a time: `_tree_walk` gives each facet's parent
-and the preorder, and `develop_tree` places each facet by rolling a copy of
-its parent's slot list toward the slot where it finds the facet
-(`_roll_in_place`) and stepping along that slot's axis.  A tree block of
-one costs about three times as much per tree, and the tests develop tens of
-thousands of single trees.  `develop_parent_block` rolls a block of
-trees given as parent arrays, one depth level of all of them per step, and
-marks the rows that are trees, so that `develop_tree` names the fault of
-any other.  It keeps no slot list: each placed facet's orientation is the
-slot of every axis's unstarred label, one entry per axis, since a label
-and its antipode always sit in a pair of slots 2k and 2k+1.
+Every tree goes through one routine too, `develop_parent_block`: it rolls
+a block of trees given as parent arrays from one start orientation, one
+depth level of all of them per step, and marks the rows that are trees.
+`develop_tree` is a block of one, with `_tree_walk` giving its parents and
+the preorder.  The kernel keeps no slot list: each placed facet's
+orientation is the slot of every axis's unstarred label, one entry per
+axis, since a label and its antipode always sit in a pair of slots 2k and
+2k+1.
 """
 
 from __future__ import annotations
@@ -93,14 +90,6 @@ def initial_state(n: int, base: FacetLabel) -> RollState:
         slots.append(axis - 1)
         slots.append(axis - 1 + n)
     return RollState(n, tuple(slots))
-
-
-def _roll_in_place(slots: list[int], p: int) -> None:
-    """Tip the cube toward directional slot p = _slot_index(d) by permuting
-    the slot list in place: base <- +d <- base* <- -d <- base.  The
-    opposite slot is p ^ 1, and rolling toward it undoes the move."""
-    m = p ^ 1
-    slots[0], slots[p], slots[1], slots[m] = slots[p], slots[1], slots[m], slots[0]
 
 
 @dataclass(frozen=True)
@@ -213,16 +202,15 @@ def _tree_walk(tree: SpanningSubgraph, root: int) -> tuple[list[int], list[int]]
 
 
 def develop_tree(tree: SpanningSubgraph, base: FacetLabel) -> Development:
-    """Unfold a validated spanning tree by rolling from base.
+    """Unfold a validated spanning tree by rolling from base: a block of one.
 
     Each tree child of a facet sits in some directional slot of the
-    orientation that facet was placed in; rolling that way places the child.
-    Facets are placed in `_tree_walk`'s preorder, each from its own copy of
-    its parent's slots, so nothing is rolled back and no tree is too deep.
-    The placement does not depend on the order of children: any other
-    order would put every facet on the same cell.  A cycle raises
-    ValueError, and so does a tree or path `validate` refuses: "not a
-    spanning <kind>: <problem>".
+    orientation that facet was placed in; rolling that way places the child
+    (`develop_parent_block`).  Facets come in `_tree_walk`'s preorder.  The
+    placement does not depend on the order of children: any other order
+    would put every facet on the same cell.  A cycle raises ValueError, and
+    so does a tree or path `validate` refuses: "not a spanning <kind>:
+    <problem>".
     """
     if tree.kind == "cycle":
         raise ValueError("cannot develop a cycle; delete an edge first")
@@ -230,22 +218,11 @@ def develop_tree(tree: SpanningSubgraph, base: FacetLabel) -> Development:
     if problem is not None:
         raise ValueError(f"not a spanning {tree.kind}: {problem}")
     n = tree.n
-    b = base.index(n)
-    parents, order = _tree_walk(tree, b)
-    # each facet's orientation when placed, and its cell
-    slots, cells = [None] * (2 * n), [None] * (2 * n)
-    slots[b], cells[b] = list(initial_state(n, base).slots), (0,) * (n - 1)
-    for lab in order[1:]:
-        par = parents[lab]
-        p = slots[par].index(lab)
-        if p < 2:
-            raise RuntimeError(f"tree child {lab} of {par} sits at the base antipode")
-        slots[lab] = rolled = slots[par][:]
-        _roll_in_place(rolled, p)
-        pos = list(cells[par])
-        pos[(p >> 1) - 1] += -1 if p & 1 else 1
-        cells[lab] = tuple(pos)
-    coords = tuple(cells[lab] for lab in order)
+    parents, order = _tree_walk(tree, base.index(n))
+    cells, ok = develop_parent_block(initial_state(n, base), [parents])
+    if not ok[0]:
+        raise RuntimeError("a tree child sits at its parent's base antipode")
+    coords = tuple(map(tuple, cells[0, order].tolist()))
     return Development(n, tuple(order), coords, tuple(parents[lab] for lab in order))
 
 
@@ -287,8 +264,10 @@ def _slot_steps(n: int) -> np.ndarray:
 
 
 def _roll_rows(slots: np.ndarray, p: np.ndarray) -> None:
-    """`_roll_in_place` on every row of a (K, 2n) slot array at once, row k
-    toward its own slot p[k]."""
+    """Tip the cube of every row of a (K, 2n) slot array at once, row k
+    toward its own directional slot p[k] = _slot_index(d): base <- +d <-
+    base* <- -d <- base.  The opposite slot is p ^ 1, and rolling toward it
+    undoes the move."""
     k = np.arange(len(p))
     m = p ^ 1
     slots[k, 0], slots[k, p], slots[k, 1], slots[k, m] = (
@@ -296,17 +275,19 @@ def _roll_rows(slots: np.ndarray, p: np.ndarray) -> None:
     )
 
 
-def develop_parent_block(parents) -> tuple[np.ndarray, np.ndarray]:
-    """Develop B trees from facet 1 at once.
+def develop_parent_block(start: RollState, parents) -> tuple[np.ndarray, np.ndarray]:
+    """Develop B trees at once from the orientation `start`.
 
     `parents` holds B rows of 2n entries; row b gives each facet's tree
-    parent as a label index, or -1, and its entry 0, facet 1's own, is not
-    read.  Returns the (B, 2n, n-1) cells by facet label, equal to
-    `develop_tree`'s placement from facet 1, and a (B,) mask of the rows
-    that are such a tree: every facet reaches facet 1 by stepping to
+    parent as a label index, or -1.  Every tree is rooted at the base of
+    `start`, whose own entry is not read.  Returns the (B, 2n, n-1) cells
+    by facet label, the root's at the origin, and a (B,) mask of the rows
+    that are such a tree: every facet reaches the root by stepping to
     parents, and every child sits in a directional slot of its parent's
     orientation (so no facet hangs from itself or its antipode).  The cells
-    of a row outside the mask are meaningless.
+    of a row outside the mask are meaningless.  `start` must keep each
+    label and its antipode in a pair of slots 2k and 2k+1, as every
+    orientation rolled from `initial_state` does.
 
     Facet v of tree b is flat row v*B + b, so the cells come back as a view
     whose reductions over facets run along whole rows.  Each round places,
@@ -314,10 +295,10 @@ def develop_parent_block(parents) -> tuple[np.ndarray, np.ndarray]:
     of one depth.  A facet's orientation is kept per axis, as the slot of
     the axis's unstarred label; the starred label sits in that slot xor 1.
     A child's slot s in its parent's orientation is then one gather, and
-    rolling toward it (`_roll_in_place`) moves two axes: the child's to the
+    rolling toward it (`_roll_rows`) moves two axes: the child's to the
     base and the parent's to slot s xor 1.  Every other axis keeps its slot.
     """
-    n = len(parents[0]) // 2
+    n = start.n
     parents = np.asarray(parents, _index_dtype(n))
     B, two_n = parents.shape
     rows = B * two_n
@@ -338,14 +319,14 @@ def develop_parent_block(parents) -> tuple[np.ndarray, np.ndarray]:
     # parent's in slot s xor 1 xor star
     child_star = np.repeat(star, B)
     parent_flip = 1 ^ star[p].ravel()
+    root = own[start.slots[0]]
     placed = np.zeros(rows + 1, bool)
-    placed[:B] = True
-    slots = initial_state(n, FacetLabel(1)).slots
+    placed[root] = True
     orient = np.empty((rows, n), p.dtype)
-    orient[:B] = [slots.index(a) for a in range(n)]
+    orient[root] = [start.slots.index(a) for a in range(n)]
     cells = np.zeros((rows, n - 1), p.dtype)
     steps = _slot_steps(n)
-    # each facet's slot in its parent's orientation; facet 1's rows keep 2
+    # each facet's slot in its parent's orientation; the root's rows keep 2
     slot = np.full(rows, 2, p.dtype)
     flat_orient = orient.reshape(-1)
     # whole rows move as single void items, which numpy copies faster than

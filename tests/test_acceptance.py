@@ -16,7 +16,14 @@ from cubenets.core import FacetLabel, SpanningSubgraph, canonical_mask
 from cubenets.enumeration import build_table, enumerate_trees, random_spanning_tree
 from cubenets.nets import bounding_box, collision, cube_partition_of
 from cubenets.partitions import enumerate_cube_partitions, realize_partition
-from cubenets.rolling import develop_tree, initial_state
+from cubenets.rolling import (
+    Development,
+    _tree_walk,
+    develop_parent_block,
+    develop_tree,
+    initial_state,
+    tree_block_size,
+)
 from oracles import (
     apply_subgraph,
     box_growth_trace,
@@ -54,20 +61,34 @@ def test_c1_tree_class_counts():
     assert dt4 < 60.0
 
 
+def block_developments(n, trees, base=FacetLabel(1)):
+    """Each tree's development from `base`, as `develop_tree` builds it
+    from a block of one, with the trees rolled in blocks of
+    `tree_block_size(n)`."""
+    start = initial_state(n, base)
+    size = tree_block_size(n)
+    for k in range(0, len(trees), size):
+        walks = [_tree_walk(tree, start.slots[0]) for tree in trees[k : k + size]]
+        cells, ok = develop_parent_block(start, [parents for parents, _ in walks])
+        assert ok.all()
+        for (parents, order), tree_cells in zip(walks, cells):
+            coords = tuple(map(tuple, tree_cells[order].tolist()))
+            yield Development(n, tuple(order), coords, tuple(parents[lab] for lab in order))
+
+
 @pytest.fixture(scope="module")
 def development_sweep():
     """Shared by criteria 2 and 3: every n=4 class plus 10,000 sampled trees
-    at each of n=5..8, developed once, with every defect kept."""
+    at each of n=5..8, developed once in blocks, with every defect kept."""
     t0 = time.perf_counter()
     collisions = []
     bad_boxes = []
     bad_traces = []
     checked = 0
 
-    def check(n, tree):
+    def check(n, tree, dev):
         nonlocal checked
         checked += 1
-        dev = develop_tree(tree, FacetLabel(1))
         if collision(dev) is not None:
             collisions.append((n, tree.to_json()))
             return
@@ -77,12 +98,13 @@ def development_sweep():
         if box_growth_trace(dev) != list(range(n - 1, 3 * n - 1)):
             bad_traces.append((n, tree.to_json()))
 
-    for tree in enumerate_trees(4):
-        check(4, tree)
+    sweeps = {4: list(enumerate_trees(4))}
     for n in (5, 6, 7, 8):
         rng = random.Random(f"{SAMPLE_SEED}:{n}")
-        for _ in range(10_000):
-            check(n, random_spanning_tree(n, rng))
+        sweeps[n] = [random_spanning_tree(n, rng) for _ in range(10_000)]
+    for n, trees in sweeps.items():
+        for tree, dev in zip(trees, block_developments(n, trees)):
+            check(n, tree, dev)
     return {
         "checked": checked,
         "collisions": collisions,
@@ -230,19 +252,26 @@ def test_c9_randomized_property_sweeps():
         assert sorted(state.slots) == list(range(2 * n))
 
     rng = random.Random("child-order")
+    by_start = {}
     for _ in range(cases):
         n = rng.randrange(2, 6)
         tree = random_spanning_tree(n, rng)
         base = FacetLabel(rng.randrange(1, n + 1), rng.random() < 0.5)
-        dev = develop_tree(tree, base)
         shuffled = reference_develop(tree, base, lambda cs: rng.sample(cs, len(cs)))
-        assert shuffled == dict(zip(dev.order, dev.coords))
+        by_start.setdefault((n, base), []).append((tree, shuffled))
+    for (n, base), pairs in by_start.items():
+        trees = [tree for tree, _ in pairs]
+        for (_, shuffled), dev in zip(pairs, block_developments(n, trees, base)):
+            assert shuffled == dict(zip(dev.order, dev.coords))
 
     rng = random.Random("u-turns")
+    by_n = {}
     for _ in range(cases):
         n = rng.randrange(2, 7)
-        dev = develop_tree(random_spanning_tree(n, rng), FacetLabel(1))
-        assert uturn_audit(dev) is None
+        by_n.setdefault(n, []).append(random_spanning_tree(n, rng))
+    for n, trees in by_n.items():
+        for dev in block_developments(n, trees):
+            assert uturn_audit(dev) is None
 
     rng = random.Random("canonical-idempotence")
     for _ in range(cases):

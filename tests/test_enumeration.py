@@ -483,8 +483,8 @@ def test_a_tree_the_block_refuses_takes_the_scalar_route(monkeypatch):
 
     kernel = enumeration.develop_parent_block
 
-    def refuse_row_3(parents):
-        cells, ok = kernel(parents)
+    def refuse_row_3(start, parents):
+        cells, ok = kernel(start, parents)
         ok[3] = False
         return cells, ok
 

@@ -473,23 +473,36 @@ def test_distance_from_base_strictly_grows():
 
 
 # ---------------------------------------------------------------------------
-# the block kernel against the one-at-a-time engine
+# the block kernel against the immutable-roll oracle
+
+
+def kernel_bases(n, rng):
+    """The starts the kernel test rolls from: every base at n = 3 and 4,
+    facet 1 and three random bases at n = 9 and 70, facet 1 elsewhere."""
+    if n in (3, 4):
+        return [FacetLabel.from_index(b, n) for b in range(2 * n)]
+    if n in (9, 70):
+        return [L("1")] + [FacetLabel.from_index(rng.randrange(1, 2 * n), n) for _ in range(3)]
+    return [L("1")]
 
 
 @pytest.mark.parametrize("n", [*range(2, 10), 70])
 def test_parent_block_cells_match_develop_tree(n):
-    # at n=70 the 140 labels no longer fit int8 entries
+    # develop_tree is itself a block of one, so the kernel is held to the
+    # immutable-roll oracle; at n=70 the 140 labels no longer fit int8 entries
     rng = random.Random(n)
-    trees = [random_spanning_tree(n, rng) for _ in range(5 if n == 70 else 40)]
-    cells, ok = develop_parent_block(np.array([parents_of(t) for t in trees]))
-    assert ok.all()
-    for tree, block_cells in zip(trees, cells.tolist()):
-        dev = develop_tree(tree, L("1"))
-        assert {lab: block_cells[lab] for lab in dev.order} == {
-            lab: list(pos) for lab, pos in zip(dev.order, dev.coords)
-        }
-        if n <= 5:
-            assert reference_develop(tree, L("1")) == {
+    for base in kernel_bases(n, rng):
+        root = base.index(n)
+        trees = [random_spanning_tree(n, rng) for _ in range(5 if n == 70 else 40)]
+        rows = [rolling._tree_walk(t, root)[0] for t in trees]
+        # the root's own entry is not read: an in-range label develops as -1
+        rows.append(rows[0][:])
+        rows[-1][root] = rng.randrange(2 * n)
+        cells, ok = develop_parent_block(initial_state(n, base), rows)
+        assert ok.all()
+        assert cells[-1].tolist() == cells[0].tolist()
+        for tree, block_cells in zip(trees, cells.tolist()):
+            assert reference_develop(tree, base) == {
                 lab: tuple(pos) for lab, pos in enumerate(block_cells)
             }
 
@@ -514,9 +527,8 @@ def test_parent_block_marks_rows_that_are_not_trees():
         edited({3: -1}),  # facet 4 has no parent
         edited({0: 7}),  # facet 1's own entry is not read
     ]
-    assert develop_parent_block(np.array(rows))[1].tolist() == [
-        True, False, False, False, False, True,
-    ]
+    _cells, ok = develop_parent_block(initial_state(n, L("1")), np.array(rows))
+    assert ok.tolist() == [True, False, False, False, False, True]
 
 
 def planted_rows(n, rng):
@@ -548,7 +560,7 @@ def test_parent_block_matches_the_slot_table_oracle(n):
     # n=63 is the last dimension whose labels fit int8 entries, 64 the first
     # on int16
     rows = planted_rows(n, random.Random(n))
-    cells, ok = develop_parent_block(rows)
+    cells, ok = develop_parent_block(initial_state(n, L("1")), rows)
     want_cells, want_ok = slot_table_parent_block(rows)
     assert cells.dtype == want_cells.dtype == (np.int8 if n <= 63 else np.int16)
     assert ok.tolist() == want_ok.tolist()
