@@ -1,11 +1,13 @@
 """Command-line surface: unfold, enumerate, verify, partitions, chords, table.
 
-Each command returns its result and exit code, and `main` writes the
-result: a string as it is, any other value as indented JSON.  Exit codes: 0
-success, 1 a verification failure (among them an internal check that
-fails, reported as its RuntimeError's message) or a method disagreement, 2
-bad usage, bad input, a request past a budget or an output file that
-cannot be written.
+Each command computes through the library, lays out its result and
+returns it with an exit code, or raises; `main` alone writes: the result,
+a string as it is and any other value as indented JSON, or the error's
+message as one stderr line.  Exit codes: 0 success, 1 a verification
+failure (among them an internal check that fails, such as a realized box
+that is not its partition or an unfolding that overlaps itself, reported as
+its RuntimeError's message) or a method disagreement, 2 bad usage, bad
+input, a request past a budget or an output file that cannot be written.
 All output is UTF-8; JSON is the interchange format and stays stably ordered
 so fixed seeds give byte-identical runs.
 """
@@ -19,8 +21,6 @@ import os
 import sys
 from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from .chords import edge_orbit_count, enumerate_diagrams
 from .core import FacetLabel, SpanningSubgraph, _check_dim
@@ -36,7 +36,7 @@ from .enumeration import (
 )
 from .nets import is_net, net_json, render_svg
 from .partitions import enumerate_cube_partitions, realization_block
-from .rolling import RevisitError, develop_path, develop_tree, develop_word_block, initial_state
+from .rolling import RevisitError, develop_path, develop_tree
 
 
 def _positive_int(raw: str) -> int:
@@ -137,8 +137,7 @@ def _cmd_unfold(args):
     else:
         dev = develop_tree(SpanningSubgraph.from_text(n, args.tree), base)
     if dev.is_spanning and not is_net(dev):
-        print("development overlaps itself", file=sys.stderr)
-        return None, 1
+        raise RuntimeError("development overlaps itself")
     return _format_development(dev, args.format), 0
 
 
@@ -177,21 +176,13 @@ def _cmd_verify(args):
 def _cmd_partitions(args):
     n = args.dim
     parts = enumerate_cube_partitions(n)
-    rows = [{"partition": list(p.parts)} for p in parts]
     if not args.realize:
-        return {"n": n, "partitions": rows}, 0
-    words = realization_block(parts)
-    extents, _ = develop_word_block(initial_state(n, FacetLabel(1)), words)
-    boxes = -np.sort(-extents, 1)
-    for row, word, box in zip(rows, words.tolist(), boxes.tolist()):
-        if box != row["partition"]:
-            print(
-                f"partition {tuple(row['partition'])} realized with box {tuple(box)}",
-                file=sys.stderr,
-            )
-            return None, 1
-        row["rolls"] = word
-        row["box"] = box
+        return {"n": n, "partitions": [{"partition": list(p.parts)} for p in parts]}, 0
+    words, boxes = realization_block(parts)
+    rows = [
+        {"partition": list(p.parts), "rolls": word, "box": box}
+        for p, word, box in zip(parts, words.tolist(), boxes.tolist())
+    ]
     return {"n": n, "partitions": rows}, 0
 
 
@@ -292,13 +283,12 @@ def main(argv=None) -> int:
         if args.output:
             _check_output(args.output)
         out, code = args.func(args)
-        if out is not None:
-            try:
-                _emit(out if isinstance(out, str) else _indented_json(out), args.output)
-            except BrokenPipeError:
-                # the reader closed stdout: end quietly with the command's
-                # code, and let the flush at exit write to devnull instead
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            _emit(out if isinstance(out, str) else _indented_json(out), args.output)
+        except BrokenPipeError:
+            # the reader closed stdout: end quietly with the command's code,
+            # and let the flush at exit write to devnull instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except RevisitError as exc:  # first: it is also a ValueError
         print(f"facet revisited: {exc}", file=sys.stderr)

@@ -8,20 +8,20 @@ where the transfer point (the base's antipode) is shared by all tracks, and
 a slide along d is exactly a roll in direction +d.  Part k of the partition,
 minus one, is the number of slides direction k must make.
 
-`realization_block` plays the boards of many partitions at once as numpy
-arrays and raises on the first broken rule of the first board that breaks
-one; `realize_partition` plays a block of one.
+`realization_block` is the one route from partitions to roll words: it
+plays the boards of many partitions at once as numpy arrays, raising on the
+first broken rule of the first board that breaks one, rolls every word in
+one `rolling.develop_word_block` and checks each word's box against its
+partition.  `realize_partition` is a block of one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FacetLabel, _check_budget, _check_dim
 from .nets import CubePartition
-from .rolling import RollSequence, initial_state
+from .rolling import RollSequence, develop_word_block, initial_state
 
 
 class IllegalSlideError(ValueError):
@@ -77,50 +77,28 @@ def enumerate_cube_partitions(n: int) -> tuple[CubePartition, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TokenClassification:
-    """How a partition's 2n-1 tokens split over the directional tracks.
+def _schedule(p: CubePartition) -> tuple[list[int], range]:
+    """The three-phase slide word of a partition, and the index range of
+    its middle phase.
 
-    Tracks with a single token are the singletons; every other track is a
-    tower holding a bottom token, middle tokens, and a top token.  middles
-    lists (direction, middle count) for towers that have any.
+    Direction d owes part d minus one slides.  A track that takes a single
+    token is a singleton; every other track is a tower holding a bottom
+    token, part - 3 middle tokens and a top token.  Parts descend, so the k
+    towers, k the number of parts above 2, are directions 1..k and the
+    singletons the rest.  The word slides one bottom per tower, then the
+    middles, tower by tower, alternating with the singletons, then one top
+    per tower.  In the middle phase the transfer point must be empty before
+    a tower slides and occupied before a singleton does.
     """
-
-    singletons: tuple[int, ...]
-    towers: tuple[int, ...]
-    middles: tuple[tuple[int, int], ...]
-
-
-def reservoir_parts(p: CubePartition) -> tuple[int, ...]:
-    """Slides owed per direction: part k maps to direction k, minus one."""
-    return tuple([part - 1 for part in p.parts])
-
-
-def classify_tokens(p: CubePartition) -> TokenClassification:
-    # parts descend, so the k towers are directions 1..k and the singletons
-    # the rest
-    res = reservoir_parts(p)
-    k = len(res) - res.count(1)
-    return TokenClassification(
-        tuple(range(k + 1, len(res) + 1)),
-        tuple(range(1, k + 1)),
-        tuple([(d, r - 2) for d, r in enumerate(res[:k], 1) if r > 2]),
-    )
-
-
-def _schedule(cls: TokenClassification) -> tuple[list[int], range]:
-    """The three-phase slide word of a classification: one bottom slide per
-    tower, middles alternating with singletons, one top slide per tower.
-    Also the index range of the middle phase, where the transfer point must
-    be empty before a tower slides and occupied before a singleton does."""
-    flat_middles = [d for d, count in cls.middles for _ in range(count)]
-    step2 = []
-    for k, m in enumerate(flat_middles):
-        step2.append(m)
-        if k < len(cls.singletons):
-            step2.append(cls.singletons[k])
-    t = len(cls.towers)
-    return [*cls.towers, *step2, *cls.towers], range(t, t + len(step2))
+    k = sum(part > 2 for part in p.parts)
+    towers = range(1, k + 1)
+    singletons = range(k + 1, len(p.parts) + 1)
+    middles = [d for d, part in zip(towers, p.parts) for _ in range(part - 3)]
+    # there is one middle more than there are singletons: m s m ... s m
+    step2 = middles[:1]
+    for s, m in zip(singletons, middles[1:]):
+        step2 += [s, m]
+    return [*towers, *step2, *towers], range(k, k + len(step2))
 
 
 # the rules a slide can break, by the code `_slide_rows` gives each board
@@ -154,8 +132,10 @@ def _slide_rows(res, near, far, transfer, d):
     return transfer, why
 
 
-def realization_block(parts) -> np.ndarray:
-    """Slide words realizing B partitions of one n, as a (B, 2n-1) array.
+def realization_block(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Roll words realizing B partitions of one n, and the boxes they roll:
+    a (B, 2n-1) array of slide words and a (B, n-1) array of box extents,
+    each row sorted descending, which is the row's partition.
 
     Each word comes from `_schedule`; then all B boards are played at once,
     one slide column per step, and each board must end full: every
@@ -165,18 +145,21 @@ def realization_block(parts) -> np.ndarray:
     is played (it is played as zeros, which no board accepts); at each
     slide the phase, then the slide's own rules; the full board after the
     last.  An illegal slide raises IllegalSlideError, anything else
-    RuntimeError.
+    RuntimeError.  The words are then rolled from facet 1 in one
+    `develop_word_block`, which raises for a word it refuses, and the first
+    row whose box is not its partition raises RuntimeError.
     """
     n = parts[0].n
     width = 2 * n - 1
-    schedules = [_schedule(classify_tokens(p)) for p in parts]
+    schedules = [_schedule(p) for p in parts]
     words = np.array(
         [word if len(word) == width else [0] * width for word, _ in schedules], np.intp
     )
     start, stop = np.array([(m.start, m.stop) for _, m in schedules]).T
     B = len(words)
     steps = np.arange(width)
-    res = np.array([p.parts for p in parts]) - 1  # every row's reservoir_parts
+    target = np.array([p.parts for p in parts])
+    res = target - 1  # the slides each direction owes
     # the first phase slides each tower once, so is_tower[b, d] says
     # whether direction d is a tower of row b; in the middle phase row b's
     # transfer point must hold a token exactly when the sliding direction
@@ -201,29 +184,39 @@ def realization_block(parts) -> np.ndarray:
     phase = middle & (held != want)
     full = ~res.any(1) & near.all(1) & far.all(1) & transfer
     refused = phase.any(1) | why.any(1) | ~full
-    if not refused.any():
-        return words
-    b = int(refused.argmax())
-    p, word = parts[b], schedules[b][0]
-    broken = phase[b] | (why[b] > 0)
-    j = int(broken.argmax())
-    if len(word) != width:
+    if refused.any():
+        b = int(refused.argmax())
+        p, word = parts[b], schedules[b][0]
+        broken = phase[b] | (why[b] > 0)
+        j = int(broken.argmax())
+        if len(word) != width:
+            raise RuntimeError(
+                f"slide word for {p.parts} has {len(word)} slides, not 2n-1 = {width}"
+            )
+        if not broken.any():
+            raise RuntimeError(f"board not full after realizing {p.parts}")
+        if phase[b, j]:
+            raise RuntimeError(
+                f"phase discipline broken at slide {j}: transfer must be "
+                f"{'occupied' if want[b, j] else 'empty'}"
+            )
+        raise IllegalSlideError(_ILLEGAL_SLIDES[why[b, j]].format(word[j]))
+    extents, _ = develop_word_block(initial_state(n, FacetLabel(1)), words)
+    boxes = -np.sort(-extents, 1)
+    wrong = (boxes != target).any(1)
+    if wrong.any():
+        b = int(wrong.argmax())
         raise RuntimeError(
-            f"slide word for {p.parts} has {len(word)} slides, not 2n-1 = {width}"
+            f"partition {parts[b].parts} realized with box {tuple(boxes[b].tolist())}"
         )
-    if not broken.any():
-        raise RuntimeError(f"board not full after realizing {p.parts}")
-    if phase[b, j]:
-        raise RuntimeError(
-            f"phase discipline broken at slide {j}: transfer must be "
-            f"{'occupied' if want[b, j] else 'empty'}"
-        )
-    raise IllegalSlideError(_ILLEGAL_SLIDES[why[b, j]].format(word[j]))
+    return words, boxes
 
 
 def realize_partition(p: CubePartition) -> RollSequence:
     """Roll word from facet 1 whose development has bounding box exactly p
     (slides along track d become rolls in direction +d): the block of one
-    partition, which raises as `realization_block` does."""
-    word = tuple(realization_block([p])[0].tolist())
+    partition, so its box is checked, which raises as `realization_block`
+    does."""
+    words, _ = realization_block([p])
+    word = tuple(words[0].tolist())
     return RollSequence(p.n, initial_state(p.n, FacetLabel(1)), word)

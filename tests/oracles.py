@@ -200,9 +200,9 @@ def slot_table_parent_block(parents) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # the token board, one partition on Python lists
 #
-# `partitions.classify_tokens` and `partitions._schedule` are read through
-# the module, so a test that patches them there reaches the oracle too; a
-# test that patches `slide` here reaches `realization_slides`.
+# `partitions._schedule` is read through the module, so a test that patches
+# it there reaches the oracle too; a test that patches `slide` here reaches
+# `realization_slides`.
 
 
 def slide(res: list, near: list, far: list, transfer: bool, d: int) -> bool:
@@ -231,13 +231,13 @@ def realization_slides(p: CubePartition) -> tuple[int, ...]:
     raises RuntimeError (`slide` conserves tokens itself).  A word of
     another length than 2n-1 is played as it is, so it fails one of these
     checks, where `partitions.realization_block` refuses it unplayed."""
-    cls = partitions.classify_tokens(p)
-    word, middle = partitions._schedule(cls)
-    res = list(partitions.reservoir_parts(p))
+    word, middle = partitions._schedule(p)
+    res = [part - 1 for part in p.parts]
     near = [False] * len(res)
     far = [False] * len(res)
     transfer = False
-    towers = set(cls.towers)
+    # the first phase slides each tower once
+    towers = set(word[: middle.start])
     for idx, d in enumerate(word):
         if idx in middle and transfer == (d in towers):
             raise RuntimeError(

@@ -78,6 +78,14 @@ def test_unfold_revisit_is_failure(capsys):
     assert "revisited" in err
 
 
+def test_unfold_overlap_is_failure(monkeypatch, capsys):
+    # a spanning development that is no net fails with one stderr line
+    monkeypatch.setattr(cli, "is_net", lambda dev: False)
+    assert run(capsys, "unfold", "--dim", "3", "--rolls", "+1,+2,+1,+2,+1") == (
+        1, "", "development overlaps itself\n",
+    )
+
+
 def test_unfold_rolls_refusals_name_the_broken_step(capsys):
     revisit = ("--rolls", "+1,-2,+1,+3,+1,+4,-2,+1,-2,+1", "--base", "3*")
     assert run(capsys, "unfold", "--dim", "5", *revisit) == (

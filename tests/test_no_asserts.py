@@ -36,15 +36,18 @@ def test_tree_counts_under_python_O():
         assert run.stdout == f'{{"n": {dim}, "kind": "trees", "count": {count}}}\n'
 
 
-# A fault injected into the 4-cube's (4, 3, 3) board, with the exit code
-# and stderr of `partitions --dim 4 --realize`
+# A fault injected into the 4-cube's (4, 3, 3) board, as the slide word
+# and middle range that a wrong split into towers, singletons and middles
+# gives, with the exit code and stderr of `partitions --dim 4 --realize`
 REFUSALS = {
+    # towers 1 and 4, singleton 3, two middles on 1
     "direction out of range": (
-        "singletons=(3,), towers=(1, 4), middles=((1, 2),)", 2,
+        "[1, 4, 1, 3, 1, 1, 4], range(2, 5)", 2,
         "direction 4 out of range\n",
     ),
+    # towers 2 and 3, three middles on 1
     "phase": (
-        "singletons=(), towers=(2, 3), middles=((1, 3),)", 1,
+        "[2, 3, 1, 1, 1, 2, 3], range(2, 5)", 1,
         "phase discipline broken at slide 2: transfer must be occupied\n",
     ),
 }
@@ -52,20 +55,20 @@ REFUSALS = {
 INJECT = """
 import sys
 from cubenets import cli, partitions
-real = partitions.classify_tokens
-fault = partitions.TokenClassification({fields})
-partitions.classify_tokens = lambda p: fault if p.parts == (4, 3, 3) else real(p)
+real = partitions._schedule
+fault = ({schedule})
+partitions._schedule = lambda p: fault if p.parts == (4, 3, 3) else real(p)
 sys.exit(cli.main(["partitions", "--dim", "4", "--realize"]))
 """
 
 
 @pytest.mark.parametrize("fault", sorted(REFUSALS))
 def test_realize_refusals_under_python_O(fault):
-    fields, code, err = REFUSALS[fault]
+    schedule, code, err = REFUSALS[fault]
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     for flags in ([], ["-O"]):
         run = subprocess.run(
-            [sys.executable, *flags, "-c", INJECT.format(fields=fields)],
+            [sys.executable, *flags, "-c", INJECT.format(schedule=schedule)],
             capture_output=True, text=True, env=env,
         )
         assert (run.returncode, run.stdout, run.stderr) == (code, "", err)

@@ -7,19 +7,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cubenets import cli, partitions
+from cubenets import partitions
 from cubenets.cli import main
 from cubenets.core import FacetLabel, ResourceLimitError
 from cubenets.nets import CubePartition, bounding_box, cube_partition_of
 from cubenets.partitions import (
     PARTITIONS_LIMIT,
     IllegalSlideError,
-    TokenClassification,
-    classify_tokens,
+    _schedule,
     enumerate_cube_partitions,
     realization_block,
     realize_partition,
-    reservoir_parts,
 )
 from cubenets.rolling import develop_word_block, initial_state
 
@@ -110,31 +108,39 @@ def test_extreme_partitions_present():
 
 
 # ---------------------------------------------------------------------------
-# token classification
+# the slide word: towers, singletons and middles
 
 
 def test_reservoir_parts_sum():
+    # direction d slides part d minus one times, 2n-1 slides in all
     for n in range(2, 10):
         for p in enumerate_cube_partitions(n):
-            res = reservoir_parts(p)
-            assert sum(res) == 2 * n - 1
-            assert all(r >= 1 for r in res)
+            word, _middle = _schedule(p)
+            assert len(word) == 2 * n - 1
+            counts = Counter(word)
+            assert [counts[d] for d in range(1, n)] == [part - 1 for part in p.parts]
 
 
 def test_classification_identities():
+    # the towers, the parts above 2, slide first and last; the middle phase
+    # holds every singleton, each between two middles
     for n in range(2, 10):
         for p in enumerate_cube_partitions(n):
-            cls = classify_tokens(p)
-            assert len(cls.towers) == (n - 1) - len(cls.singletons)
-            assert sum(c for _, c in cls.middles) == len(cls.singletons) + 1
-            assert set(cls.towers) | set(cls.singletons) == set(range(1, n))
+            word, middle = _schedule(p)
+            towers = word[: middle.start]
+            singletons = [d for d, part in enumerate(p.parts, 1) if part == 2]
+            assert towers == [d for d, part in enumerate(p.parts, 1) if part > 2]
+            assert word[middle.stop :] == towers
+            assert len(middle) == 2 * len(singletons) + 1
+            assert word[middle.start : middle.stop][1::2] == singletons
+            assert set(towers) | set(singletons) == set(range(1, n))
 
 
 def test_classification_example():
-    cls = classify_tokens(CubePartition((5, 3, 2)))
-    assert cls.towers == (1, 2)
-    assert cls.singletons == (3,)
-    assert cls.middles == ((1, 2),)
+    # towers 1 and 2, singleton 3, and direction 1's two middles
+    word, middle = _schedule(CubePartition((5, 3, 2)))
+    assert word == [1, 2, 1, 3, 1, 1, 2]
+    assert middle == range(2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +150,7 @@ def test_classification_example():
 def play(parts, word):
     """Board (reservoirs, near, far, transfer) after sliding `word` from the
     empty board of the partition, one `oracles.slide` per direction."""
-    res = list(reservoir_parts(CubePartition(parts)))
+    res = [part - 1 for part in parts]
     near, far, transfer = [False] * len(res), [False] * len(res), False
     for d in word:
         transfer = oracles.slide(res, near, far, transfer, d)
@@ -201,8 +207,8 @@ def test_slide_count_per_direction():
         for p in enumerate_cube_partitions(n):
             word = realize_partition(p).moves
             counts = Counter(word)
-            for d, r in enumerate(reservoir_parts(p), 1):
-                assert counts[d] == r
+            for d, part in enumerate(p.parts, 1):
+                assert counts[d] == part - 1
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -229,28 +235,36 @@ def test_word_block_boxes_match_the_developments(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_realization_block_matches_the_one_board_route(n):
     parts = enumerate_cube_partitions(n)
-    words = realization_block(parts)
+    words, boxes = realization_block(parts)
     assert words.shape == (len(parts), 2 * n - 1)
     assert [tuple(word) for word in words.tolist()] == [realization_slides(p) for p in parts]
+    assert [tuple(box) for box in boxes.tolist()] == [p.parts for p in parts]
 
 
-def swap_one_word(realization_block, target, word):
-    """`realization_block` with partition `target`'s word swapped for `word`."""
+def roll_after_the_board(monkeypatch, words=None, extents=None):
+    """Patch the roll block that `realization_block` calls once the boards
+    pass: `words` maps a row to the word rolled in its place, `extents` a
+    row to the extents reported for it, rows in listing order: (6, 2, 2),
+    (5, 3, 2), (4, 4, 2), (4, 3, 3) at n=4.  The board refuses a bad word
+    before it is rolled, so a fault past the board goes in here."""
+    real = partitions.develop_word_block
 
-    def block(parts):
-        words = realization_block(parts)
-        words[[p.parts for p in parts].index(target)] = word
-        return words
+    def block(start, block_words):
+        block_words = block_words.copy()
+        for row, word in (words or {}).items():
+            block_words[row] = word
+        boxes, placed = real(start, block_words)
+        for row, ext in (extents or {}).items():
+            boxes[row] = ext
+        return boxes, placed
 
-    return block
+    monkeypatch.setattr(partitions, "develop_word_block", block)
 
 
 def test_realize_hands_a_refused_word_to_the_one_word_engine(monkeypatch, capsys):
     # a word the roll block refuses fails with the revisit it makes
     word = (1, -1) + realization_slides(CubePartition((4, 3, 3)))[2:]
-    monkeypatch.setattr(
-        cli, "realization_block", swap_one_word(realization_block, (4, 3, 3), word)
-    )
+    roll_after_the_board(monkeypatch, words={3: word})
     assert main(["partitions", "--dim", "4", "--realize"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -262,7 +276,7 @@ def test_realize_checks_each_box_against_its_partition(monkeypatch, capsys):
     # a revisit, but its box is (5, 3, 2)
     word = realization_slides(CubePartition((5, 3, 2)))
     with monkeypatch.context() as m:
-        m.setattr(cli, "realization_block", swap_one_word(realization_block, (6, 2, 2), word))
+        roll_after_the_board(m, words={0: word})
         assert main(["partitions", "--dim", "4", "--realize"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -273,19 +287,20 @@ def test_realize_checks_each_box_against_its_partition(monkeypatch, capsys):
 def test_realize_redevelops_a_block_box_that_is_no_partition(monkeypatch, capsys, extents):
     # a box that sums wrong, or has a part below 2, is no longer developed
     # again: it fails the box == partition check like any other mismatch
-    real = cli.develop_word_block
-
-    def block(start, words):
-        boxes, placed = real(start, words)
-        boxes[1] = extents
-        return boxes, placed
-
-    monkeypatch.setattr(cli, "develop_word_block", block)
+    roll_after_the_board(monkeypatch, extents={1: extents})
     assert main(["partitions", "--dim", "4", "--realize"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     box = tuple(sorted(extents, reverse=True))
     assert captured.err == f"partition (5, 3, 2) realized with box {box}\n"
+
+
+def test_realize_partition_checks_its_box(monkeypatch):
+    # the library call rolls its word and refuses a box that is not p
+    roll_after_the_board(monkeypatch, extents={0: (2, 3, 5)})
+    with pytest.raises(RuntimeError) as exc:
+        realize_partition(CubePartition((4, 4, 2)))
+    assert str(exc.value) == "partition (4, 4, 2) realized with box (5, 3, 2)"
 
 
 def test_realize_dim12_golden(capsys):
@@ -302,20 +317,10 @@ def test_realize_dim12_golden(capsys):
 # the oracle's checks raise, so they survive python -O
 
 
-def fake_classification(**fields):
-    def classify(p):
-        return TokenClassification(**fields)
-
-    return classify
-
-
 def test_phase_check(monkeypatch):
     # a second "tower" slides in step 2 while the transfer point is occupied
-    monkeypatch.setattr(
-        partitions,
-        "classify_tokens",
-        fake_classification(singletons=(2,), towers=(1, 2), middles=((1, 2),)),
-    )
+    schedule = CLASSIFICATION_FAULTS["phase, long word"][1]
+    monkeypatch.setattr(partitions, "_schedule", lambda p: schedule)
     with pytest.raises(RuntimeError, match="phase discipline broken at slide 3"):
         realization_slides(CubePartition((5, 2)))
 
@@ -334,11 +339,8 @@ def test_conservation_check(monkeypatch):
 
 def test_full_board_check(monkeypatch):
     # legal slides that never reach direction 2 leave its track empty
-    monkeypatch.setattr(
-        partitions,
-        "classify_tokens",
-        fake_classification(singletons=(), towers=(1,), middles=()),
-    )
+    schedule = CLASSIFICATION_FAULTS["full board, short word"][1]
+    monkeypatch.setattr(partitions, "_schedule", lambda p: schedule)
     with pytest.raises(RuntimeError, match="board not full"):
         realization_slides(CubePartition((5, 2)))
 
@@ -367,41 +369,47 @@ def assert_every_route_raises(capsys, parts, target, error, message):
     assert (captured.out, captured.err) == ("", message + "\n")
 
 
-# Each fault breaks one board of a listing: the oracle raises its message
-# for that board only
+# Each fault breaks one board of a listing with the word and middle range
+# that a wrong split into towers, singletons and middles gives; the oracle
+# raises its message for that board only
 CLASSIFICATION_FAULTS = {
-    # test_phase_check's classification: a word two slides too long
+    # towers 1 and 2, singleton 2, two middles on 1: a word two slides too
+    # long, whose second "tower" slides in step 2 while the transfer point is
+    # occupied
     "phase, long word": (
-        (5, 2), dict(singletons=(2,), towers=(1, 2), middles=((1, 2),)),
+        (5, 2), ([1, 2, 1, 2, 1, 1, 2], range(2, 5)),
         RuntimeError, "phase discipline broken at slide 3: transfer must be empty",
     ),
-    # legal slides that fill the board, but the first middle slide, a
-    # non-tower, finds the transfer point empty
+    # towers 2 and 3, three middles on 1: legal slides that fill the board,
+    # but the first middle slide, a non-tower, finds the transfer point empty
     "phase": (
-        (4, 3, 3), dict(singletons=(), towers=(2, 3), middles=((1, 3),)),
+        (4, 3, 3), ([2, 3, 1, 1, 1, 2, 3], range(2, 5)),
         RuntimeError, "phase discipline broken at slide 2: transfer must be occupied",
     ),
-    # test_full_board_check's classification: a word three slides short
+    # tower 1 alone, no middles: a word three slides short
     "full board, short word": (
-        (5, 2), dict(singletons=(), towers=(1,), middles=()),
+        (5, 2), ([1, 1], range(1, 1)),
         RuntimeError, "board not full after realizing (5, 2)",
     ),
+    # tower 1, singleton 2, two middles on each of 1 and 2
     "empty reservoir": (
-        (6, 2, 2), dict(singletons=(2,), towers=(1,), middles=((1, 2), (2, 2))),
+        (6, 2, 2), ([1, 1, 2, 1, 2, 2, 1], range(1, 6)),
         IllegalSlideError, "reservoir for direction 2 is empty",
     ),
     "far slot taken": (
-        (5, 3, 2), dict(singletons=(2,), towers=(1,), middles=((1, 2), (2, 2))),
+        (5, 3, 2), ([1, 1, 2, 1, 2, 2, 1], range(1, 6)),
         IllegalSlideError, "direction 2 is finished (end slot occupied)",
     ),
+    # towers 1 and 4, singleton 3, two middles on 1
     "direction out of range": (
-        (4, 3, 3), dict(singletons=(3,), towers=(1, 4), middles=((1, 2),)),
+        (4, 3, 3), ([1, 4, 1, 3, 1, 1, 4], range(2, 5)),
         IllegalSlideError, "direction 4 out of range",
     ),
-    # a middle slide out of range, with the transfer point occupied as a
-    # non-tower needs it; direction 3, the last in range, is a tower
+    # towers 1 and 3, singleton 4, two middles on 1: a middle slide out of
+    # range, with the transfer point occupied as a non-tower needs it;
+    # direction 3, the last in range, is a tower
     "direction out of range, middle phase": (
-        (4, 3, 3), dict(singletons=(4,), towers=(1, 3), middles=((1, 2),)),
+        (4, 3, 3), ([1, 3, 1, 4, 1, 1, 3], range(2, 5)),
         IllegalSlideError, "direction 4 out of range",
     ),
 }
@@ -414,23 +422,19 @@ UNPLAYED = {
 
 
 def misclassify(monkeypatch, *faults):
-    """Classify each fault's partition by its fields, every other one truly."""
-    fields = {CLASSIFICATION_FAULTS[f][0]: CLASSIFICATION_FAULTS[f][1] for f in faults}
-    real = partitions.classify_tokens
-    monkeypatch.setattr(
-        partitions,
-        "classify_tokens",
-        lambda p: TokenClassification(**fields[p.parts]) if p.parts in fields else real(p),
-    )
+    """Schedule each fault's partition by its word, every other one truly."""
+    schedules = {CLASSIFICATION_FAULTS[f][0]: CLASSIFICATION_FAULTS[f][1] for f in faults}
+    real = partitions._schedule
+    monkeypatch.setattr(partitions, "_schedule", lambda p: schedules.get(p.parts) or real(p))
 
 
 @pytest.mark.parametrize("fault", sorted(CLASSIFICATION_FAULTS))
 def test_block_refuses_only_a_misclassified_board(monkeypatch, capsys, fault):
-    target, _fields, error, message = CLASSIFICATION_FAULTS[fault]
+    target, _word, error, message = CLASSIFICATION_FAULTS[fault]
     misclassify(monkeypatch, fault)
     parts = enumerate_cube_partitions(len(target) + 1)
     others = [p for p in parts if p.parts != target]
-    assert [tuple(word) for word in realization_block(others).tolist()] == [
+    assert [tuple(word) for word in realization_block(others)[0].tolist()] == [
         realization_slides(p) for p in others
     ]
     assert raised(realization_slides, CubePartition(target)) == (error, message)
@@ -441,7 +445,7 @@ def test_realize_hands_a_refused_board_to_the_one_board_route(monkeypatch, capsy
     # the one-board route is now the block itself: the CLI prints the
     # refused board's error as the list-based board words it
     misclassify(monkeypatch, "direction out of range")
-    _target, _fields, _error, message = CLASSIFICATION_FAULTS["direction out of range"]
+    _target, _word, _error, message = CLASSIFICATION_FAULTS["direction out of range"]
     assert main(["partitions", "--dim", "4", "--realize"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
