@@ -2,7 +2,8 @@
 
 Each command computes through the library, lays out its result and
 returns it with an exit code, or raises; `main` alone writes: the result,
-a string as it is and any other value as indented JSON, or the error's
+a string as it is and any other value as indented JSON, written piece by
+piece so a large document never exists as one string, or the error's
 message as one stderr line.  Exit codes: 0 success, 1 a verification
 failure (among them an internal check that fails, such as a realized box
 that is not its partition or an unfolding that overlaps itself, reported as
@@ -20,6 +21,8 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .chords import edge_orbit_count, enumerate_diagrams
@@ -64,35 +67,83 @@ def _check_output(output: str) -> None:
         raise type(exc)(exc.errno, exc.strerror, output) from None
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(out, output: str | None) -> None:
+    """Write a text result as it is, or any other result as indented JSON
+    piece by piece, and end it with one newline."""
     with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
-        # print writes the end apart, so a large document is not copied; the
-        # flush makes a closed stdout pipe raise here, inside `main`
-        print(text, end="" if text.endswith("\n") else "\n", file=fh, flush=True)
+        if isinstance(out, str):  # a short text
+            fh.write(out if out.endswith("\n") else out + "\n")
+        else:
+            _write_json(out, fh.write)
+            fh.write("\n")
+        # the flush makes a closed stdout pipe raise here, inside `main`
+        fh.flush()
 
 
-def _indented_json(doc, pad: str = "\n") -> str:
-    """`json.dumps(doc, indent=2)`, byte for byte, without the pure-Python
-    encoder that `indent` selects: containers are laid out here, a list of
-    plain ints in one join, strings by the encoder's own C quoting, and any
-    other value by `json.dumps`.  Keys must be strings, as in every
-    document this CLI writes."""
+# keyed by shape and depth, never by value: every row of a listing fills
+# the same template, and a document has only a few shapes
+@cache
+def _list_template(length: int, pad: str) -> str:
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(["%s"] * length) + pad + "]"
+
+
+@cache
+def _row_template(keys: tuple, lengths: tuple, pad: str) -> str:
+    inner = pad + "  "
+    items = (
+        encode_basestring_ascii(k).replace("%", "%%") + ": " + _list_template(m, inner)
+        for k, m in zip(keys, lengths)
+    )
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
+def _leaf_json(doc, pad: str) -> str | None:
+    """The layout of `doc` at indent `pad` as one short string when it is a
+    leaf: a scalar, an empty container, a non-empty list of plain ints or of
+    strings, or a non-empty dict whose values are all non-empty lists of
+    plain ints; None for any other container.  Lists and such dicts fill a
+    cached %-template.  Ints are told by exact type, because `%s` writes a
+    bool as True and an int subclass by its own `__str__`."""
     if type(doc) is str:
         return encode_basestring_ascii(doc)
+    if not doc or not isinstance(doc, (dict, list, tuple)):
+        return json.dumps(doc)
+    if isinstance(doc, dict):
+        values = doc.values()
+        if {*map(type, values)} <= {list, tuple} and all(values):
+            flat = tuple(chain.from_iterable(values))
+            if {*map(type, flat)} == {int}:
+                return _row_template(tuple(doc), tuple(map(len, values)), pad) % flat
+        return None
+    types = {*map(type, doc)}
+    if types == {int}:
+        return _list_template(len(doc), pad) % tuple(doc)
+    if types == {str}:
+        return _list_template(len(doc), pad) % tuple(map(encode_basestring_ascii, doc))
+    return None
+
+
+def _write_json(doc, write, pad: str = "\n", lead: str = "") -> None:
+    """Pass `lead` and then `json.dumps(doc, indent=2)`, byte for byte, to
+    `write`, in pieces no larger than one leaf (see `_leaf_json`) with the
+    separator before it, so the document never exists as one string.  Keys
+    must be strings, as in every document this CLI writes."""
+    leaf = _leaf_json(doc, pad)
+    if leaf is not None:
+        write(lead + leaf)
+        return
     inner = pad + "  "
-    if isinstance(doc, dict) and doc:
-        items = (
-            f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}"
-            for k, v in doc.items()
-        )
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(doc, (list, tuple)) and doc:
-        if all(type(v) is int for v in doc):
-            items = map(str, doc)
-        else:
-            items = (_indented_json(v, inner) for v in doc)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(doc)
+    if isinstance(doc, dict):
+        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in doc.items())
+        sep, closing = lead + "{" + inner, pad + "}"
+    else:
+        items = (("", v) for v in doc)
+        sep, closing = lead + "[" + inner, pad + "]"
+    for key, value in items:
+        _write_json(value, write, inner, sep + key)
+        sep = "," + inner
+    write(closing)
 
 
 def _parse_rolls(raw: str) -> list[int]:
@@ -284,7 +335,7 @@ def main(argv=None) -> int:
             _check_output(args.output)
         out, code = args.func(args)
         try:
-            _emit(out if isinstance(out, str) else _indented_json(out), args.output)
+            _emit(out, args.output)
         except BrokenPipeError:
             # the reader closed stdout: end quietly with the command's code,
             # and let the flush at exit write to devnull instead

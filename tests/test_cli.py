@@ -642,18 +642,62 @@ json_documents = st.recursive(
     lambda inner: (
         st.lists(inner)
         | st.lists(st.integers(), min_size=1)
+        | st.lists(st.integers() | st.booleans(), min_size=1)
+        | st.lists(st.text(), min_size=1)
         | st.lists(inner).map(tuple)
         | st.dictionaries(st.text(), inner)
+        | st.dictionaries(st.text(), st.lists(st.integers(), min_size=1))
     ),
     max_leaves=30,
 )
 
 
+def _written(doc):
+    pieces = []
+    cli._write_json(doc, pieces.append)
+    return "".join(pieces)
+
+
 @given(json_documents)
 def test_indented_json_matches_json_dumps(doc):
-    assert cli._indented_json(doc) == json.dumps(doc, indent=2)
+    assert _written(doc) == json.dumps(doc, indent=2)
 
 
 def test_indented_json_cases():
-    for doc in ({}, [], (), {"a": []}, [{}], [True, 1, None], "ö\n", {"é": [1, -2]}):
-        assert cli._indented_json(doc) == json.dumps(doc, indent=2)
+    row = {"partition": [4, 3], "rolls": [1, -2, 1], "box": [4, 3]}
+    for doc in (
+        {}, [], (), {"a": []}, [{}], [True, 1, None], "ö\n", {"é": [1, -2]},
+        {"a": [1], "b": [True]},  # `%s` would write the bool as True
+        {"a": [1], "b": []},
+        [1, True],
+        [2**70, -3],
+        {"a": [1.0]},
+        {"a": (1, 2), "b": [3]},
+        {"%d": [1], "%%": [2, 3]},  # keys are not format directives
+        ["a", "b"], ["a", 1], ("é", "%s"),
+        [row, {**row, "rolls": [2, -1, 2]}],  # two rows of one shape
+        [row, [row, [[4, 3]]], [4, 3]],  # one shape at two depths
+    ):
+        assert _written(doc) == json.dumps(doc, indent=2)
+
+
+class _Pieces(list):
+    """A stdout that keeps each piece written to it."""
+
+    def write(self, piece):
+        self.append(piece)
+
+    def flush(self):
+        pass
+
+
+def test_a_large_document_is_written_in_short_pieces(monkeypatch):
+    # the 0.6 MB realize document reaches stdout a row at a time, never as
+    # one string; the realize workload's peak memory rests on this
+    pieces = _Pieces()
+    monkeypatch.setattr(sys, "stdout", pieces)
+    assert main(["partitions", "--dim", "20", "--realize"]) == 0
+    text = "".join(pieces)
+    assert len(text) > 500_000
+    assert max(map(len, pieces)) <= 4096
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"

@@ -47,13 +47,33 @@ from oracles import (
 )
 
 
+def _closes_a_cycle(two_n, pairs):
+    """Whether some edge of `pairs` joins two labels already connected by
+    the edges before it (a union-find over the 2n labels)."""
+    root = list(range(two_n))
+    for i, j in pairs:
+        while root[i] != i:
+            i = root[i]
+        while root[j] != j:
+            j = root[j]
+        if i == j:
+            return True
+        root[i] = j
+    return False
+
+
 def brute_classes(n, kind, size):
     """Canonical masks of every valid subgraph, found with no cleverness:
-    try every edge subset of the right size."""
+    try every edge subset of the right size.  Trees and paths have no
+    cycle, so for them a subset that closes one is dropped by union-find
+    before any subgraph is built; every other subset is validated."""
     edges = roberts_edges(n)
     out = set()
     for combo in itertools.combinations(range(len(edges)), size):
-        sub = SpanningSubgraph(n, kind, tuple(edges[r] for r in combo))
+        pairs = tuple(edges[r] for r in combo)
+        if kind != "cycle" and _closes_a_cycle(2 * n, pairs):
+            continue
+        sub = SpanningSubgraph(n, kind, pairs)
         if validate(sub) is None:
             out.add(canonical_mask(n, sub.mask()))
     return out

@@ -59,14 +59,27 @@ def test_enumerate_budget():
 
 def composition_partitions(n):
     """Second oracle: every composition of 3n-2 into n-1 parts >= 2, by
-    stars and bars, kept when non-increasing, then sorted descending."""
+    stars and bars, kept when non-increasing, then sorted descending.  The
+    bars are placed left to right, and a bar that closes a part larger than
+    the one before it ends its branch: that bar and every later one make an
+    increasing pair."""
     slack, parts = n, n - 1  # 3n-2 minus the 2 every part must hold
+    end = slack + parts - 1  # the cut after the last star or bar
     found = []
-    for bars in itertools.combinations(range(slack + parts - 1), parts - 1):
-        cuts = (-1,) + bars + (slack + parts - 1,)
-        comp = tuple(b - a + 1 for a, b in zip(cuts, cuts[1:]))
-        if all(x >= y for x, y in zip(comp, comp[1:])):
-            found.append(comp)
+
+    def place(comp, cut):
+        if len(comp) == parts - 1:
+            last = end - cut + 1
+            if not comp or last <= comp[-1]:
+                found.append(comp + (last,))
+            return
+        for bar in range(cut + 1, end):
+            part = bar - cut + 1
+            if comp and part > comp[-1]:
+                break
+            place(comp + (part,), bar)
+
+    place((), -1)
     return sorted(found, reverse=True)
 
 
