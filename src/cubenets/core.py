@@ -262,45 +262,43 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.perm)
 
-    def label_map(self) -> tuple[int, ...]:
-        """Image of every label index under this element."""
-        n = self.n
-        out = [0] * (2 * n)
-        for a in range(n):
-            t = self.perm[a] - 1
-            if self.flips[a]:
-                out[a], out[a + n] = t + n, t
-            else:
-                out[a], out[a + n] = t, t + n
-        return tuple(out)
+
+# 2^6 * 6! = 46080 label maps: 2.8 MB of uint8 coset tables, and 22 MB of
+# int64 edge maps in the full expansion
+_FULL_EXPANSION_MAX = 6
 
 
-def signed_permutations(n: int):
-    """Iterate the whole group."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        for mask in itertools.product((False, True), repeat=n):
-            yield SignedPermutation(perm, mask)
-
-
-_FULL_EXPANSION_MAX = 6  # 2^6 * 6! = 46080 label maps, about 22 MB of edge maps
-
-
-@cache
-def _group_label_maps(n: int) -> tuple[tuple[int, ...], ...]:
+def _group_label_maps(n: int) -> np.ndarray:
+    """Image of every label index under every group element, one uint8 row
+    each.  Rows run over the axis permutations in `itertools.permutations`
+    order and, within each, over the star flips in `itertools.product`
+    order; an element sends facet a to its permuted axis, starred when the
+    axis is flipped, and a* to the antipode of that."""
     if n > _FULL_EXPANSION_MAX:
         raise ValueError(f"full group expansion capped at n={_FULL_EXPANSION_MAX}")
-    return tuple(g.label_map() for g in signed_permutations(n))
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+    flips = np.array(list(itertools.product((0, n), repeat=n)), dtype=np.uint8)
+    unstarred = perms[:, None, :] + flips
+    starred = perms[:, None, :] + (n - flips)
+    return np.concatenate((unstarred, starred), axis=2).reshape(-1, 2 * n)
+
+
+def _edge_maps(n: int, label_maps: np.ndarray, dtype) -> np.ndarray:
+    """Edge-rank permutation induced by each row of `label_maps`."""
+    # -1 marks the grid's non-edges, which no label map reaches
+    grid = np.array(_edge_rank_grid(n)).ravel().astype(dtype)
+    i, j = np.array(roberts_edges(n)).T
+    # one uint8 index into the flattened grid: it stays below 256 while
+    # 4n^2 - 1 <= 255, i.e. n <= 8, and _FULL_EXPANSION_MAX is 6
+    return grid[label_maps[:, i] * (2 * n) + label_maps[:, j]]
 
 
 @cache
 def _group_edge_maps(n: int) -> np.ndarray:
-    """Edge-rank permutation induced by every group element, one row each."""
-    grid = np.array(_edge_rank_grid(n), dtype=np.int64).ravel()
-    i, j = np.array(roberts_edges(n)).T
-    lm = np.array(_group_label_maps(n), dtype=np.uint8)
-    # one uint8 index into the flattened grid: it stays below 256 while
-    # 4n^2 - 1 <= 255, i.e. n <= 8, and _FULL_EXPANSION_MAX is 6
-    return grid[lm[:, i] * (2 * n) + lm[:, j]]
+    """Edge-rank permutation induced by every group element, one int64 row
+    each, in `_group_label_maps` order: the full expansion that
+    `dedup_canonical_masks` and the tests read."""
+    return _edge_maps(n, _group_label_maps(n), np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +309,39 @@ def _group_edge_maps(n: int) -> np.ndarray:
 # lexicographically least.  On bitmasks that order is "numeric max after
 # reversing bit significance": the smallest edge rank is given the highest
 # bit, so greedy-small edge lists win integer comparisons.
+#
+# The group moves any ordered pair of adjacent facets onto (1, 2), the ends
+# of edge rank 0, so the canonical image holds rank 0.  The elements that
+# send a given ordered pair (a, b) there form one coset of H, the stabilizer
+# of facets 1 and 2 (|H| = 2^(n-2) (n-2)!), and the cosets of the 2n(2n-2)
+# ordered pairs partition the group.  So the images of a mask that hold
+# rank 0 are exactly its images under the cosets of its own 2|E| ordered
+# edges, one per element, and only those cosets are expanded.
 
 
 @cache
 def _orbit_tables(n: int):
-    """(edge maps, forward bit weights, reversed bit weights) as numpy arrays."""
-    emaps = _group_edge_maps(n)
-    m = emaps.shape[1]
+    """(coset blocks, pair rows, forward bit weights, reversed bit weights).
+
+    blocks[k] is the coset of the k-th ordered pair (a, b) of adjacent
+    facets, in (a, b) order: its elements' edge maps as a uint8 (rank,
+    element) block, elements in group order.  pair_rows[r] names, as a
+    (2, 1) column, the blocks of edge rank r's two ordered pairs, (i, j)
+    and (j, i)."""
+    two_n = 2 * n
+    label_maps = _group_label_maps(n)
+    # the ordered pair each element sends onto (0, 1), as a * 2n + b
+    pairs = np.argmax(label_maps == 0, 1) * two_n + np.argmax(label_maps == 1, 1)
+    order = np.argsort(pairs, kind="stable")
+    emaps = _edge_maps(n, label_maps[order], np.uint8)
+    count, m = two_n * (two_n - 2), emaps.shape[1]
+    blocks = emaps.reshape(count, -1, m).transpose(0, 2, 1).copy()
+    block_of = {key: k for k, key in enumerate(pairs[order[:: len(order) // count]].tolist())}
+    pair_rows = np.array(
+        [[block_of[i * two_n + j], block_of[j * two_n + i]] for i, j in roberts_edges(n)]
+    )[..., None]
     fwd = (1 << np.arange(m, dtype=np.uint64)).astype(np.uint64)
-    return emaps, fwd, fwd[::-1]
+    return blocks, pair_rows, fwd, fwd[::-1]
 
 
 def _mask_ranks(mask: int) -> list[int]:
@@ -332,17 +354,24 @@ def _mask_ranks(mask: int) -> list[int]:
 
 
 def _orbit_arrays(n: int, mask: int):
-    """Masks of every group image of mask, and the best-keyed (canonical) one."""
-    emaps, fwd, rev = _orbit_tables(n)
-    mapped = emaps[:, _mask_ranks(mask)]
-    masks = np.bitwise_or.reduce(fwd[mapped], axis=1)
-    keys = np.bitwise_or.reduce(rev[mapped], axis=1)
-    return masks, int(masks[int(np.argmax(keys))])
+    """The images of mask that hold edge rank 0, one per group element that
+    maps an edge of mask onto it, and the best-keyed (canonical) image."""
+    blocks, pair_rows, fwd, rev = _orbit_tables(n)
+    if not mask:  # the empty edge set is its own image, and holds no rank
+        return np.zeros(0, np.uint64), 0
+    ranks = np.array(_mask_ranks(mask))
+    # (edge of mask, direction, edge of mask, coset element) -> image rank;
+    # an element maps distinct edges to distinct ranks, so summing their
+    # bit weights ORs them
+    mapped = blocks[pair_rows[ranks], ranks]
+    masks = fwd.take(mapped).sum(2).ravel()
+    keys = rev.take(mapped).sum(2)
+    return masks, int(masks[keys.argmax()])
 
 
 def canonical_mask(n: int, mask: int) -> int:
-    """Canonical image of an edge mask, by expanding the whole group; past
-    n = _FULL_EXPANSION_MAX this raises ValueError."""
+    """Canonical image of an edge mask, by expanding the cosets of its
+    edges; past n = _FULL_EXPANSION_MAX this raises ValueError."""
     return _orbit_arrays(n, mask)[1]
 
 
@@ -357,14 +386,16 @@ def dedup_canonical_masks(n: int, masks) -> list[int]:
     representatives.  Every orbit present in the input is emitted once; the
     input need not contain the representative itself.  This is the
     full-memory reference that tests compare the enumeration's restricted
-    dedup against: it remembers every image of every orbit it meets."""
+    dedup against: it expands the whole group and remembers every image of
+    every orbit it meets."""
+    emaps = _group_edge_maps(n)
     seen = set()
     out = []
     for mask in masks:
         if mask in seen:
             continue
-        images, rep = _orbit_arrays(n, mask)
-        seen.update(images.tolist())
-        out.append(rep)
+        mapped = emaps[:, _mask_ranks(mask)].astype(np.uint64)
+        seen.update(np.bitwise_or.reduce(np.uint64(1) << mapped, axis=1).tolist())
+        out.append(canonical_mask(n, mask))
     out.sort()
     return out

@@ -15,8 +15,18 @@ hanging from facet 2.  The tree and path generators emit only members of
 that shape: vertex 0's edges are ranks 0 .. 2n-3, so the shape is
 `mask & ((1 << (2n-2)) - 1) == 1`.  A cycle has no leaf, but every orbit of
 cycles still has a member through edge rank 0, and the cycle generator
-emits those.  One orbit dedup, told the shape of its stream, remembers only
-the images of that shape and serves all three.
+emits those.  One step further, the elements that fix facets 1 and 2 fix
+facet 1* and move facet 3 onto any facet of axes 3..n, so the walks take
+only facet 3 or facet 1* as their second step, and the trees keep facet 2
+either joined to facet 3 or with no neighbour on axes 3..n.  One orbit
+dedup, told the shape of its stream, remembers only the images of that
+shape and serves all three.
+
+Each listing certifies itself by orbit-stabilizer: the dedup counts every
+class's stabilizer, and the orbit sizes |B_n| / |Stab| must sum to the
+closed-form number of labelled trees, paths or cycles, or the listing
+raises CountMismatchError.  A cut that drops an orbit, or a dedup that
+loses or repeats a class, fails it.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import islice
+from math import comb, factorial
 
 import numpy as np
 
@@ -39,6 +50,7 @@ from .core import (
     _check_budget,
     _check_dim,
     _edge_rank_grid,
+    _mask_ranks,
     _orbit_arrays,
     antipode_index,
     path_endpoints,
@@ -91,14 +103,17 @@ def _run_shards(fn, args: list[tuple]) -> list:
 # raw generation, symmetry-restricted
 
 
-def _suffix_adjacency(n: int) -> list[list[int]]:
-    """suffix[r][v] = neighbour bitmask of v using edges of rank >= r."""
+def _suffix_adjacency(n: int, skip: int) -> list[list[int]]:
+    """suffix[r][v] = neighbour bitmask of v using edges of rank >= r that
+    are not in the mask `skip`."""
     edges = roberts_edges(n)
     rows = [[0] * (2 * n)]
-    for i, j in reversed(edges):
+    for r in reversed(range(len(edges))):
         row = rows[-1][:]
-        row[i] |= 1 << j
-        row[j] |= 1 << i
+        if not skip >> r & 1:
+            i, j = edges[r]
+            row[i] |= 1 << j
+            row[j] |= 1 << i
         rows.append(row)
     rows.reverse()
     return rows
@@ -132,11 +147,12 @@ def _reaches(adj_a: list[int], adj_b: list[int], start: int, goal: int) -> bool:
     return False
 
 
-def _raw_trees_second_edge(n: int, second: int):
+def _raw_trees_second_edge(n: int, second: int, skip: int):
     """Spanning-tree masks containing edge rank 0 and edge rank `second` but
-    no rank strictly between: the stream sharded by second-lowest edge.
-    With `second` >= 2n-2 every rank of vertex 0 but rank 0 is skipped, so
-    vertex 0 is a leaf on vertex 1 in each tree emitted.
+    no rank strictly between, nor any rank in the mask `skip`: the stream
+    sharded by second-lowest edge.  With `second` >= 2n-2 every rank of
+    vertex 0 but rank 0 is skipped, so vertex 0 is a leaf on vertex 1 in
+    each tree emitted.
 
     Edges are decided in rank order, linking before skipping, on an explicit
     stack with one frame per linked edge.  The walk keeps one invariant: the
@@ -148,11 +164,16 @@ def _raw_trees_second_edge(n: int, second: int):
     j.  So connectivity is tested once per skip of a linked edge, as a
     search from i that stops on reaching j, and a bridge is never skipped.
     The shard root skips ranks 1..second-1 at once and gets one full check.
+    The ranks in `skip` are left out of the graph altogether: they never
+    enter the suffix adjacency and are never linked, so the invariant holds
+    on the smaller graph.
     """
-    edges = roberts_edges(n)
+    edges = list(roberts_edges(n))
+    for r in _mask_ranks(skip):
+        edges[r] = (1, 1)  # a loop, whose ends link() always finds joined
     two_n = 2 * n
     need = two_n - 1
-    suffix = _suffix_adjacency(n)
+    suffix = _suffix_adjacency(n, skip)
     chosen_adj = [0] * two_n
     parent = list(range(two_n))
 
@@ -207,31 +228,53 @@ def _raw_trees_second_edge(n: int, second: int):
         r += 1
 
 
+def _second_steps(n: int) -> tuple[int, ...]:
+    """The second steps a walk 0 -> 1 needs: vertex 2 (facet 3) and vertex
+    n (facet 1*), one vertex at n=2.  H, the stabilizer of facets 1 and 2,
+    fixes facet 1* and moves facet 3 onto every facet of axes 3..n, so
+    every orbit of walks 0 -> 1 meets one of these second steps.  They
+    shard the tree stream too (`_raw_tree_masks`)."""
+    return tuple(sorted({2, n}))
+
+
+def _far_edges(n: int) -> int:
+    """Mask of vertex 1's edges into axes 3..n; the lowest, rank 2n-2, is
+    its edge to vertex 2 (facet 3).  Empty at n=2."""
+    grid = _edge_rank_grid(n)
+    return sum(1 << grid[1][u] for u in _neighbours(n)[1] if u % n > 1)
+
+
 def _raw_tree_masks(n: int, shard: tuple[int, int] = (0, 1)):
-    """Masks of spanning trees in which vertex 0 is a leaf on vertex 1: edge
-    rank 0 is the lowest edge and the second-lowest lies past vertex 0's
-    other edges, so no later edge can touch vertex 0.  Sharded by that
-    second edge."""
+    """Masks of spanning trees in which vertex 0 is a leaf on vertex 1, and
+    vertex 1 holds the edge to vertex 2 (facet 3) or has no neighbour on
+    axes 3..n at all.  Any tree with vertex 0 a leaf on vertex 1 is moved
+    into that shape by H (`_second_steps`), which fixes vertices 0 and 1.
+
+    Vertex 0 is a leaf on 1 when rank 0 is the lowest edge and the
+    second-lowest lies past vertex 0's other edges.  That second edge is
+    (1, v2) for a second step v2, and it shards the stream: with v2 = 2
+    nothing else is asked; with v2 = n vertex 1's edges into axes 3..n
+    are left out of the graph, so (1, n) is its one other edge."""
     which, of = shard
-    m = len(roberts_edges(n))
-    first = 2 * n - 2
-    for second in range(first, m):
-        if (second - first) % of == which:
-            yield from _raw_trees_second_edge(n, second)
+    grid = _edge_rank_grid(n)
+    far = _far_edges(n)
+    for v2 in _second_steps(n)[which::of]:
+        yield from _raw_trees_second_edge(n, grid[1][v2], far if v2 == n else 0)
 
 
 def _raw_walk_masks(n: int, shard: tuple[int, int], close: bool):
     """Masks of spanning paths (or, with `close`, cycles) whose walk starts
     0 -> 1, so every mask holds edge rank 0.  A cycle closes back to 0, and
     starting 0 -> 1 fixes its orientation, so each undirected cycle is walked
-    once.  Walks are sharded by their second step and run on an explicit
-    stack, children pushed in reverse so that they pop in ascending order."""
+    once.  Only the second steps of `_second_steps` are walked, each a
+    shard, on an explicit stack, children pushed in reverse so that they pop
+    in ascending order."""
     which, of = shard
     full = (1 << (2 * n)) - 1
     grid = _edge_rank_grid(n)
     backwards = [row[::-1] for row in _neighbours(n)]
     closers = set(backwards[0])
-    seconds = [u for u in _neighbours(n)[1] if u != 0][which::of]
+    seconds = _second_steps(n)[which::of]
     stack = [(v2, 0b11 | (1 << v2), 1 | (1 << grid[1][v2])) for v2 in reversed(seconds)]
     while stack:
         v, visited, mask = stack.pop()
@@ -258,31 +301,69 @@ def _raw_cycle_masks(n: int, shard: tuple[int, int] = (0, 1)):
     return _raw_walk_masks(n, shard, close=True)
 
 
-def _dedup_restricted(n: int, masks, star: int) -> list[int]:
+def _dedup_restricted(n: int, masks, star: int) -> list[tuple[int, int]]:
     """Orbit dedup for streams whose every member has the shape
-    `mask & star == 1`: facet 1 a leaf on facet 2 for trees and paths
-    (star = vertex 0's edges), edge rank 0 held for cycles (star = 1).  Only
-    orbit images of that shape are remembered, which is what keeps runs at
-    the budget ceiling inside memory.  The representative is still the
-    best key over the whole orbit.  A member of another shape would never
-    be remembered, so its orbit could be emitted twice: it raises
-    RuntimeError instead."""
+    `mask & star == 1`, facet 1 a leaf on facet 2 for trees and paths
+    (star = vertex 0's edges) and edge rank 0 held for cycles (star = 1),
+    and in which facet 2 is joined to facet 3 or to no facet of axes 3..n
+    (`_far_edges`).  Only orbit images of that shape are remembered, which
+    is what keeps runs at the budget ceiling inside memory.  The
+    representative is still the best key over the whole orbit.  A member of
+    another shape would never be remembered, so its orbit could be emitted
+    twice: it raises RuntimeError instead.
+
+    Each class comes as (representative, |Stab|).  `_orbit_arrays` gives one
+    image per group element that puts rank 0 in the image, and the
+    representative holds rank 0, so the elements that fix the class's
+    representative are counted exactly."""
+    far = _far_edges(n)
+    to_three = 1 << (2 * n - 2)  # the lowest of vertex 1's far edges
     seen: set[int] = set()
     out = []
-    one = np.uint64(1)
-    star_u = np.uint64(star)
+    one, zero = np.uint64(1), np.uint64(0)
+    star_u, far_u, to_three_u = np.uint64(star), np.uint64(far), np.uint64(to_three)
     for mask in masks:
         if mask in seen:
             continue
-        if mask & star != 1:
+        if mask & star != 1 or mask & far and not mask & to_three:
             raise RuntimeError(
-                f"mask {mask:#x} lacks the stream shape mask & {star:#x} == 1"
+                f"mask {mask:#x} lacks the stream shape mask & {star:#x} == 1 "
+                f"with mask & {far:#x} empty or holding {to_three:#x}"
             )
         images, rep = _orbit_arrays(n, mask)
-        seen.update(images[(images & star_u) == one].tolist())
-        out.append(rep)
+        shaped = ((images & star_u) == one) & (
+            ((images & far_u) == zero) | ((images & to_three_u) != zero)
+        )
+        seen.update(images[shaped].tolist())
+        out.append((rep, int(np.count_nonzero(images == np.uint64(rep)))))
     out.sort()
     return out
+
+
+def _labelled_count(kind: str, n: int) -> int:
+    """Labelled spanning trees, paths or cycles of the Roberts graph, the
+    cocktail-party graph on 2n vertices: the matrix-tree count for trees,
+    and inclusion-exclusion over the n antipodal pairs for the walks."""
+    if kind == "trees":
+        return 2 ** (2 * n - 2) * (n - 1) ** n * n ** (n - 2)
+    # a path orders 2n vertices, a cycle fixes one of them first
+    free = 2 * n if kind == "paths" else 2 * n - 1
+    terms = ((-1) ** k * comb(n, k) * 2**k * factorial(free - k) for k in range(n + 1))
+    return sum(terms) // 2
+
+
+def _certify(kind: str, n: int, classes) -> None:
+    """Orbit-stabilizer check of a listing: the orbits of its
+    (representative, |Stab|) classes must cover every labelled object of
+    its kind exactly once, else CountMismatchError."""
+    order = 2**n * factorial(n)
+    covered = sum(order // stab for _, stab in classes)
+    want = _labelled_count(kind, n)
+    if covered != want:
+        raise CountMismatchError(
+            f"orbit-stabilizer check at n={n} on {kind}: the listed classes "
+            f"cover {covered} labelled {kind}, but there are {want}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +397,14 @@ def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
 def _listing(kind: str, n: int, jobs: int) -> tuple[int, ...]:
     # a table's ter count classifies the path listing its paths count takes,
     # under the command's one `jobs`: the cache keeps it to one walk per kind.
-    # Shards split vertex 1's next neighbour (the second walk step, or the
-    # tree's second-lowest edge), so there are 2n-3 at most
-    of = min(jobs, 2 * n - 3)
+    # Shards split the second step (the walk's second vertex, or the tree's
+    # second-lowest edge), so there are two at most
+    of = min(jobs, len(_second_steps(n)))
     parts = _run_shards(_shard_job, [(kind, n, w, of) for w in range(of)])
-    return tuple(sorted(set().union(*parts)))
+    # two shards can meet the same class
+    classes = set().union(*parts)
+    _certify(kind, n, classes)
+    return tuple(sorted(rep for rep, _ in classes))
 
 
 def enumerate_classes(kind: str, n: int, jobs: int = 1) -> tuple[SpanningSubgraph, ...]:

@@ -5,8 +5,9 @@ The library holds what the CLI, the README and the benchmark run
 from the side: the immutable roll engine, the tree block on a full slot
 table, the token board played one partition and one slide at a time,
 brute-force shape and diagram canonicalisation, the cycle/path <->
-chord-diagram bijections, orbit and stabilizer sizes, the recursive
-Hamiltonian walk, and the JSON readers.
+chord-diagram bijections, the group element by element and orbits and
+stabilizers over its full expansion, the recursive Hamiltonian walk, and
+the JSON readers.
 Each keeps the checks it raises on, so a test can still drive it into
 them.
 """
@@ -32,7 +33,7 @@ from cubenets.core import (
     SignedPermutation,
     SpanningSubgraph,
     _edge_rank_grid,
-    _orbit_arrays,
+    _group_edge_maps,
     antipode_index,
     path_endpoints,
     validate,
@@ -65,8 +66,28 @@ def diagram_from_json(doc) -> ChordDiagram:
 # the relabelling group
 
 
+def signed_permutations(n: int):
+    """Iterate the whole group, in the row order of `core._group_label_maps`."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        for mask in itertools.product((False, True), repeat=n):
+            yield SignedPermutation(perm, mask)
+
+
+def label_map(g: SignedPermutation) -> tuple[int, ...]:
+    """Image of every label index under g."""
+    n = g.n
+    out = [0] * (2 * n)
+    for a in range(n):
+        t = g.perm[a] - 1
+        if g.flips[a]:
+            out[a], out[a + n] = t + n, t
+        else:
+            out[a], out[a + n] = t, t + n
+    return tuple(out)
+
+
 def apply_subgraph(g: SignedPermutation, sub: SpanningSubgraph) -> SpanningSubgraph:
-    lm = g.label_map()
+    lm = label_map(g)
     return SpanningSubgraph(
         sub.n, sub.kind, tuple((lm[i], lm[j]) for i, j in sub.edges)
     )
@@ -79,14 +100,25 @@ def random_signed_permutation(n, rng) -> SignedPermutation:
     return SignedPermutation(tuple(perm), flips)
 
 
+def full_orbit(n: int, mask: int) -> tuple[np.ndarray, int]:
+    """Every group element's image of mask, one per row of the full
+    expansion `_group_edge_maps`, and the canonical one: the image whose
+    sorted rank list is least, i.e. whose bit-reversed mask is largest."""
+    ranks = [r for r in range(mask.bit_length()) if mask >> r & 1]
+    mapped = _group_edge_maps(n)[:, ranks].astype(np.uint64)
+    one = np.uint64(1)
+    images = np.bitwise_or.reduce(one << mapped, axis=1)
+    top = np.uint64(_group_edge_maps(n).shape[1] - 1)
+    keys = np.bitwise_or.reduce(one << (top - mapped), axis=1)
+    return images, int(images[int(np.argmax(keys))])
+
+
 def orbit_masks(n: int, mask: int) -> set[int]:
-    masks, _ = _orbit_arrays(n, mask)
-    return set(masks.tolist())
+    return set(full_orbit(n, mask)[0].tolist())
 
 
 def stabilizer_order(n: int, mask: int) -> int:
-    masks, _ = _orbit_arrays(n, mask)
-    return int(np.count_nonzero(masks == np.uint64(mask)))
+    return int(np.count_nonzero(full_orbit(n, mask)[0] == np.uint64(mask)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from cubenets.core import (
     SpanningSubgraph,
     _edge_rank_grid,
     _group_edge_maps,
+    _orbit_arrays,
     antipode_index,
     canonical_form,
     canonical_mask,
     dedup_canonical_masks,
     roberts_edges,
-    signed_permutations,
     subgraph_from_mask,
     validate,
 )
@@ -26,8 +26,17 @@ from cubenets.enumeration import (
     _raw_cycle_masks,
     _raw_path_masks,
     _raw_tree_masks,
+    random_spanning_tree,
 )
-from oracles import apply_subgraph, orbit_masks, stabilizer_order, subgraph_from_json
+from oracles import (
+    apply_subgraph,
+    full_orbit,
+    label_map,
+    orbit_masks,
+    signed_permutations,
+    stabilizer_order,
+    subgraph_from_json,
+)
 
 
 def random_tree(n, rng):
@@ -219,7 +228,7 @@ def test_group_edge_maps_row_per_element(n):
     assert table.dtype == np.int64
     assert len(table) == 2**n * math.factorial(n)
     for g, row in zip(signed_permutations(n), table):
-        lm = g.label_map()
+        lm = label_map(g)
         assert row.tolist() == [grid[lm[i]][lm[j]] for i, j in edges]
 
 
@@ -231,7 +240,7 @@ def test_label_map_bijective_and_antipodal():
             rng.shuffle(perm)
             flips = tuple(rng.random() < 0.5 for _ in range(n))
             g = SignedPermutation(tuple(perm), flips)
-            lm = g.label_map()
+            lm = label_map(g)
             assert sorted(lm) == list(range(2 * n))
             for i in range(2 * n):
                 assert lm[antipode_index(i, n)] == antipode_index(lm[i], n)
@@ -284,6 +293,47 @@ def test_orbit_stabilizer_product():
             assert orbit * stabilizer_order(n, mask) == 2**n * math.factorial(n)
 
 
+def random_walk(n, rng, kind):
+    """A uniform spanning path or cycle, as a random vertex order redrawn
+    until no step (nor, for a cycle, the closing step) is antipodal."""
+    while True:
+        order = rng.sample(range(2 * n), 2 * n)
+        steps = list(zip(order, order[1:]))
+        if kind == "cycle":
+            steps.append((order[-1], order[0]))
+        if all(antipode_index(a, n) != b for a, b in steps):
+            return SpanningSubgraph(n, kind, tuple(steps))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_coset_images_are_the_full_orbits_images_through_rank_zero(n):
+    # _orbit_arrays expands only the cosets of the mask's ordered edges; its
+    # images must be the full group's images that hold edge rank 0, element
+    # for element, and its representative and stabilizer count the full
+    # group's
+    rng = random.Random(n)
+    one = np.uint64(1)
+    for kind in ("tree", "path", "cycle"):
+        for _ in range(4):
+            if kind == "tree":
+                sub = random_spanning_tree(n, rng)
+            else:
+                sub = random_walk(n, rng, kind)
+            mask = sub.mask()
+            images, rep = _orbit_arrays(n, mask)
+            full, full_rep = full_orbit(n, mask)
+            through_zero = np.sort(full[(full & one) == one])
+            assert np.array_equal(np.sort(images), through_zero)
+            assert rep == full_rep
+            assert np.count_nonzero(images == np.uint64(rep)) == stabilizer_order(n, mask)
+
+
+def test_the_empty_edge_set_is_its_own_canonical_form():
+    # no edge of it can be sent onto edge rank 0, so no coset is expanded
+    empty = SpanningSubgraph(3, "tree", ())
+    assert canonical_form(empty) == empty
+
+
 def test_canonical_form_capped_at_full_expansion():
     tree = random_tree(7, random.Random(7))
     with pytest.raises(ValueError, match="full group expansion capped at n=6"):
@@ -304,7 +354,8 @@ def test_dedup_emits_canonical_representatives():
         assert canonical_mask(3, mask) in reps
     # the enumeration's restricted dedup, which remembers only images of its
     # stream's shape (facet 1 a leaf on facet 2 for trees and paths, edge
-    # rank 0 held for cycles), gives the same list on every direct stream
+    # rank 0 held for cycles, and facet 2 joined to facet 3 or to nothing on
+    # axes 3..n), gives the same list on every direct stream
     for raw_masks, cycles, top in (
         (_raw_tree_masks, False, 4),
         (_raw_path_masks, False, 5),
@@ -314,7 +365,12 @@ def test_dedup_emits_canonical_representatives():
             star = 1 if cycles else (1 << (2 * n - 2)) - 1  # vertex 0's edges
             stream = list(raw_masks(n))
             assert all(mask & star == 1 for mask in stream)
-            assert _dedup_restricted(n, stream, star) == dedup_canonical_masks(n, stream)
+            pairs = _dedup_restricted(n, stream, star)
+            assert [rep for rep, _ in pairs] == dedup_canonical_masks(n, stream)
+            # each class carries its stabilizer order
+            assert [stab for _, stab in pairs] == [
+                stabilizer_order(n, rep) for rep, _ in pairs
+            ]
 
 
 def test_dedup_refuses_a_mask_outside_its_stream_shape():

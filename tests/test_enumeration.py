@@ -2,6 +2,7 @@
 random tree sampling, the headline table, and the verification harness."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -12,6 +13,7 @@ import pytest
 from cubenets.core import (
     FacetLabel,
     SpanningSubgraph,
+    _edge_rank_grid,
     antipode_index,
     canonical_mask,
     roberts_edges,
@@ -22,6 +24,7 @@ from cubenets.chords import count_diagram_classes
 from cubenets.enumeration import (
     CHORDS_COUNT_LIMIT,
     DIRECT_LIMITS,
+    CountMismatchError,
     EnumerationTable,
     ResourceLimitError,
     VerifyReport,
@@ -44,6 +47,7 @@ from oracles import (
     orbit_masks,
     random_signed_permutation,
     recursive_walk_masks,
+    stabilizer_order,
 )
 
 
@@ -206,34 +210,42 @@ def test_one_shard_runs_without_a_pool(monkeypatch):
 def test_raw_streams_fill_only_the_first_2n_minus_3_shards(n):
     from cubenets.enumeration import _raw_cycle_masks, _raw_path_masks
 
+    # each stream has one shard per second step: facet 3 and facet 1*, one
+    # vertex at n=2, so two shards fill (one at n=2), within the first 2n-3
+    seconds = 1 if n == 2 else 2
     of = 2 * n - 1
     for raw in (_raw_tree_masks, _raw_path_masks, _raw_cycle_masks):
         sizes = [sum(1 for _ in raw(n, (w, of))) for w in range(of)]
-        assert all(sizes[: 2 * n - 3]) and sizes[2 * n - 3 :] == [0, 0]
+        assert all(sizes[:seconds]) and sizes[seconds:] == [0] * (of - seconds)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_walk_stack_matches_the_recursive_walk(n):
     from cubenets.enumeration import _raw_walk_masks
 
-    # the explicit stack yields the nested generators' stream, order and all
+    # the explicit stack yields the nested generators' stream, order and
+    # all, filtered to the second steps facet 3 and facet 1* (vertices 2
+    # and n); a walk 0 -> 1 -> v2 holds the edge (1, v2)
+    grid = _edge_rank_grid(n)
+    seconds = sorted({2, n})
     for close in (False, True):
-        for of in range(1, 2 * n - 2):
+        walks = list(recursive_walk_masks(n, (0, 1), close))
+        for of in (1, 2):
             for which in range(of):
-                shard = (which, of)
-                assert list(_raw_walk_masks(n, shard, close)) == list(
-                    recursive_walk_masks(n, shard, close)
-                )
+                bits = [1 << grid[1][v2] for v2 in seconds[which::of]]
+                want = [mask for mask in walks if any(mask & bit for bit in bits)]
+                assert list(_raw_walk_masks(n, (which, of), close)) == want
 
 
-def spanning_trees_without_vertex_zero(n):
-    """Spanning trees of the Roberts graph minus vertex 0, by the matrix-tree
-    theorem: the determinant of its Laplacian with the row and column of
-    vertex 1 removed as well, taken exactly over the rationals."""
+def spanning_trees_without_vertex_zero(n, dropped=()):
+    """Spanning trees of the Roberts graph minus vertex 0 and minus the
+    edges `dropped`, by the matrix-tree theorem: the determinant of its
+    Laplacian with the row and column of vertex 1 removed as well, taken
+    exactly over the rationals."""
     size = 2 * n - 2  # vertices 2 .. 2n-1
     lap = [[Fraction(0)] * size for _ in range(size)]
     for i, j in roberts_edges(n):
-        if i == 0:
+        if i == 0 or (i, j) in dropped:
             continue
         for a, b in ((i, j), (j, i)):
             if a >= 2:
@@ -242,7 +254,9 @@ def spanning_trees_without_vertex_zero(n):
                     lap[a - 2][b - 2] -= 1
     det = Fraction(1)
     for c in range(size):
-        pivot = next(r for r in range(c, size) if lap[r][c] != 0)
+        pivot = next((r for r in range(c, size) if lap[r][c] != 0), None)
+        if pivot is None:  # disconnected: no spanning tree
+            return 0
         if pivot != c:
             lap[c], lap[pivot] = lap[pivot], lap[c]
             det = -det
@@ -256,17 +270,99 @@ def spanning_trees_without_vertex_zero(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_raw_tree_stream_is_every_tree_with_facet_one_a_leaf_on_facet_two(n):
-    # adding the edge {0, 1} to a spanning tree of the graph without vertex
-    # 0 gives each tree in which vertex 0 is a leaf on vertex 1 exactly once
-    expected = spanning_trees_without_vertex_zero(n)
-    assert expected == {2: 1, 3: 45, 4: 6125}[n]
+    # adding the edge {0, 1} to a spanning tree of the graph G0 without
+    # vertex 0 gives each tree in which vertex 0 is a leaf on vertex 1
+    # exactly once
+    leaf_shaped = spanning_trees_without_vertex_zero(n)
+    assert leaf_shaped == {2: 1, 3: 45, 4: 6125}[n]
+    # of those, the stream keeps the trees in which vertex 1 (facet 2)
+    # holds the edge to vertex 2 (facet 3), or has no neighbour on axes
+    # 3..n: tau(G0) - tau(G0 - {1, 2}) + tau(G0 - E2), E2 being vertex 1's
+    # edges into axes 3..n (at n=2 there is no facet 3 and E2 is empty)
+    far = tuple((1, u) for u in range(2, 2 * n) if u % n > 1)
+    with_facet_three = leaf_shaped - spanning_trees_without_vertex_zero(n, far[:1])
+    expected = with_facet_three + spanning_trees_without_vertex_zero(n, far)
+    assert expected == {2: 1, 3: 32, 4: 2676}[n]
     star = (1 << (2 * n - 2)) - 1  # vertex 0's edges are ranks 0 .. 2n-3
+    grid = _edge_rank_grid(n)
+    far_bits = sum(1 << grid[i][j] for i, j in far)
+    to_facet_three = 1 << grid[1][2] if n > 2 else 0
     masks = list(_raw_tree_masks(n))
     assert len(masks) == expected
     assert len(set(masks)) == expected
     for mask in masks:
         assert mask & star == 1
+        assert mask & to_facet_three or not mask & far_bits
         assert validate(subgraph_from_mask(n, mask, "tree")) is None
+
+
+def labelled_walks(n, close):
+    """Spanning paths (or, with `close`, cycles) of the Roberts graph, each
+    counted once, by trying every vertex order: a path is met from both
+    ends, a cycle from each of its 2n starts in both directions."""
+    count = 0
+    for order in itertools.permutations(range(2 * n)):
+        steps = zip(order, order[1:] + (order[0],) if close else order[1:])
+        if all(antipode_index(a, n) != b for a, b in steps):
+            count += 1
+    return count // (4 * n if close else 2)
+
+
+def test_closed_forms_count_the_labelled_objects():
+    from cubenets.enumeration import _labelled_count
+
+    for n in (2, 3, 4):
+        assert _labelled_count("paths", n) == labelled_walks(n, close=False)
+        assert _labelled_count("cycles", n) == labelled_walks(n, close=True)
+        if n < 4:
+            edges = roberts_edges(n)
+            trees = sum(
+                validate(SpanningSubgraph(n, "tree", pairs)) is None
+                for pairs in itertools.combinations(edges, 2 * n - 1)
+            )
+            assert _labelled_count("trees", n) == trees
+    assert [_labelled_count("trees", n) for n in (2, 3, 4, 5)] == [4, 384, 82944, 32768000]
+    assert _labelled_count("paths", 5) == 631680
+    assert _labelled_count("cycles", 6) == 6385920
+
+
+@pytest.mark.parametrize("kind", ["trees", "paths", "cycles"])
+def test_listed_orbits_cover_every_labelled_object(kind):
+    from cubenets.enumeration import _labelled_count
+
+    # orbit-stabilizer, with each stabilizer from the full group's expansion
+    for n in (2, 3, 4):
+        order = 2**n * math.factorial(n)
+        reps = [sub.mask() for sub in enumerate_classes(kind, n)]
+        covered = sum(order // stabilizer_order(n, rep) for rep in reps)
+        assert covered == _labelled_count(kind, n)
+
+
+@pytest.mark.parametrize("fault", ["drop", "add"])
+def test_a_dedup_that_loses_or_invents_a_class_fails_the_check(monkeypatch, capsys, fault):
+    from cubenets import cli, enumeration
+
+    real = enumeration._dedup_restricted
+
+    def planted(n, masks, star):
+        pairs = real(n, masks, star)
+        if fault == "drop":
+            return pairs[1:]
+        # a second, non-canonical image of the last class, as a dedup that
+        # failed to recognise it would emit
+        rep, stab = pairs[-1]
+        return pairs + [(min(orbit_masks(n, rep) - {rep}), stab)]
+
+    monkeypatch.setattr(enumeration, "_dedup_restricted", planted)
+    for kind in ("trees", "paths", "cycles"):
+        with pytest.raises(CountMismatchError, match=f"orbit-stabilizer check at n=4 on {kind}"):
+            enumeration._listing.__wrapped__(kind, 4, 1)
+    # the command fails with exit 1 and prints nothing
+    enumeration._listing.cache_clear()
+    assert cli.main(["enumerate", "--dim", "4", "--kind", "paths"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("orbit-stabilizer check at n=4 on paths: ")
 
 
 def test_parallel_generation_matches_serial():
@@ -275,7 +371,8 @@ def test_parallel_generation_matches_serial():
     for n in (3, 4):
         serial = [t.mask() for t in enumerate_trees(n)]
         assert list(_class_masks("trees", n, jobs=2)) == serial
-    # paths are sharded by their second step, which leaves 2n-3 shards
+    # paths are sharded by their second step, facet 3 or facet 1*: three
+    # jobs still make two shards
     for n in (3, 4, 5):
         serial = [p.mask() for p in enumerate_classes("paths", n)]
         for jobs in (2, 3):
@@ -571,10 +668,10 @@ def test_worker_pool_is_capped_by_the_cpu_count(monkeypatch):
     assert asked == [3, 40, 1]
     assert reports[0]["trees_checked"] == 40 and reports.count(reports[0]) == 3
     asked.clear()
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    # the n=4 tree listing has five shards
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
+    # the n=4 tree listing has two shards, so five jobs make two, on one CPU
     assert _listing.__wrapped__("trees", 4, 5) == _listing.__wrapped__("trees", 4, 1)
-    assert asked == [2]
+    assert asked == [1]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

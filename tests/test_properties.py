@@ -25,6 +25,7 @@ from oracles import (
     canonical_net,
     insert_loop,
     is_coherent,
+    label_map,
     random_signed_permutation,
     roll,
     uturn_audit,
@@ -155,7 +156,7 @@ def test_canonical_net_ignores_relabelling(n, seed):
     base = FacetLabel(rng.randrange(1, n + 1), rng.random() < 0.5)
     g = random_signed_permutation(n, rng)
     original = canonical_net(develop_tree(tree, base))
-    lm = g.label_map()
+    lm = label_map(g)
     moved_base = FacetLabel.from_index(lm[base.index(n)], n)
     moved = canonical_net(develop_tree(apply_subgraph(g, tree), moved_base))
     assert moved == original
