@@ -6,7 +6,7 @@ imported from its submodule (`cubenets.enumeration`, `cubenets.nets`, ...).
 """
 
 from .chords import ChordDiagram, enumerate_diagrams
-from .core import FacetLabel, SignedPermutation, SpanningSubgraph, canonical_form
+from .core import FacetLabel, SpanningSubgraph, canonical_form
 from .enumeration import ResourceLimitError, enumerate_trees
 from .nets import CubePartition, cube_partition_of
 from .partitions import realize_partition
@@ -21,7 +21,6 @@ __all__ = [
     "FacetLabel",
     "ResourceLimitError",
     "RollState",
-    "SignedPermutation",
     "SpanningSubgraph",
     "canonical_form",
     "cube_partition_of",

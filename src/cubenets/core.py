@@ -243,24 +243,7 @@ def path_endpoints(sub: SpanningSubgraph) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# signed permutations (the hyperoctahedral group, order 2^n * n!)
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """perm[k-1] is the image axis of axis k; flips[k-1] swaps the star."""
-
-    perm: tuple[int, ...]
-    flips: tuple[bool, ...]
-
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)) or len(self.flips) != n:
-            raise ValueError("not a signed permutation")
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
+# the relabelling group: signed permutations, order 2^n * n!
 
 
 # 2^6 * 6! = 46080 label maps: 2.8 MB of uint8 coset tables, and 22 MB of

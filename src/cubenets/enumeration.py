@@ -57,9 +57,8 @@ from .core import (
     roberts_edges,
     subgraph_from_mask,
 )
-from .nets import verify_development
+from .nets import box_parts, verify_development
 from .rolling import (
-    RollState,
     _tree_walk,
     develop_parent_block,
     develop_tree,
@@ -618,38 +617,25 @@ def _check_tree(report: VerifyReport, tree: SpanningSubgraph) -> None:
 
 def _check_trees(report: VerifyReport, parent_rows) -> None:
     """Check trees given as parent lists rooted at facet 1, in blocks of
-    `tree_block_size(n)`, one block's arrays alive at a time."""
-    start = initial_state(report.n, FacetLabel(1))
-    rows = iter(parent_rows)
-    while _check_next_block(report, start, rows):
-        pass
+    `tree_block_size(n)`, one block's arrays alive at a time.
 
-
-def _check_next_block(report: VerifyReport, start: RollState, rows) -> bool:
-    """Draw the next block of parent lists from `rows` and check it; False
-    once `rows` is spent.
-
-    A tree that `develop_parent_block` rolls passes `verify_development`
-    exactly when its box extents sum to 3n-2 and each is at least 2 (the
-    identity in `nets`).  The block's extents, that test and the passing
-    trees' partitions (their extents in descending order) are array
-    operations over the whole block, and the partitions are counted.
-    Every other tree goes through `_check_tree`, in stream order, for its
-    exact failure entry or error.
+    A block is rolled by `develop_parent_block` and its boxes judged by
+    `nets.box_parts`, which decides `verify_development` for a rolled tree;
+    the passing trees' partitions are counted.  Every other tree goes
+    through `_check_tree`, in stream order, for its exact failure entry or
+    error.
     """
     n = report.n
-    block = list(islice(rows, tree_block_size(n)))
-    if not block:
-        return False
-    cells, rolled = develop_parent_block(start, block)
-    extents = cells.max(1).astype(np.intp) - cells.min(1) + 1
-    passed = rolled & (extents.sum(1) == 3 * n - 2) & (extents.min(1) >= 2)
-    parts = np.sort(extents[passed], 1)[:, ::-1]
-    report.partition_counts.update(map(tuple, parts.tolist()))
-    report.trees_checked += len(parts)
-    for b in np.flatnonzero(~passed).tolist():
-        _check_tree(report, _tree_from_parents(block[b]))
-    return True
+    start = initial_state(n, FacetLabel(1))
+    rows = iter(parent_rows)
+    while block := list(islice(rows, tree_block_size(n))):
+        cells, rolled = develop_parent_block(start, block)
+        passed, parts = box_parts(cells.max(1).astype(np.intp) - cells.min(1) + 1)
+        passed &= rolled
+        report.partition_counts.update(map(tuple, parts[passed].tolist()))
+        report.trees_checked += int(passed.sum())
+        for b in np.flatnonzero(~passed).tolist():
+            _check_tree(report, _tree_from_parents(block[b]))
 
 
 def _sample_shard_job(n: int, count: int, seed: int, shard: int) -> VerifyReport:

@@ -4,20 +4,18 @@ A spanning development with all 2n cells distinct is a net.  Its bounding
 box always has n-1 extents that are at least 2 and sum to 3n-2, i.e. the
 extents form an integer partition of 3n-2 into n-1 parts of size >= 2; the
 box sum grows by exactly one with every facet placed after the first.
-One pass over the cells, `_box_scan`, yields what all three checks read.
-
-For a development built by unit rolls the box alone decides: each cell
-after the first lies next to a placed one and grows the extent sum by at
-most one, from n-1, so the extents sum to 3n-2 only if every cell grows the
-box, which is the unit growth trace and leaves no cell to collide.  The
-sampled and exhaustive checks read the boxes of the block kernel in
-`rolling` that way, and call `verify_development` only to word a failure.
+One pass over the cells, `_box_scan`, yields what `collision` and
+`verify_development` read.  `box_parts` judges a whole block of boxes from
+the block kernels in `rolling`, and is the library's only box test over
+blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .core import FacetLabel
 from .rolling import Development, development_json
@@ -114,6 +112,24 @@ def verify_development(dev: Development) -> tuple[list[str], Optional[CubePartit
     except ValueError as e:
         return problems + [str(e)], None
     return problems, (None if problems else partition)
+
+
+def box_parts(extents) -> tuple[np.ndarray, np.ndarray]:
+    """Judge B bounding boxes at once: a (B,) mask of the rows of the
+    (B, n-1) `extents` that sum to 3n-2 with every extent at least 2, and
+    every row sorted descending, which for a passing row is its partition.
+
+    For a development built by unit rolls the box alone decides whether
+    `verify_development` passes it: each cell after the first lies next to
+    a placed one and grows the extent sum by at most one, from n-1, so the
+    extents sum to 3n-2 only if every cell grows the box, which is the unit
+    growth trace and leaves no cell to collide.  The block checks read their
+    boxes that way, and call `verify_development` only to word a failure.
+    """
+    parts = np.sort(extents, 1)[:, ::-1]
+    n = parts.shape[1] + 1
+    passed = (parts.sum(1) == 3 * n - 2) & (parts[:, -1] >= 2)
+    return passed, parts
 
 
 def net_json(dev: Development) -> dict:

@@ -11,8 +11,9 @@ minus one, is the number of slides direction k must make.
 `realization_block` is the one route from partitions to roll words: it
 plays the boards of many partitions at once as numpy arrays, raising on the
 first broken rule of the first board that breaks one, rolls every word in
-one `rolling.develop_word_block` and checks each word's box against its
-partition.  `realize_partition` is a block of one.
+one `rolling.develop_word_block` and checks each word's box, sorted by
+`nets.box_parts`, against its partition.  `realize_partition` is a block of
+one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FacetLabel, _check_budget, _check_dim
-from .nets import CubePartition
+from .nets import CubePartition, box_parts
 from .rolling import RollSequence, develop_word_block, initial_state
 
 
@@ -147,7 +148,8 @@ def realization_block(parts) -> tuple[np.ndarray, np.ndarray]:
     last.  An illegal slide raises IllegalSlideError, anything else
     RuntimeError.  The words are then rolled from facet 1 in one
     `develop_word_block`, which raises for a word it refuses, and the first
-    row whose box is not its partition raises RuntimeError.
+    row whose box, sorted by `nets.box_parts`, is not its partition raises
+    RuntimeError.
     """
     n = parts[0].n
     width = 2 * n - 1
@@ -202,7 +204,8 @@ def realization_block(parts) -> tuple[np.ndarray, np.ndarray]:
             )
         raise IllegalSlideError(_ILLEGAL_SLIDES[why[b, j]].format(word[j]))
     extents, _ = develop_word_block(initial_state(n, FacetLabel(1)), words)
-    boxes = -np.sort(-extents, 1)
+    # a box equal to its partition, a legal CubePartition, passes box_parts
+    boxes = box_parts(extents)[1]
     wrong = (boxes != target).any(1)
     if wrong.any():
         b = int(wrong.argmax())

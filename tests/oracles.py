@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -30,7 +31,6 @@ from cubenets.chords import (
 )
 from cubenets.core import (
     FacetLabel,
-    SignedPermutation,
     SpanningSubgraph,
     _edge_rank_grid,
     _group_edge_maps,
@@ -64,6 +64,23 @@ def diagram_from_json(doc) -> ChordDiagram:
 
 # ---------------------------------------------------------------------------
 # the relabelling group
+
+
+@dataclass(frozen=True)
+class SignedPermutation:
+    """perm[k-1] is the image axis of axis k; flips[k-1] swaps the star."""
+
+    perm: tuple[int, ...]
+    flips: tuple[bool, ...]
+
+    def __post_init__(self):
+        n = len(self.perm)
+        if sorted(self.perm) != list(range(1, n + 1)) or len(self.flips) != n:
+            raise ValueError("not a signed permutation")
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
 
 
 def signed_permutations(n: int):

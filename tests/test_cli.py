@@ -342,11 +342,13 @@ def test_verify_exhaustive_budget_is_the_library_constant(capsys, monkeypatch):
 
 
 def test_verify_usage(capsys):
-    assert run(capsys, "verify", "--dim", "3")[0] == 2
-    assert run(
-        capsys, "verify", "--dim", "3", "--exhaustive", "--samples", "5"
-    )[0] == 2
-    assert run(capsys, "verify", "--dim", "6", "--exhaustive")[0] == 2
+    for flags in ([], ["--exhaustive", "--samples", "5"]):
+        assert run(capsys, "verify", "--dim", "3", *flags) == (
+            2, "", "need exactly one of exhaustive or samples > 0\n"
+        )
+    assert run(capsys, "verify", "--dim", "6", "--exhaustive") == (
+        2, "", "direct trees listings are budgeted up to n=5 (DIRECT_LIMITS), got n=6\n"
+    )
     for n in ("0", "1"):
         code, out, err = run(capsys, "verify", "--dim", n, "--samples", "5")
         assert (code, out) == (2, "")

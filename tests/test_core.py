@@ -8,7 +8,6 @@ import pytest
 
 from cubenets.core import (
     FacetLabel,
-    SignedPermutation,
     SpanningSubgraph,
     _edge_rank_grid,
     _group_edge_maps,
@@ -29,6 +28,7 @@ from cubenets.enumeration import (
     random_spanning_tree,
 )
 from oracles import (
+    SignedPermutation,
     apply_subgraph,
     full_orbit,
     label_map,

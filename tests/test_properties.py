@@ -15,7 +15,14 @@ from cubenets.chords import (
 )
 from cubenets.core import FacetLabel, antipode_index, canonical_mask, roberts_edges
 from cubenets.enumeration import random_spanning_tree
-from cubenets.nets import _box_scan, bounding_box, is_net, verify_development
+from cubenets.nets import (
+    CubePartition,
+    _box_scan,
+    bounding_box,
+    box_parts,
+    is_net,
+    verify_development,
+)
 from cubenets.partitions import enumerate_cube_partitions, realize_partition
 from cubenets.rolling import develop_path, develop_tree, initial_state
 from oracles import (
@@ -112,6 +119,45 @@ def test_roll_built_development_passes_exactly_when_its_extents_sum_to_3n_minus_
         extents = bounding_box(dev)
         identity = sum(extents) == 3 * n - 2 and min(extents) >= 2
         assert (verify_development(dev)[0] == []) == identity
+        passed, parts = box_parts([extents])
+        assert passed.tolist() == [identity]
+        assert parts.tolist() == [sorted(extents, reverse=True)]
+
+
+def cube_partition_accepts(row) -> bool:
+    try:
+        CubePartition(tuple(row))
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def extent_blocks(draw):
+    """A (B, n-1) block of box extents, n = 2..12: rows that are legal
+    partitions in some order, rows that sum to 3n-2 with parts of 1 allowed
+    (cut at n-2 distinct points), and rows of any extents from 1 to 3n."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    legal = enumerate_cube_partitions(n)
+    shuffled = st.sampled_from(legal).flatmap(lambda p: st.permutations(p.parts))
+    cuts = st.lists(
+        st.integers(min_value=1, max_value=3 * n - 3),
+        min_size=n - 2,
+        max_size=n - 2,
+        unique=True,
+    ).map(sorted)
+    summed = cuts.map(lambda c: [b - a for a, b in zip([0, *c], [*c, 3 * n - 2])])
+    anything = st.lists(
+        st.integers(min_value=1, max_value=3 * n), min_size=n - 1, max_size=n - 1
+    )
+    return draw(st.lists(shuffled | summed | anything, min_size=1, max_size=20))
+
+
+@given(extent_blocks())
+def test_box_parts_passes_exactly_the_rows_cube_partition_accepts(block):
+    passed, parts = box_parts(block)
+    assert passed.tolist() == [cube_partition_accepts(row) for row in block]
+    assert parts.tolist() == [sorted(row, reverse=True) for row in block]
 
 
 def naive_box_scan(coords):
