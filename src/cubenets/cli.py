@@ -228,11 +228,11 @@ def _cmd_partitions(args):
     n = args.dim
     parts = enumerate_cube_partitions(n)
     if not args.realize:
-        return {"n": n, "partitions": [{"partition": list(p.parts)} for p in parts]}, 0
+        return {"n": n, "partitions": [{"partition": p} for p in parts.tolist()]}, 0
     words, boxes = realization_block(parts)
     rows = [
-        {"partition": list(p.parts), "rolls": word, "box": box}
-        for p, word, box in zip(parts, words.tolist(), boxes.tolist())
+        {"partition": p, "rolls": word, "box": box}
+        for p, word, box in zip(parts.tolist(), words.tolist(), boxes.tolist())
     ]
     return {"n": n, "partitions": rows}, 0
 

@@ -8,10 +8,12 @@ where the transfer point (the base's antipode) is shared by all tracks, and
 a slide along d is exactly a roll in direction +d.  Part k of the partition,
 minus one, is the number of slides direction k must make.
 
-`realization_block` is the one route from partitions to roll words: it
-plays the boards of many partitions at once as numpy arrays, raising on the
-first broken rule of the first board that breaks one, rolls every word in
-one `rolling.develop_word_block` and checks each word's box, sorted by
+The listing is a row array, one partition per row, and
+`realization_block` is the one route from such rows to roll words: it
+builds every row's slide word in one `_schedules` block, plays the boards
+of all rows at once as numpy arrays, raising on the first broken rule of
+the first board that breaks one, rolls every word in one
+`rolling.develop_word_block` and checks each word's box, sorted by
 `nets.box_parts`, against its partition.  `realize_partition` is a block of
 one.
 """
@@ -30,13 +32,14 @@ class IllegalSlideError(ValueError):
 
 
 # the listing grows as p(n) - 1 (17976 partitions at n=36): realizing it takes
-# about 2 s and 150 MB at n=36 and 4 s and 230 MB at n=40, listing alone
-# 0.5 s and 64 MB at n=36 and 1.1 s and 88 MB at n=40
+# about 1-1.3 s and 110 MB at n=36 and 2.8 s and 210 MB at n=40, listing
+# alone 0.2-0.3 s and 46 MB at n=36 and 0.6 s and 64 MB at n=40
 PARTITIONS_LIMIT = 36
 
 
-def enumerate_cube_partitions(n: int) -> tuple[CubePartition, ...]:
-    """All partitions of 3n-2 into n-1 parts >= 2, descending lexicographic.
+def enumerate_cube_partitions(n: int) -> np.ndarray:
+    """All partitions of 3n-2 into n-1 parts >= 2, descending lexicographic,
+    as a (P, n-1) `intp` array of rows, each row's parts descending.
 
     Taking 2 from every part leaves a partition of the excess n into at
     most n-1 parts: any partition of n but 1+1+...+1, so the last one is
@@ -51,7 +54,7 @@ def enumerate_cube_partitions(n: int) -> tuple[CubePartition, ...]:
     _check_budget(n, PARTITIONS_LIMIT, "PARTITIONS_LIMIT", "partition listings")
     x = [n] + [0] * (n - 2)
     m = h = 1
-    out = [CubePartition(tuple([v + 2 for v in x]))]
+    out = [x[:]]
     while m < n - 1:
         if x[h - 1] == 2:
             # the last part above 1 is a 2: split it into 1+1
@@ -74,13 +77,14 @@ def enumerate_cube_partitions(n: int) -> tuple[CubePartition, ...]:
                 x[k] = 0
             m = h + (t > 0)
             h += t > 1
-        out.append(CubePartition(tuple([v + 2 for v in x])))
-    return tuple(out)
+        out.append(x[:])
+    return np.array(out, np.intp) + 2
 
 
-def _schedule(p: CubePartition) -> tuple[list[int], range]:
-    """The three-phase slide word of a partition, and the index range of
-    its middle phase.
+def _schedules(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three-phase slide words of a (B, n-1) block of descending
+    partitions, as a (B, 2n-1) array, and the (B,) start and stop columns
+    of each word's middle phase.
 
     Direction d owes part d minus one slides.  A track that takes a single
     token is a singleton; every other track is a tower holding a bottom
@@ -91,15 +95,22 @@ def _schedule(p: CubePartition) -> tuple[list[int], range]:
     per tower.  In the middle phase the transfer point must be empty before
     a tower slides and occupied before a singleton does.
     """
-    k = sum(part > 2 for part in p.parts)
-    towers = range(1, k + 1)
-    singletons = range(k + 1, len(p.parts) + 1)
-    middles = [d for d, part in zip(towers, p.parts) for _ in range(part - 3)]
-    # there is one middle more than there are singletons: m s m ... s m
-    step2 = middles[:1]
-    for s, m in zip(singletons, middles[1:]):
-        step2 += [s, m]
-    return [*towers, *step2, *towers], range(k, k + len(step2))
+    B, dirs = rows.shape
+    width = 2 * dirs + 1
+    k = (rows > 2).sum(1)
+    start, stop = k, width - k
+    col = np.arange(width)
+    # column c holds tower c + 1 before the middle phase and tower c - stop
+    # + 1 after it; at offset j into the middle phase it holds singleton
+    # k + 1 + j // 2 at odd j and the next middle at even j, one middle
+    # more than there are singletons: m s m ... s m
+    j = col - start[:, None]
+    words = np.where(j < 0, col + 1, k[:, None] + (j + 1) // 2)
+    tops = col >= stop[:, None]
+    words[tops] = (col - stop[:, None])[tops] + 1
+    middles = np.repeat(np.tile(np.arange(1, dirs + 1), B), np.maximum(rows - 3, 0).ravel())
+    words[(j >= 0) & ~tops & (j % 2 == 0)] = middles
+    return words, start, stop
 
 
 # the rules a slide can break, by the code `_slide_rows` gives each board
@@ -133,34 +144,47 @@ def _slide_rows(res, near, far, transfer, d):
     return transfer, why
 
 
-def realization_block(parts) -> tuple[np.ndarray, np.ndarray]:
-    """Roll words realizing B partitions of one n, and the boxes they roll:
-    a (B, 2n-1) array of slide words and a (B, n-1) array of box extents,
-    each row sorted descending, which is the row's partition.
+def realization_block(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Roll words realizing a (B, n-1) block of partitions, each row's parts
+    descending: a (B, 2n-1) array of slide words and a (B, n-1) array of box
+    extents, each row sorted descending, which is the row's partition.
 
-    Each word comes from `_schedule`; then all B boards are played at once,
-    one slide column per step, and each board must end full: every
-    reservoir spent and every near, far and transfer point holding a token.
-    The first board in row order that breaks a rule raises, with the first
-    rule it breaks: a word of another length than 2n-1, refused before it
-    is played (it is played as zeros, which no board accepts); at each
-    slide the phase, then the slide's own rules; the full board after the
-    last.  An illegal slide raises IllegalSlideError, anything else
-    RuntimeError.  The words are then rolled from facet 1 in one
-    `develop_word_block`, which raises for a word it refuses, and the first
-    row whose box, sorted by `nets.box_parts`, is not its partition raises
-    RuntimeError.
+    Rows that hold no integers, and the first row that is not a descending
+    partition of 3n-2 into parts of at least 2, raise ValueError before
+    any board is played.  The words come from `_schedules`, and a block of
+    them of another width than 2n-1 is refused unplayed, naming the first
+    row.  Then all B boards are played at once, one slide column per step,
+    and each board must end full: every reservoir spent and every near, far
+    and transfer point holding a token.  The first board in row order that breaks a rule
+    raises, with the first rule it breaks: at each slide the phase, then
+    the slide's own rules; the full board after the last.  An illegal slide
+    raises IllegalSlideError, anything else RuntimeError.  The words are
+    then rolled from facet 1 in one `develop_word_block`, which raises for a
+    word it refuses, and the first row whose box, sorted by
+    `nets.box_parts`, is not its partition raises RuntimeError.
     """
-    n = parts[0].n
+    target = np.asarray(rows)
+    if target.dtype.kind not in "iu":
+        raise ValueError(f"partition rows must hold integers, got {target.dtype}")
+    target = target.astype(np.intp, copy=False)
+    B, dirs = target.shape
+    n = dirs + 1
+    passed, ordered = box_parts(target)
+    illegal = ~passed | (ordered != target).any(1)
+    if illegal.any():
+        row = tuple(target[illegal.argmax()].tolist())
+        raise ValueError(
+            f"{row} is not a descending partition of 3n-2 = {3 * n - 2} into "
+            "parts of at least 2"
+        )
     width = 2 * n - 1
-    schedules = [_schedule(p) for p in parts]
-    words = np.array(
-        [word if len(word) == width else [0] * width for word, _ in schedules], np.intp
-    )
-    start, stop = np.array([(m.start, m.stop) for _, m in schedules]).T
-    B = len(words)
+    words, start, stop = _schedules(target)
+    if words.shape[1] != width:
+        raise RuntimeError(
+            f"slide word for {tuple(target[0].tolist())} has {words.shape[1]} "
+            f"slides, not 2n-1 = {width}"
+        )
     steps = np.arange(width)
-    target = np.array([p.parts for p in parts])
     res = target - 1  # the slides each direction owes
     # the first phase slides each tower once, so is_tower[b, d] says
     # whether direction d is a tower of row b; in the middle phase row b's
@@ -188,29 +212,25 @@ def realization_block(parts) -> tuple[np.ndarray, np.ndarray]:
     refused = phase.any(1) | why.any(1) | ~full
     if refused.any():
         b = int(refused.argmax())
-        p, word = parts[b], schedules[b][0]
         broken = phase[b] | (why[b] > 0)
         j = int(broken.argmax())
-        if len(word) != width:
-            raise RuntimeError(
-                f"slide word for {p.parts} has {len(word)} slides, not 2n-1 = {width}"
-            )
         if not broken.any():
-            raise RuntimeError(f"board not full after realizing {p.parts}")
+            raise RuntimeError(f"board not full after realizing {tuple(target[b].tolist())}")
         if phase[b, j]:
             raise RuntimeError(
                 f"phase discipline broken at slide {j}: transfer must be "
                 f"{'occupied' if want[b, j] else 'empty'}"
             )
-        raise IllegalSlideError(_ILLEGAL_SLIDES[why[b, j]].format(word[j]))
+        raise IllegalSlideError(_ILLEGAL_SLIDES[why[b, j]].format(int(words[b, j])))
     extents, _ = develop_word_block(initial_state(n, FacetLabel(1)), words)
-    # a box equal to its partition, a legal CubePartition, passes box_parts
+    # a box equal to its partition, a legal one, passes box_parts
     boxes = box_parts(extents)[1]
     wrong = (boxes != target).any(1)
     if wrong.any():
         b = int(wrong.argmax())
         raise RuntimeError(
-            f"partition {parts[b].parts} realized with box {tuple(boxes[b].tolist())}"
+            f"partition {tuple(target[b].tolist())} realized with box "
+            f"{tuple(boxes[b].tolist())}"
         )
     return words, boxes
 
@@ -220,6 +240,6 @@ def realize_partition(p: CubePartition) -> RollSequence:
     (slides along track d become rolls in direction +d): the block of one
     partition, so its box is checked, which raises as `realization_block`
     does."""
-    words, _ = realization_block([p])
+    words, _ = realization_block([p.parts])
     word = tuple(words[0].tolist())
     return RollSequence(p.n, initial_state(p.n, FacetLabel(1)), word)

@@ -21,7 +21,7 @@ from math import ceil
 
 import numpy as np
 
-from cubenets import partitions, rolling
+from cubenets import rolling
 from cubenets.chords import (
     ChordDiagram,
     _apply_vertex_map,
@@ -249,9 +249,25 @@ def slot_table_parent_block(parents) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # the token board, one partition on Python lists
 #
-# `partitions._schedule` is read through the module, so a test that patches
-# it there reaches the oracle too; a test that patches `slide` here reaches
-# `realization_slides`.
+# `schedule` and `slide` are read through this module, so a test that
+# patches either here reaches `realization_slides`.
+
+
+def schedule(p: CubePartition) -> tuple[list[int], range]:
+    """The three-phase slide word of one partition, and the index range of
+    its middle phase, built as `partitions._schedules` builds a block of
+    them: towers 1..k first and last, k the number of parts above 2, and
+    between them each tower's part - 3 middles, tower by tower, alternating
+    with the singletons k+1..n-1."""
+    k = sum(part > 2 for part in p.parts)
+    towers = range(1, k + 1)
+    singletons = range(k + 1, len(p.parts) + 1)
+    middles = [d for d, part in zip(towers, p.parts) for _ in range(part - 3)]
+    # there is one middle more than there are singletons: m s m ... s m
+    step2 = middles[:1]
+    for s, m in zip(singletons, middles[1:]):
+        step2 += [s, m]
+    return [*towers, *step2, *towers], range(k, k + len(step2))
 
 
 def slide(res: list, near: list, far: list, transfer: bool, d: int) -> bool:
@@ -280,7 +296,7 @@ def realization_slides(p: CubePartition) -> tuple[int, ...]:
     raises RuntimeError (`slide` conserves tokens itself).  A word of
     another length than 2n-1 is played as it is, so it fails one of these
     checks, where `partitions.realization_block` refuses it unplayed."""
-    word, middle = partitions._schedule(p)
+    word, middle = schedule(p)
     res = [part - 1 for part in p.parts]
     near = [False] * len(res)
     far = [False] * len(res)

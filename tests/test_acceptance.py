@@ -14,7 +14,7 @@ import pytest
 from cubenets.chords import edge_orbit_count, enumerate_diagrams
 from cubenets.core import FacetLabel, SpanningSubgraph, canonical_mask
 from cubenets.enumeration import build_table, enumerate_trees, random_spanning_tree
-from cubenets.nets import bounding_box, collision, cube_partition_of
+from cubenets.nets import CubePartition, bounding_box, collision, cube_partition_of
 from cubenets.partitions import enumerate_cube_partitions, realize_partition
 from cubenets.rolling import (
     Development,
@@ -139,10 +139,10 @@ def test_c4_partition_realization_roundtrip():
     t0 = time.perf_counter()
     total = 0
     for n in range(2, 13):
-        for p in enumerate_cube_partitions(n):
-            dev = realize_partition(p).develop()
+        for parts in enumerate_cube_partitions(n).tolist():
+            dev = realize_partition(CubePartition(tuple(parts))).develop()
             assert collision(dev) is None
-            assert cube_partition_of(dev).parts == p.parts
+            assert list(cube_partition_of(dev).parts) == parts
             total += 1
     dt = time.perf_counter() - t0
     print(f"C4 realization: {total} partitions round-tripped in {dt:.1f}s")

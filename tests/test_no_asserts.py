@@ -55,9 +55,16 @@ REFUSALS = {
 INJECT = """
 import sys
 from cubenets import cli, partitions
-real = partitions._schedule
-fault = ({schedule})
-partitions._schedule = lambda p: fault if p.parts == (4, 3, 3) else real(p)
+real = partitions._schedules
+word, middle = ({schedule})
+
+def schedules(rows):
+    words, start, stop = real(rows)
+    b = rows.tolist().index([4, 3, 3])
+    words[b], start[b], stop[b] = word, middle.start, middle.stop
+    return words, start, stop
+
+partitions._schedules = schedules
 sys.exit(cli.main(["partitions", "--dim", "4", "--realize"]))
 """
 
@@ -72,3 +79,24 @@ def test_realize_refusals_under_python_O(fault):
             capture_output=True, text=True, env=env,
         )
         assert (run.returncode, run.stdout, run.stderr) == (code, "", err)
+
+
+REFUSE = """
+from cubenets.partitions import realization_block
+try:
+    realization_block([(6, 2, 2), (6, 3, 1)])
+except ValueError as e:
+    print(e)
+"""
+
+
+def test_realization_block_refuses_a_row_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    for flags in ([], ["-O"]):
+        run = subprocess.run(
+            [sys.executable, *flags, "-c", REFUSE],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert run.stdout == (
+            "(6, 3, 1) is not a descending partition of 3n-2 = 10 into parts of at least 2\n"
+        )

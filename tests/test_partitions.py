@@ -14,7 +14,7 @@ from cubenets.nets import CubePartition, bounding_box, cube_partition_of
 from cubenets.partitions import (
     PARTITIONS_LIMIT,
     IllegalSlideError,
-    _schedule,
+    _schedules,
     enumerate_cube_partitions,
     realization_block,
     realize_partition,
@@ -36,19 +36,40 @@ def brute_partitions(n):
     return sorted(found, reverse=True)
 
 
+def listed(n):
+    """The listing at n as a list of part tuples, one per row."""
+    return [tuple(row) for row in enumerate_cube_partitions(n).tolist()]
+
+
+def partitions_of(n):
+    """The listing at n as CubePartitions, for the one-partition routes."""
+    return [CubePartition(parts) for parts in listed(n)]
+
+
+def schedule_rows(n):
+    """(parts, word, middle range) of every row of the listing at n, read
+    from one `_schedules` block."""
+    rows = enumerate_cube_partitions(n)
+    words, start, stop = _schedules(rows)
+    for parts, word, a, b in zip(rows.tolist(), words.tolist(), start.tolist(), stop.tolist()):
+        yield tuple(parts), word, range(a, b)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
 
 def test_enumerate_small_dimensions():
-    assert [p.parts for p in enumerate_cube_partitions(2)] == [(4,)]
-    assert [p.parts for p in enumerate_cube_partitions(3)] == [(5, 2), (4, 3)]
-    assert [p.parts for p in enumerate_cube_partitions(4)] == [
+    assert listed(2) == [(4,)]
+    assert listed(3) == [(5, 2), (4, 3)]
+    assert listed(4) == [
         (6, 2, 2),
         (5, 3, 2),
         (4, 4, 2),
         (4, 3, 3),
     ]
+    rows = enumerate_cube_partitions(4)
+    assert (rows.dtype, rows.shape) == (np.intp, (4, 3))
 
 
 def test_enumerate_budget():
@@ -85,12 +106,12 @@ def composition_partitions(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_enumerate_matches_brute_force(n):
-    assert [p.parts for p in enumerate_cube_partitions(n)] == brute_partitions(n)
+    assert listed(n) == brute_partitions(n)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_enumerate_matches_compositions(n):
-    got = tuple(p.parts for p in enumerate_cube_partitions(n))
+    got = tuple(listed(n))
     assert got == tuple(composition_partitions(n))
 
 
@@ -115,9 +136,8 @@ def test_listing_holds_every_partition_of_the_excess_but_one():
 def test_extreme_partitions_present():
     # thinnest and squattest admissible boxes
     for n in range(3, 10):
-        parts = [p.parts for p in enumerate_cube_partitions(n)]
-        assert tuple([n + 2] + [2] * (n - 2)) in parts
-    assert (4, 3, 3) in [p.parts for p in enumerate_cube_partitions(4)]
+        assert tuple([n + 2] + [2] * (n - 2)) in listed(n)
+    assert (4, 3, 3) in listed(4)
 
 
 # ---------------------------------------------------------------------------
@@ -127,22 +147,20 @@ def test_extreme_partitions_present():
 def test_reservoir_parts_sum():
     # direction d slides part d minus one times, 2n-1 slides in all
     for n in range(2, 10):
-        for p in enumerate_cube_partitions(n):
-            word, _middle = _schedule(p)
+        for parts, word, _middle in schedule_rows(n):
             assert len(word) == 2 * n - 1
             counts = Counter(word)
-            assert [counts[d] for d in range(1, n)] == [part - 1 for part in p.parts]
+            assert [counts[d] for d in range(1, n)] == [part - 1 for part in parts]
 
 
 def test_classification_identities():
     # the towers, the parts above 2, slide first and last; the middle phase
     # holds every singleton, each between two middles
     for n in range(2, 10):
-        for p in enumerate_cube_partitions(n):
-            word, middle = _schedule(p)
+        for parts, word, middle in schedule_rows(n):
             towers = word[: middle.start]
-            singletons = [d for d, part in enumerate(p.parts, 1) if part == 2]
-            assert towers == [d for d, part in enumerate(p.parts, 1) if part > 2]
+            singletons = [d for d, part in enumerate(parts, 1) if part == 2]
+            assert towers == [d for d, part in enumerate(parts, 1) if part > 2]
             assert word[middle.stop :] == towers
             assert len(middle) == 2 * len(singletons) + 1
             assert word[middle.start : middle.stop][1::2] == singletons
@@ -151,9 +169,17 @@ def test_classification_identities():
 
 def test_classification_example():
     # towers 1 and 2, singleton 3, and direction 1's two middles
-    word, middle = _schedule(CubePartition((5, 3, 2)))
-    assert word == [1, 2, 1, 3, 1, 1, 2]
-    assert middle == range(2, 5)
+    words, start, stop = _schedules(np.array([(5, 3, 2)]))
+    assert words.tolist() == [[1, 2, 1, 3, 1, 1, 2]]
+    assert range(start[0], stop[0]) == range(2, 5)
+
+
+def test_block_schedule_matches_the_one_partition_schedule():
+    # the block's words and middle ranges are the oracle's, row by row, over
+    # every listing the budget allows
+    for n in range(2, PARTITIONS_LIMIT + 1):
+        for parts, word, middle in schedule_rows(n):
+            assert (word, middle) == oracles.schedule(CubePartition(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +243,7 @@ def test_realize_matches_staircase_placements():
 
 def test_slide_count_per_direction():
     for n in range(2, 9):
-        for p in enumerate_cube_partitions(n):
+        for p in partitions_of(n):
             word = realize_partition(p).moves
             counts = Counter(word)
             for d, part in enumerate(p.parts, 1):
@@ -226,7 +252,7 @@ def test_slide_count_per_direction():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_realization_roundtrip(n):
-    for p in enumerate_cube_partitions(n):
+    for p in partitions_of(n):
         dev = realize_partition(p).develop()
         assert dev.is_spanning
         assert cube_partition_of(dev) == p
@@ -236,7 +262,7 @@ def test_realization_roundtrip(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_word_block_boxes_match_the_developments(n):
-    seqs = [realize_partition(p) for p in enumerate_cube_partitions(n)]
+    seqs = [realize_partition(p) for p in partitions_of(n)]
     start = initial_state(n, FacetLabel(1))
     extents, placed = develop_word_block(start, np.array([seq.moves for seq in seqs]))
     for seq, ext, labels in zip(seqs, extents.tolist(), placed.tolist()):
@@ -247,11 +273,36 @@ def test_word_block_boxes_match_the_developments(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_realization_block_matches_the_one_board_route(n):
-    parts = enumerate_cube_partitions(n)
-    words, boxes = realization_block(parts)
+    words, boxes = realization_block(enumerate_cube_partitions(n))
+    parts = partitions_of(n)
     assert words.shape == (len(parts), 2 * n - 1)
     assert [tuple(word) for word in words.tolist()] == [realization_slides(p) for p in parts]
     assert [tuple(box) for box in boxes.tolist()] == [p.parts for p in parts]
+
+
+# rows at n=4 that are no descending partition of 10 into parts >= 2
+NOT_PARTITIONS = {"wrong sum": (5, 3, 3), "part of 1": (6, 3, 1), "ascending": (2, 3, 5)}
+
+
+@pytest.mark.parametrize("fault", sorted(NOT_PARTITIONS))
+def test_block_refuses_a_row_that_is_no_descending_partition(monkeypatch, fault):
+    # the first such row raises ValueError before a word is built or a
+    # board played; (1, 1, 8), after it, breaks all three rules
+    row = NOT_PARTITIONS[fault]
+    played = []
+    monkeypatch.setattr(partitions, "_schedules", lambda rows: played.append(rows))
+    monkeypatch.setattr(partitions, "_slide_rows", lambda *board: played.append(board))
+    message = f"{row} is not a descending partition of 3n-2 = 10 into parts of at least 2"
+    block = [(6, 2, 2), row, (1, 1, 8)]
+    assert raised(realization_block, block) == (ValueError, message)
+    assert raised(realization_block, np.array(block)) == (ValueError, message)
+    assert played == []
+
+
+def test_block_refuses_rows_that_hold_no_integers():
+    # (5.5, 2.5) would pass as (5, 2) if it were cast to integers
+    message = "partition rows must hold integers, got float64"
+    assert raised(realization_block, [(5.5, 2.5)]) == (ValueError, message)
 
 
 def roll_after_the_board(monkeypatch, words=None, extents=None):
@@ -332,8 +383,7 @@ def test_realize_dim12_golden(capsys):
 
 def test_phase_check(monkeypatch):
     # a second "tower" slides in step 2 while the transfer point is occupied
-    schedule = CLASSIFICATION_FAULTS["phase, long word"][1]
-    monkeypatch.setattr(partitions, "_schedule", lambda p: schedule)
+    misclassify(monkeypatch, "phase, long word")
     with pytest.raises(RuntimeError, match="phase discipline broken at slide 3"):
         realization_slides(CubePartition((5, 2)))
 
@@ -352,8 +402,7 @@ def test_conservation_check(monkeypatch):
 
 def test_full_board_check(monkeypatch):
     # legal slides that never reach direction 2 leave its track empty
-    schedule = CLASSIFICATION_FAULTS["full board, short word"][1]
-    monkeypatch.setattr(partitions, "_schedule", lambda p: schedule)
+    misclassify(monkeypatch, "full board, short word")
     with pytest.raises(RuntimeError, match="board not full"):
         realization_slides(CubePartition((5, 2)))
 
@@ -376,7 +425,7 @@ def assert_every_route_raises(capsys, parts, target, error, message):
     one stderr line and nothing on stdout."""
     assert raised(realization_block, parts) == (error, message)
     assert raised(realize_partition, CubePartition(target)) == (error, message)
-    code = main(["partitions", "--dim", str(parts[0].n), "--realize"])
+    code = main(["partitions", "--dim", str(len(target) + 1), "--realize"])
     assert code == (2 if error is IllegalSlideError else 1)
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message + "\n")
@@ -427,7 +476,8 @@ CLASSIFICATION_FAULTS = {
     ),
 }
 
-# the block refuses a word of another length than 2n-1 before playing it
+# the block refuses a block of words of another width than 2n-1 before
+# playing it, naming its first row
 UNPLAYED = {
     "phase, long word": "slide word for (5, 2) has 7 slides, not 2n-1 = 5",
     "full board, short word": "slide word for (5, 2) has 2 slides, not 2n-1 = 5",
@@ -435,10 +485,25 @@ UNPLAYED = {
 
 
 def misclassify(monkeypatch, *faults):
-    """Schedule each fault's partition by its word, every other one truly."""
+    """Schedule each fault's partition by its word and middle range, every
+    other one truly, in the oracle and in the block.  A word of another
+    length than 2n-1 plants a block of its width, whose other rows are
+    zeros: the block refuses such a block before it reads a row."""
     schedules = {CLASSIFICATION_FAULTS[f][0]: CLASSIFICATION_FAULTS[f][1] for f in faults}
-    real = partitions._schedule
-    monkeypatch.setattr(partitions, "_schedule", lambda p: schedules.get(p.parts) or real(p))
+    real_one, real_block = oracles.schedule, partitions._schedules
+
+    def block(rows):
+        words, start, stop = real_block(rows)
+        for b, parts in enumerate(rows.tolist()):
+            if tuple(parts) in schedules:
+                word, middle = schedules[tuple(parts)]
+                if len(word) != words.shape[1]:
+                    words = np.zeros((len(rows), len(word)), words.dtype)
+                words[b], start[b], stop[b] = word, middle.start, middle.stop
+        return words, start, stop
+
+    monkeypatch.setattr(oracles, "schedule", lambda p: schedules.get(p.parts) or real_one(p))
+    monkeypatch.setattr(partitions, "_schedules", block)
 
 
 @pytest.mark.parametrize("fault", sorted(CLASSIFICATION_FAULTS))
@@ -446,9 +511,9 @@ def test_block_refuses_only_a_misclassified_board(monkeypatch, capsys, fault):
     target, _word, error, message = CLASSIFICATION_FAULTS[fault]
     misclassify(monkeypatch, fault)
     parts = enumerate_cube_partitions(len(target) + 1)
-    others = [p for p in parts if p.parts != target]
+    others = parts[(parts != target).any(1)]
     assert [tuple(word) for word in realization_block(others)[0].tolist()] == [
-        realization_slides(p) for p in others
+        realization_slides(CubePartition(tuple(p))) for p in others.tolist()
     ]
     assert raised(realization_slides, CubePartition(target)) == (error, message)
     assert_every_route_raises(capsys, parts, target, error, UNPLAYED.get(fault, message))
@@ -469,7 +534,7 @@ def test_the_first_broken_row_raises(monkeypatch, capsys):
     # (5, 3, 2), row 1, breaks at slide 4 and (4, 3, 3), row 3, at slide 1
     misclassify(monkeypatch, "far slot taken", "direction out of range")
     parts = enumerate_cube_partitions(4)
-    assert [p.parts for p in parts] == [(6, 2, 2), (5, 3, 2), (4, 4, 2), (4, 3, 3)]
+    assert parts.tolist() == [[6, 2, 2], [5, 3, 2], [4, 4, 2], [4, 3, 3]]
     message = "direction 2 is finished (end slot occupied)"
     assert_every_route_raises(capsys, parts, (5, 3, 2), IllegalSlideError, message)
     assert raised(realization_block, parts[2:]) == (IllegalSlideError, "direction 4 out of range")
@@ -488,7 +553,7 @@ def test_block_refuses_only_a_board_that_loses_a_token(monkeypatch, capsys, leak
     # the token on (4, 4, 2)'s transfer point after slide `step` vanishes
     step, message = LEAKS[leak]
     parts = enumerate_cube_partitions(4)
-    row = [p.parts for p in parts].index((4, 4, 2))
+    row = parts.tolist().index([4, 4, 2])
     real_rows, real_one = partitions._slide_rows, oracles.slide
     slides = {"block": 0, "board": 0}
 
@@ -508,5 +573,5 @@ def test_block_refuses_only_a_board_that_loses_a_token(monkeypatch, capsys, leak
 
     monkeypatch.setattr(partitions, "_slide_rows", leaky_rows)
     monkeypatch.setattr(oracles, "slide", leaky_one)
-    assert raised(realization_slides, parts[row]) == (RuntimeError, message)
+    assert raised(realization_slides, CubePartition((4, 4, 2))) == (RuntimeError, message)
     assert_every_route_raises(capsys, parts, (4, 4, 2), RuntimeError, message)

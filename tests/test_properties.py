@@ -138,8 +138,8 @@ def extent_blocks(draw):
     partitions in some order, rows that sum to 3n-2 with parts of 1 allowed
     (cut at n-2 distinct points), and rows of any extents from 1 to 3n."""
     n = draw(st.integers(min_value=2, max_value=12))
-    legal = enumerate_cube_partitions(n)
-    shuffled = st.sampled_from(legal).flatmap(lambda p: st.permutations(p.parts))
+    legal = enumerate_cube_partitions(n).tolist()
+    shuffled = st.sampled_from(legal).flatmap(st.permutations)
     cuts = st.lists(
         st.integers(min_value=1, max_value=3 * n - 3),
         min_size=n - 2,
@@ -212,7 +212,7 @@ def test_canonical_net_ignores_relabelling(n, seed):
 def test_every_partition_realizes_to_its_own_box(n, seed):
     rng = random.Random(seed)
     options = enumerate_cube_partitions(n)
-    p = options[rng.randrange(len(options))]
+    p = CubePartition(tuple(options[rng.randrange(len(options))].tolist()))
     dev = realize_partition(p).develop()
     assert is_net(dev)
     from cubenets.nets import cube_partition_of
