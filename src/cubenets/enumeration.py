@@ -1,8 +1,9 @@
 """Exhaustive and sampled enumeration of unfoldings up to relabelling.
 
 Two independent routes produce the headline counts.  The direct route walks
-the Roberts graph itself: backtracking over edge ranks for trees, vertex
-sequences for paths and cycles, then collapsing to orbit representatives.
+the Roberts graph itself: backtracking over edge ranks for trees, and for
+paths and cycles extending vertex sequences one step at a time in numpy
+frontier blocks of bounded size, then collapsing to orbit representatives.
 The diagram route counts symmetry classes of chord diagrams instead and
 never touches the graph.  Their agreement on small dimensions is one of the
 package's main checks.
@@ -261,33 +262,73 @@ def _raw_tree_masks(n: int, shard: tuple[int, int] = (0, 1)):
         yield from _raw_trees_second_edge(n, grid[1][v2], far if v2 == n else 0)
 
 
+# (walk, neighbour) pairs one frontier block may expand to: a larger block
+# is split.  The walk's arrays then peak near 0.25 MB at n=5 and 0.45 MB at
+# n=6; 1 << 16 pairs walked n=6 a few per cent faster but peaked at 1.4 MB
+_WALK_PAIRS = 1 << 14
+
+
 def _raw_walk_masks(n: int, shard: tuple[int, int], close: bool):
     """Masks of spanning paths (or, with `close`, cycles) whose walk starts
     0 -> 1, so every mask holds edge rank 0.  A cycle closes back to 0, and
     starting 0 -> 1 fixes its orientation, so each undirected cycle is walked
     once.  Only the second steps of `_second_steps` are walked, each a
-    shard, on an explicit stack, children pushed in reverse so that they pop
-    in ascending order."""
+    shard.
+
+    The walk runs as frontier blocks: arrays of (vertex, visited bits, edge
+    mask), one row per partial walk, all of one length.  A block takes one
+    step by listing its rows' unvisited neighbours with one `np.nonzero`
+    over (row, neighbour) pairs, in row-major order, so the blocks keep the
+    walks in lexicographic vertex-sequence order.  A block with more than
+    `_WALK_PAIRS` pairs is split, and the pieces are finished depth-first,
+    leftmost first, from a stack: the stream, order included, is that of a
+    depth-first walk taking neighbours in ascending order.  A block of
+    whole walks is yielded, for cycles only the rows whose last vertex is a
+    neighbour of vertex 0, with that closing edge added.  Edge masks are
+    uint64, so n past 6, whose 2n(n-1) edge ranks outgrow them, raises
+    ValueError: the cap that `_FULL_EXPANSION_MAX` puts on the dedup too."""
+    ranks = 2 * n * (n - 1)
+    if ranks > 64:
+        raise ValueError(f"walk edge masks hold 64 edge ranks; n={n} has {ranks}")
     which, of = shard
-    full = (1 << (2 * n)) - 1
     grid = _edge_rank_grid(n)
-    backwards = [row[::-1] for row in _neighbours(n)]
-    closers = set(backwards[0])
+    nbrs = np.array(_neighbours(n), dtype=np.uint8)
+    nbr_bits = np.left_shift(1, nbrs, dtype=np.uint16)
+    nbr_ranks = np.take_along_axis(np.array(grid), nbrs.astype(np.intp), axis=1)
+    edge_bits = np.left_shift(np.uint64(1), nbr_ranks.astype(np.uint64))
+    closing = np.zeros(2 * n, dtype=np.uint64)
+    closing[nbrs[0]] = edge_bits[0]
+    step = max(1, _WALK_PAIRS // nbrs.shape[1])
     seconds = _second_steps(n)[which::of]
-    stack = [(v2, 0b11 | (1 << v2), 1 | (1 << grid[1][v2])) for v2 in reversed(seconds)]
+    first = (
+        np.array(seconds, dtype=np.uint8),
+        np.array([0b11 | (1 << v2) for v2 in seconds], dtype=np.uint16),
+        np.array([1 | (1 << grid[1][v2]) for v2 in seconds], dtype=np.uint64),
+    )
+    stack = [(3, first)]
     while stack:
-        v, visited, mask = stack.pop()
-        if visited == full:
-            if not close:
-                yield mask
-            elif v in closers:
-                yield mask | (1 << grid[0][v])
+        depth, (v, visited, mask) = stack.pop()
+        if depth == 2 * n:
+            if close:
+                shut = closing[v]  # 0 where the last vertex is antipodal to 0
+                mask = (mask | shut)[shut != 0]
+            yield from mask.tolist()
             continue
-        row = grid[v]
-        for u in backwards[v]:
-            bit = 1 << u
-            if not visited & bit:
-                stack.append((u, visited | bit, mask | (1 << row[u])))
+        if len(v) > step:
+            stack.extend(
+                (depth, (v[s : s + step], visited[s : s + step], mask[s : s + step]))
+                for s in reversed(range(0, len(v), step))
+            )
+            continue
+        bits = nbr_bits[v]
+        rows, cols = np.nonzero((bits & visited[:, None]) == 0)
+        last = v[rows]
+        child = (
+            nbrs[last, cols],
+            visited[rows] | bits[rows, cols],
+            mask[rows] | edge_bits[last, cols],
+        )
+        stack.append((depth + 1, child))
 
 
 def _raw_path_masks(n: int, shard: tuple[int, int] = (0, 1)):

@@ -145,7 +145,7 @@ def stabilizer_order(n: int, mask: int) -> int:
 def recursive_walk_masks(n: int, shard: tuple[int, int], close: bool):
     """The path (or, with `close`, cycle) masks of
     `enumeration._raw_walk_masks`, walked by nested generators: the stream,
-    order included, that its explicit stack must reproduce."""
+    order included, that its frontier blocks must reproduce."""
     which, of = shard
     two_n = 2 * n
     grid = _edge_rank_grid(n)

@@ -223,7 +223,7 @@ def test_raw_streams_fill_only_the_first_2n_minus_3_shards(n):
 def test_walk_stack_matches_the_recursive_walk(n):
     from cubenets.enumeration import _raw_walk_masks
 
-    # the explicit stack yields the nested generators' stream, order and
+    # the frontier blocks yield the nested generators' stream, order and
     # all, filtered to the second steps facet 3 and facet 1* (vertices 2
     # and n); a walk 0 -> 1 -> v2 holds the edge (1, v2)
     grid = _edge_rank_grid(n)
@@ -235,6 +235,51 @@ def test_walk_stack_matches_the_recursive_walk(n):
                 bits = [1 << grid[1][v2] for v2 in seconds[which::of]]
                 want = [mask for mask in walks if any(mask & bit for bit in bits)]
                 assert list(_raw_walk_masks(n, (which, of), close)) == want
+
+
+def oracle_walks(n, v2, close):
+    """The recursive walk's stream through second step v2 alone: its shards
+    run over the 2n-3 second steps 2..n, n+2..2n-1, so v2 in {2, n} is the
+    shard v2 - 2, and no other second step is walked."""
+    return recursive_walk_masks(n, (v2 - 2, 2 * n - 3), close)
+
+
+@pytest.mark.parametrize("pairs", [1, 7, 64])
+def test_split_frontier_blocks_keep_the_walk_order(monkeypatch, pairs):
+    from cubenets import enumeration
+    from cubenets.enumeration import _raw_walk_masks
+
+    # a block is cut into runs of pairs // (2n-2) walks, at least one: single
+    # walks under 1 (and under 7 past n=2), runs of 32 down to 8 under 64
+    monkeypatch.setattr(enumeration, "_WALK_PAIRS", pairs)
+    for n in (2, 3, 4, 5):
+        seconds = sorted({2, n})
+        for close in (False, True):
+            for of in (1, 2):
+                for which in range(of):
+                    want = [m for v2 in seconds[which::of] for m in oracle_walks(n, v2, close)]
+                    assert list(_raw_walk_masks(n, (which, of), close)) == want
+
+
+def test_walk_streams_at_the_cycle_budget_ceiling():
+    from cubenets.enumeration import _raw_walk_masks
+
+    # every n=6 shard starts as the recursive walk's does, and the whole
+    # streams are as long as the depth-first walk's: 298080 paths and 282288
+    # cycles walk 0 -> 1 -> facet 3 or facet 1*
+    for close, size in ((False, 298080), (True, 282288)):
+        for which, of, v2 in ((0, 1, 2), (0, 2, 2), (1, 2, 6)):
+            head = list(itertools.islice(_raw_walk_masks(6, (which, of), close), 2000))
+            assert head == list(itertools.islice(oracle_walks(6, v2, close), 2000))
+        assert sum(1 for _ in _raw_walk_masks(6, (0, 1), close)) == size
+
+
+def test_walks_past_64_edge_ranks_are_refused():
+    from cubenets.enumeration import _raw_walk_masks
+
+    # n=7 has 84 edge ranks, more than a uint64 edge mask holds
+    with pytest.raises(ValueError, match="64 edge ranks"):
+        next(_raw_walk_masks(7, (0, 1), False))
 
 
 def spanning_trees_without_vertex_zero(n, dropped=()):
