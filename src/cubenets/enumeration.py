@@ -32,10 +32,8 @@ loses or repeats a class, fails it.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import islice
@@ -82,21 +80,6 @@ def _check_direct(kind: str, n: int) -> None:
     if kind not in DIRECT_LIMITS:
         raise ValueError(f"unknown kind {kind!r}")
     _check_budget(n, DIRECT_LIMITS[kind], "DIRECT_LIMITS", f"direct {kind} listings")
-
-
-def _check_jobs(jobs: int) -> None:
-    """Refuse a worker count below 1 before any shard list is built from it."""
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
-
-
-def _run_shards(fn, args: list[tuple]) -> list:
-    """fn(*a) for each tuple in `args`, in order: in this process for one
-    tuple, else over at most one process per tuple and per CPU."""
-    if len(args) <= 1:
-        return [fn(*a) for a in args]
-    with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, *zip(*args)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +132,10 @@ def _reaches(adj_a: list[int], adj_b: list[int], start: int, goal: int) -> bool:
 
 def _raw_trees_second_edge(n: int, second: int, skip: int):
     """Spanning-tree masks containing edge rank 0 and edge rank `second` but
-    no rank strictly between, nor any rank in the mask `skip`: the stream
-    sharded by second-lowest edge.  With `second` >= 2n-2 every rank of
-    vertex 0 but rank 0 is skipped, so vertex 0 is a leaf on vertex 1 in
-    each tree emitted.
+    no rank strictly between, nor any rank in the mask `skip`: the part of
+    the tree stream whose second step is edge `second`.  With `second` >=
+    2n-2 every rank of vertex 0 but rank 0 is skipped, so vertex 0 is a
+    leaf on vertex 1 in each tree emitted.
 
     Edges are decided in rank order, linking before skipping, on an explicit
     stack with one frame per linked edge.  The walk keeps one invariant: the
@@ -163,7 +146,7 @@ def _raw_trees_second_edge(n: int, second: int, skip: int):
     (i, j) can break it, and it does exactly when no other route joins i to
     j.  So connectivity is tested once per skip of a linked edge, as a
     search from i that stops on reaching j, and a bridge is never skipped.
-    The shard root skips ranks 1..second-1 at once and gets one full check.
+    The walk's root skips ranks 1..second-1 at once and gets one full check.
     The ranks in `skip` are left out of the graph altogether: they never
     enter the suffix adjacency and are never linked, so the invariant holds
     on the smaller graph.
@@ -232,8 +215,8 @@ def _second_steps(n: int) -> tuple[int, ...]:
     """The second steps a walk 0 -> 1 needs: vertex 2 (facet 3) and vertex
     n (facet 1*), one vertex at n=2.  H, the stabilizer of facets 1 and 2,
     fixes facet 1* and moves facet 3 onto every facet of axes 3..n, so
-    every orbit of walks 0 -> 1 meets one of these second steps.  They
-    shard the tree stream too (`_raw_tree_masks`)."""
+    every orbit of walks 0 -> 1 meets one of these second steps.  The
+    tree stream takes them too (`_raw_tree_masks`)."""
     return tuple(sorted({2, n}))
 
 
@@ -244,7 +227,7 @@ def _far_edges(n: int) -> int:
     return sum(1 << grid[1][u] for u in _neighbours(n)[1] if u % n > 1)
 
 
-def _raw_tree_masks(n: int, shard: tuple[int, int] = (0, 1)):
+def _raw_tree_masks(n: int):
     """Masks of spanning trees in which vertex 0 is a leaf on vertex 1, and
     vertex 1 holds the edge to vertex 2 (facet 3) or has no neighbour on
     axes 3..n at all.  Any tree with vertex 0 a leaf on vertex 1 is moved
@@ -252,13 +235,12 @@ def _raw_tree_masks(n: int, shard: tuple[int, int] = (0, 1)):
 
     Vertex 0 is a leaf on 1 when rank 0 is the lowest edge and the
     second-lowest lies past vertex 0's other edges.  That second edge is
-    (1, v2) for a second step v2, and it shards the stream: with v2 = 2
-    nothing else is asked; with v2 = n vertex 1's edges into axes 3..n
-    are left out of the graph, so (1, n) is its one other edge."""
-    which, of = shard
+    (1, v2) for a second step v2, walked in turn: with v2 = 2 nothing else
+    is asked; with v2 = n vertex 1's edges into axes 3..n are left out of
+    the graph, so (1, n) is its one other edge."""
     grid = _edge_rank_grid(n)
     far = _far_edges(n)
-    for v2 in _second_steps(n)[which::of]:
+    for v2 in _second_steps(n):
         yield from _raw_trees_second_edge(n, grid[1][v2], far if v2 == n else 0)
 
 
@@ -268,12 +250,12 @@ def _raw_tree_masks(n: int, shard: tuple[int, int] = (0, 1)):
 _WALK_PAIRS = 1 << 14
 
 
-def _raw_walk_masks(n: int, shard: tuple[int, int], close: bool):
+def _raw_walk_masks(n: int, close: bool):
     """Masks of spanning paths (or, with `close`, cycles) whose walk starts
     0 -> 1, so every mask holds edge rank 0.  A cycle closes back to 0, and
     starting 0 -> 1 fixes its orientation, so each undirected cycle is walked
-    once.  Only the second steps of `_second_steps` are walked, each a
-    shard.
+    once.  Only the second steps of `_second_steps` are walked, facet 3's
+    walks first.
 
     The walk runs as frontier blocks: arrays of (vertex, visited bits, edge
     mask), one row per partial walk, all of one length.  A block takes one
@@ -290,7 +272,6 @@ def _raw_walk_masks(n: int, shard: tuple[int, int], close: bool):
     ranks = 2 * n * (n - 1)
     if ranks > 64:
         raise ValueError(f"walk edge masks hold 64 edge ranks; n={n} has {ranks}")
-    which, of = shard
     grid = _edge_rank_grid(n)
     nbrs = np.array(_neighbours(n), dtype=np.uint8)
     nbr_bits = np.left_shift(1, nbrs, dtype=np.uint16)
@@ -299,7 +280,7 @@ def _raw_walk_masks(n: int, shard: tuple[int, int], close: bool):
     closing = np.zeros(2 * n, dtype=np.uint64)
     closing[nbrs[0]] = edge_bits[0]
     step = max(1, _WALK_PAIRS // nbrs.shape[1])
-    seconds = _second_steps(n)[which::of]
+    seconds = _second_steps(n)
     first = (
         np.array(seconds, dtype=np.uint8),
         np.array([0b11 | (1 << v2) for v2 in seconds], dtype=np.uint16),
@@ -331,14 +312,14 @@ def _raw_walk_masks(n: int, shard: tuple[int, int], close: bool):
         stack.append((depth + 1, child))
 
 
-def _raw_path_masks(n: int, shard: tuple[int, int] = (0, 1)):
+def _raw_path_masks(n: int):
     """Masks of spanning paths with one endpoint at vertex 0, next to 1."""
-    return _raw_walk_masks(n, shard, close=False)
+    return _raw_walk_masks(n, close=False)
 
 
-def _raw_cycle_masks(n: int, shard: tuple[int, int] = (0, 1)):
+def _raw_cycle_masks(n: int):
     """Masks of spanning cycles through edge rank 0, one per undirected cycle."""
-    return _raw_walk_masks(n, shard, close=True)
+    return _raw_walk_masks(n, close=True)
 
 
 def _dedup_restricted(n: int, masks, star: int) -> list[tuple[int, int]]:
@@ -407,12 +388,13 @@ def _certify(kind: str, n: int, classes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# public enumeration, cached per (kind, dimension, worker count)
+# public enumeration, cached per kind and dimension
 
 
-def _shard_job(kind: str, n: int, which: int, of: int) -> list[int]:
-    # the generators are looked up here, at call time, so that a wrapped
-    # module attribute is the one that runs
+def _stream_classes(kind: str, n: int) -> list[tuple[int, int]]:
+    # one listing's raw stream, deduplicated.  The generators are looked up
+    # here, at call time, so that a wrapped module attribute is the one
+    # that runs
     raw = {
         "trees": _raw_tree_masks,
         "paths": _raw_path_masks,
@@ -421,42 +403,37 @@ def _shard_job(kind: str, n: int, which: int, of: int) -> list[int]:
     # vertex 0's edges are ranks 0 .. 2n-3: trees and paths hold rank 0
     # alone of them, cycles hold rank 0
     star = 1 if kind == "cycles" else (1 << (2 * n - 2)) - 1
-    return _dedup_restricted(n, raw(n, (which, of)), star)
+    return _dedup_restricted(n, raw(n), star)
 
 
-def _class_masks(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
-    # the kind, the dimension, the budget and the worker count are checked
-    # before the cache, so none of them depends on what an earlier call left
+def _class_masks(kind: str, n: int) -> tuple[int, ...]:
+    # the kind, the dimension and the budget are checked before the cache,
+    # so none of them depends on what an earlier call left
     _check_dim(n)
     _check_direct(kind, n)
-    _check_jobs(jobs)
-    return _listing(kind, n, jobs)
+    return _listing(kind, n)
 
 
 @cache
-def _listing(kind: str, n: int, jobs: int) -> tuple[int, ...]:
-    # a table's ter count classifies the path listing its paths count takes,
-    # under the command's one `jobs`: the cache keeps it to one walk per kind.
-    # Shards split the second step (the walk's second vertex, or the tree's
-    # second-lowest edge), so there are two at most
-    of = min(jobs, len(_second_steps(n)))
-    parts = _run_shards(_shard_job, [(kind, n, w, of) for w in range(of)])
-    # two shards can meet the same class
-    classes = set().union(*parts)
+def _listing(kind: str, n: int) -> tuple[int, ...]:
+    # a table's ter count classifies the path listing its paths count takes:
+    # the cache keeps it to one walk per kind.  The dedup returns its classes
+    # unique and sorted by representative
+    classes = _stream_classes(kind, n)
     _certify(kind, n, classes)
-    return tuple(sorted(rep for rep, _ in classes))
+    return tuple(rep for rep, _ in classes)
 
 
-def enumerate_classes(kind: str, n: int, jobs: int = 1) -> tuple[SpanningSubgraph, ...]:
+def enumerate_classes(kind: str, n: int) -> tuple[SpanningSubgraph, ...]:
     """All spanning "trees", "paths" or "cycles" of the Roberts graph up to
     relabelling, one per class, sorted by edge mask."""
-    masks = _class_masks(kind, n, jobs)
+    masks = _class_masks(kind, n)
     return tuple(subgraph_from_mask(n, m, kind[:-1]) for m in masks)
 
 
-def enumerate_trees(n: int, jobs: int = 1) -> tuple[SpanningSubgraph, ...]:
+def enumerate_trees(n: int) -> tuple[SpanningSubgraph, ...]:
     """All spanning trees of the Roberts graph up to relabelling, sorted."""
-    return enumerate_classes("trees", n, jobs)
+    return enumerate_classes("trees", n)
 
 
 def classify_path(p: SpanningSubgraph) -> str:
@@ -525,14 +502,14 @@ def _chord_count(kind: str, n: int) -> int:
     return count_diagram_classes(2 * n + extra, loops)
 
 
-def _direct_count(kind: str, n: int, jobs: int) -> int:
+def _direct_count(kind: str, n: int) -> int:
     if kind == "ter":
-        paths = enumerate_classes("paths", n, jobs)
+        paths = enumerate_classes("paths", n)
         return sum(1 for p in paths if classify_path(p) == "ter")
-    return len(_class_masks(kind, n, jobs))
+    return len(_class_masks(kind, n))
 
 
-def count_classes(kind: str, n: int, method: str = "direct", jobs: int = 1) -> int:
+def count_classes(kind: str, n: int, method: str = "direct") -> int:
     """Classes of `kind` ("trees", "paths", "cycles" or "ter") in dimension n.
 
     method "direct" walks the Roberts graph (DIRECT_LIMITS), "chords" counts
@@ -548,7 +525,7 @@ def count_classes(kind: str, n: int, method: str = "direct", jobs: int = 1) -> i
         raise ValueError(f"{kind} have no diagram route; use --method direct")
     if method == "chords":
         return _chord_count(kind, n)
-    direct = _direct_count(kind, n, jobs)
+    direct = _direct_count(kind, n)
     if method == "both":
         chords = _chord_count(kind, n)
         if direct != chords:
@@ -577,7 +554,7 @@ class EnumerationTable:
         return asdict(self)
 
 
-def build_table(max_n: int, method: str = "chords", jobs: int = 1) -> EnumerationTable:
+def build_table(max_n: int, method: str = "chords") -> EnumerationTable:
     """Cycle/path class counts with the ter/ext split for n = 2..max_n.
 
     Each count goes through `count_classes`; under "both" the direct side
@@ -601,7 +578,7 @@ def build_table(max_n: int, method: str = "chords", jobs: int = 1) -> Enumeratio
     for n in range(2, max_n + 1):
         how = "chords" if method == "both" and n > direct_max else method
         cycles, paths, ter = (
-            count_classes(kind, n, how, jobs) for kind in ("cycles", "paths", "ter")
+            count_classes(kind, n, how) for kind in ("cycles", "paths", "ter")
         )
         if rows and ter != rows[-1].paths:
             raise CountMismatchError(
@@ -627,11 +604,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def merge(self, other: "VerifyReport") -> None:
-        self.trees_checked += other.trees_checked
-        self.failures.extend(other.failures)
-        self.partition_counts.update(other.partition_counts)
 
     def to_json(self) -> dict:
         doc = {"n": self.n, "mode": self.mode}
@@ -679,45 +651,33 @@ def _check_trees(report: VerifyReport, parent_rows) -> None:
             _check_tree(report, _tree_from_parents(block[b]))
 
 
-def _sample_shard_job(n: int, count: int, seed: int, shard: int) -> VerifyReport:
-    rng = random.Random(f"{seed}:{shard}")
-    report = VerifyReport(n, "samples", seed)
-    _check_trees(report, (_random_parents(n, rng) for _ in range(count)))
-    return report
-
-
 def verify_unfoldings(
     n: int,
     *,
     exhaustive: bool = False,
     samples: int = 0,
     seed: int | None = None,
-    jobs: int = 1,
 ) -> VerifyReport:
     """Develop spanning trees and confirm each yields a net with a legal
     box partition.  Exhaustive mode walks every tree class, so it reaches
     as far as the tree listing does (DIRECT_LIMITS["trees"]); otherwise
-    `samples` random trees are drawn from the given seed, or from a fresh
-    one that the report names, split over `jobs` shards.  Exactly one of
-    `exhaustive` and `samples > 0` must be asked for, and a seed only with
-    samples."""
+    `samples` random trees are drawn, one RNG stream, from the given seed
+    or from a fresh one that the report names.  Exactly one of `exhaustive`
+    and `samples > 0` must be asked for, and a seed only with samples."""
     if exhaustive == (samples > 0):
         raise ValueError("need exactly one of exhaustive or samples > 0")
     if exhaustive and seed is not None:
         raise ValueError("a seed only applies to samples, not to exhaustive mode")
     _check_dim(n)
-    _check_jobs(jobs)
     if exhaustive:
         report = VerifyReport(n, "exhaustive")
-        trees = enumerate_classes("trees", n, jobs)
+        trees = enumerate_classes("trees", n)
         _check_trees(report, (_tree_walk(tree, 0)[0] for tree in trees))
         return report
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
-    base = samples // jobs
-    counts = [base + (1 if w < samples % jobs else 0) for w in range(jobs)]
-    shards = [(n, c, seed, w) for w, c in enumerate(counts) if c]
+    # "{seed}:0" is the stream every pinned seed's output was printed from
+    rng = random.Random(f"{seed}:0")
     report = VerifyReport(n, "samples", seed)
-    for part in _run_shards(_sample_shard_job, shards):
-        report.merge(part)
+    _check_trees(report, (_random_parents(n, rng) for _ in range(samples)))
     return report

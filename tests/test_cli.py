@@ -454,8 +454,8 @@ def test_table_to_twenty_widens_columns(capsys):
 def test_table_method_disagreement_exits_one(capsys, monkeypatch):
     real = enumeration._direct_count
 
-    def off_by_one(kind, n, jobs):
-        return real(kind, n, jobs) + (kind == "cycles" and n == 3)
+    def off_by_one(kind, n):
+        return real(kind, n) + (kind == "cycles" and n == 3)
 
     monkeypatch.setattr(enumeration, "_direct_count", off_by_one)
     code, out, err = run(capsys, "table", "--max-dim", "4", "--method", "both")
@@ -466,22 +466,30 @@ def test_table_method_disagreement_exits_one(capsys, monkeypatch):
 
 def test_table_ter_check_exits_one(capsys, monkeypatch):
     counts = {"cycles": 1, "paths": 5, "ter": 0}
-    monkeypatch.setattr(enumeration, "_direct_count", lambda kind, n, jobs: counts[kind])
+    monkeypatch.setattr(enumeration, "_direct_count", lambda kind, n: counts[kind])
     code, out, err = run(capsys, "table", "--max-dim", "3", "--method", "direct")
     assert code == 1
     assert "ter(3) = 0" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "-3"])
+# every run is one process: the hidden --jobs takes 1 alone
+JOBS_ARGV = {
+    "enumerate": ("enumerate", "--dim", "3", "--kind", "trees", "--count-only"),
+    "verify": ("verify", "--dim", "3", "--samples", "5", "--seed", "2"),
+    "table": ("table", "--max-dim", "3"),
+}
+REFUSALS = [
+    *((name, (*argv, "--jobs"), value) for name, argv in JOBS_ARGV.items()
+      for value in ("0", "-1", "-3", "2")),
+    *(("verify-samples", ("verify", "--dim", "3", "--samples"), value)
+      for value in ("0", "-1", "-3")),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("enumerate", "--dim", "3", "--kind", "trees", "--count-only", "--jobs"),
-        ("verify", "--dim", "3", "--samples", "5", "--jobs"),
-        ("table", "--max-dim", "3", "--jobs"),
-        ("verify", "--dim", "3", "--samples"),
-    ],
-    ids=["enumerate", "verify", "table", "verify-samples"],
+    "argv,value",
+    [(argv, value) for _, argv, value in REFUSALS],
+    ids=[f"{name}-{value}" for name, _, value in REFUSALS],
 )
 def test_jobs_below_one_exits_two(argv, value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -489,7 +497,16 @@ def test_jobs_below_one_exits_two(argv, value, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"argument {argv[-1]}: {value!r}: not a positive integer" in err
+    if argv[-1] == "--jobs":
+        assert f"argument --jobs: invalid choice: {value!r}" in err
+    else:
+        assert f"argument {argv[-1]}: {value!r}: not a positive integer" in err
+
+
+@pytest.mark.parametrize("name", sorted(JOBS_ARGV))
+def test_jobs_one_changes_nothing(name, capsys):
+    argv = JOBS_ARGV[name]
+    assert run(capsys, *argv, "--jobs", "1") == run(capsys, *argv)
 
 
 @pytest.mark.parametrize(
@@ -550,14 +567,10 @@ README_EXAMPLES = {
     "readme-table": ("table", "--max-dim", "7"),
 }
 
-# sampled verification, serial and over two shards of unequal size, and at
-# the dimension the benchmark samples
+# sampled verification, and at the dimension the benchmark samples
 GOLDEN_ARGV = {
     **README_EXAMPLES,
     "verify-samples": ("verify", "--dim", "8", "--samples", "300", "--seed", "1"),
-    "verify-samples-jobs2": (
-        "verify", "--dim", "6", "--samples", "301", "--seed", "4", "--jobs", "2",
-    ),
     "verify-samples-dim12": ("verify", "--dim", "12", "--samples", "500", "--seed", "7"),
     "chords7": ("chords", "--dim", "7"),
     "chords7-loops1": ("chords", "--dim", "7", "--loops", "1"),
@@ -623,7 +636,6 @@ GOLDEN = {
     "readme-chords-net-counts": "8a581d201b14b80c18ef7e7ebbef118681768b47848c1add1b84c5451f7e1046",
     "readme-table": "1c055402c9fb33b3b6fd9000a2c1863f5e9849bc3bbc045150567e03cb7c2bd9",
     "verify-samples": "8005e7dec6b83ed792ca1c1c7a7396acd2d1141240263f50d59a39ee0da78f77",
-    "verify-samples-jobs2": "7e86320b90fd97eff5f6059176495e97a9b72964bb24fb4bf7ff262bf0598796",
     "verify-samples-dim12": "6e197c2cf29272d627a5ccacf9ced42c50059c9349fa5bce1edb4424a798ec82",
     "diagrams16-loops0": "75e3bafa43fa2c74aa7dc6ae42c3dd881bb1fed8ec646e76a268363d95579294",
     "diagrams16-loops1": "a7b10e60fa1cb5c0841aca686fe74609cd36b27c112328adfd74d5261953c9ea",

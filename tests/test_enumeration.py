@@ -180,45 +180,6 @@ def test_direct_cycles_at_the_budget_ceiling():
     assert all(c.mask() & 1 for c in cycles)  # each holds edge rank 0
 
 
-def test_parallel_cycles_match_serial():
-    from cubenets.enumeration import _class_masks
-
-    serial = [c.mask() for c in enumerate_classes("cycles", 4)]
-    assert list(_class_masks("cycles", 4, jobs=2)) == serial
-
-
-def test_one_shard_runs_without_a_pool(monkeypatch):
-    from cubenets import enumeration
-    from cubenets.enumeration import _class_masks, _listing
-
-    def no_pool(*args, **kwargs):
-        raise RuntimeError("a process pool was started")
-
-    serial = {kind: _class_masks(kind, 2) for kind in ("paths", "cycles")}
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
-    # paths and cycles at n=2 have one shard, so two jobs need no pool
-    for kind in ("paths", "cycles"):
-        # the listing itself, past its cache, which another test may have
-        # filled for two jobs
-        assert _listing.__wrapped__(kind, 2, 2) == serial[kind]
-    # one sample is one shard
-    report = verify_unfoldings(4, samples=1, seed=2, jobs=2)
-    assert report.trees_checked == 1
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_raw_streams_fill_only_the_first_2n_minus_3_shards(n):
-    from cubenets.enumeration import _raw_cycle_masks, _raw_path_masks
-
-    # each stream has one shard per second step: facet 3 and facet 1*, one
-    # vertex at n=2, so two shards fill (one at n=2), within the first 2n-3
-    seconds = 1 if n == 2 else 2
-    of = 2 * n - 1
-    for raw in (_raw_tree_masks, _raw_path_masks, _raw_cycle_masks):
-        sizes = [sum(1 for _ in raw(n, (w, of))) for w in range(of)]
-        assert all(sizes[:seconds]) and sizes[seconds:] == [0] * (of - seconds)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_walk_stack_matches_the_recursive_walk(n):
     from cubenets.enumeration import _raw_walk_masks
@@ -227,14 +188,11 @@ def test_walk_stack_matches_the_recursive_walk(n):
     # all, filtered to the second steps facet 3 and facet 1* (vertices 2
     # and n); a walk 0 -> 1 -> v2 holds the edge (1, v2)
     grid = _edge_rank_grid(n)
-    seconds = sorted({2, n})
+    bits = [1 << grid[1][v2] for v2 in sorted({2, n})]
     for close in (False, True):
-        walks = list(recursive_walk_masks(n, (0, 1), close))
-        for of in (1, 2):
-            for which in range(of):
-                bits = [1 << grid[1][v2] for v2 in seconds[which::of]]
-                want = [mask for mask in walks if any(mask & bit for bit in bits)]
-                assert list(_raw_walk_masks(n, (which, of), close)) == want
+        walks = recursive_walk_masks(n, (0, 1), close)
+        want = [mask for mask in walks if any(mask & bit for bit in bits)]
+        assert list(_raw_walk_masks(n, close)) == want
 
 
 def oracle_walks(n, v2, close):
@@ -253,25 +211,26 @@ def test_split_frontier_blocks_keep_the_walk_order(monkeypatch, pairs):
     # walks under 1 (and under 7 past n=2), runs of 32 down to 8 under 64
     monkeypatch.setattr(enumeration, "_WALK_PAIRS", pairs)
     for n in (2, 3, 4, 5):
-        seconds = sorted({2, n})
         for close in (False, True):
-            for of in (1, 2):
-                for which in range(of):
-                    want = [m for v2 in seconds[which::of] for m in oracle_walks(n, v2, close)]
-                    assert list(_raw_walk_masks(n, (which, of), close)) == want
+            want = [m for v2 in sorted({2, n}) for m in oracle_walks(n, v2, close)]
+            assert list(_raw_walk_masks(n, close)) == want
 
 
 def test_walk_streams_at_the_cycle_budget_ceiling():
     from cubenets.enumeration import _raw_walk_masks
 
-    # every n=6 shard starts as the recursive walk's does, and the whole
-    # streams are as long as the depth-first walk's: 298080 paths and 282288
-    # cycles walk 0 -> 1 -> facet 3 or facet 1*
+    # at n=6 the walks through facet 3 and then those through facet 1* start
+    # as the recursive walk's do, and the whole streams are as long as the
+    # depth-first walk's: 298080 paths and 282288 cycles walk 0 -> 1 ->
+    # facet 3 or facet 1*
+    to_three = 1 << _edge_rank_grid(6)[1][2]
     for close, size in ((False, 298080), (True, 282288)):
-        for which, of, v2 in ((0, 1, 2), (0, 2, 2), (1, 2, 6)):
-            head = list(itertools.islice(_raw_walk_masks(6, (which, of), close), 2000))
-            assert head == list(itertools.islice(oracle_walks(6, v2, close), 2000))
-        assert sum(1 for _ in _raw_walk_masks(6, (0, 1), close)) == size
+        stream = list(_raw_walk_masks(6, close))
+        assert len(stream) == size
+        # the facet-3 part comes first: past it, the facet-1* part begins
+        past = next(i for i, mask in enumerate(stream) if not mask & to_three)
+        for v2, part in ((2, stream), (6, stream[past:])):
+            assert part[:2000] == list(itertools.islice(oracle_walks(6, v2, close), 2000))
 
 
 def test_walks_past_64_edge_ranks_are_refused():
@@ -279,7 +238,7 @@ def test_walks_past_64_edge_ranks_are_refused():
 
     # n=7 has 84 edge ranks, more than a uint64 edge mask holds
     with pytest.raises(ValueError, match="64 edge ranks"):
-        next(_raw_walk_masks(7, (0, 1), False))
+        next(_raw_walk_masks(7, False))
 
 
 def spanning_trees_without_vertex_zero(n, dropped=()):
@@ -401,27 +360,13 @@ def test_a_dedup_that_loses_or_invents_a_class_fails_the_check(monkeypatch, caps
     monkeypatch.setattr(enumeration, "_dedup_restricted", planted)
     for kind in ("trees", "paths", "cycles"):
         with pytest.raises(CountMismatchError, match=f"orbit-stabilizer check at n=4 on {kind}"):
-            enumeration._listing.__wrapped__(kind, 4, 1)
+            enumeration._listing.__wrapped__(kind, 4)
     # the command fails with exit 1 and prints nothing
     enumeration._listing.cache_clear()
     assert cli.main(["enumerate", "--dim", "4", "--kind", "paths"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("orbit-stabilizer check at n=4 on paths: ")
-
-
-def test_parallel_generation_matches_serial():
-    from cubenets.enumeration import _class_masks
-
-    for n in (3, 4):
-        serial = [t.mask() for t in enumerate_trees(n)]
-        assert list(_class_masks("trees", n, jobs=2)) == serial
-    # paths are sharded by their second step, facet 3 or facet 1*: three
-    # jobs still make two shards
-    for n in (3, 4, 5):
-        serial = [p.mask() for p in enumerate_classes("paths", n)]
-        for jobs in (2, 3):
-            assert list(_class_masks("paths", n, jobs=jobs)) == serial
 
 
 def reference_random_spanning_tree(n, rng):
@@ -568,16 +513,6 @@ def test_verify_samples_deterministic():
     assert other_seed.to_json() != one.to_json()
 
 
-def test_verify_samples_parallel_merge():
-    report = verify_unfoldings(4, samples=50, seed=3, jobs=2)
-    assert report.ok
-    assert report.to_json()["seed"] == 3
-    assert report.trees_checked == 50
-    assert sum(report.partition_counts.values()) == 50
-    again = verify_unfoldings(4, samples=50, seed=3, jobs=2)
-    assert again.to_json() == report.to_json()
-
-
 def box_histogram(trees):
     """Box partitions of the trees' developments from 1, each box taken by
     `cube_partition_of`, apart from the verification pass."""
@@ -593,20 +528,19 @@ def test_verify_histograms_match_a_separate_box():
     }
     for n in range(2, 7):
         report = verify_unfoldings(n, samples=200, seed=n)
-        rng = random.Random(f"{n}:0")  # the one shard's stream
+        rng = random.Random(f"{n}:0")  # the sampler's one stream
         trees = [random_spanning_tree(n, rng) for _ in range(200)]
         assert report.ok
         assert report.partition_counts == box_histogram(trees)
 
 
-def scalar_report(n, counts, seed):
-    """The sampled report as it was built before blocks: each shard's trees
-    drawn, developed and checked one at a time."""
+def scalar_report(n, count, seed):
+    """The sampled report as it was built before blocks: the trees drawn,
+    developed and checked one at a time."""
     report = VerifyReport(n, "samples", seed)
-    for shard, count in enumerate(counts):
-        rng = random.Random(f"{seed}:{shard}")
-        for _ in range(count):
-            _check_tree(report, random_spanning_tree(n, rng))
+    rng = random.Random(f"{seed}:0")
+    for _ in range(count):
+        _check_tree(report, random_spanning_tree(n, rng))
     return report
 
 
@@ -614,10 +548,7 @@ def test_block_reports_equal_the_scalar_route():
     block = tree_block_size(12)
     for samples in (block - 1, block, block + 1):
         report = verify_unfoldings(12, samples=samples, seed=samples)
-        assert report.to_json() == scalar_report(12, [samples], samples).to_json()
-    # two shards of block + 1 and block trees, over two workers
-    report = verify_unfoldings(12, samples=2 * block + 1, seed=8, jobs=2)
-    assert report.to_json() == scalar_report(12, [block + 1, block], 8).to_json()
+        assert report.to_json() == scalar_report(12, samples, samples).to_json()
 
 
 def test_verify_memory_stays_flat_in_the_sample_count():
@@ -652,7 +583,7 @@ def test_a_tree_the_block_refuses_takes_the_scalar_route(monkeypatch):
 
     monkeypatch.setattr(enumeration, "develop_parent_block", refuse_row_3)
     assert verify_unfoldings(6, samples=20, seed=4).to_json() == (
-        scalar_report(6, [20], 4).to_json()
+        scalar_report(6, 20, 4).to_json()
     )
     # the scalar route's failure entry is the report's, in stream order
     monkeypatch.setattr(
@@ -681,60 +612,6 @@ def test_parent_arrays_that_are_not_trees_raise_develop_trees_error(parents):
         _check_trees(VerifyReport(3, "samples", 0), [parents])
     assert str(block.value) == str(scalar.value)
     assert str(block.value).startswith("not a spanning tree: ")
-
-
-def test_worker_pool_is_capped_by_the_cpu_count(monkeypatch):
-    from cubenets import enumeration
-    from cubenets.enumeration import _listing
-
-    asked = []
-
-    class InProcessPool:
-        """Records the pool size it is asked for and maps in this process."""
-
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
-    reports = []
-    for cpus in (3, 64, None):
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda cpus=cpus: cpus)
-        # forty shards of one tree each, whatever the pool size
-        reports.append(verify_unfoldings(4, samples=40, seed=3, jobs=40).to_json())
-    assert asked == [3, 40, 1]
-    assert reports[0]["trees_checked"] == 40 and reports.count(reports[0]) == 3
-    asked.clear()
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
-    # the n=4 tree listing has two shards, so five jobs make two, on one CPU
-    assert _listing.__wrapped__("trees", 4, 5) == _listing.__wrapped__("trees", 4, 1)
-    assert asked == [1]
-
-
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_jobs_below_one_is_refused(jobs):
-    from cubenets.enumeration import _listing
-
-    # the count is refused before the cached listing is read, so no shard
-    # list is built from it and nothing empty is cached
-    misses = _listing.cache_info().misses
-    with pytest.raises(ValueError, match="need jobs >= 1"):
-        enumerate_trees(3, jobs=jobs)
-    assert _listing.cache_info().misses == misses
-    assert len(enumerate_trees(3)) == 11
-    # a verification never passes having checked no tree
-    with pytest.raises(ValueError, match="need jobs >= 1"):
-        verify_unfoldings(3, samples=5, seed=1, jobs=jobs)
-    with pytest.raises(ValueError, match="need jobs >= 1"):
-        verify_unfoldings(3, exhaustive=True, jobs=jobs)
 
 
 def test_verify_exhaustive_budget():
