@@ -1,32 +1,31 @@
 """Exhaustive and sampled enumeration of unfoldings up to relabelling.
 
-Two independent routes produce the headline counts.  The direct route walks
-the Roberts graph itself: backtracking over edge ranks for trees, and for
-paths and cycles extending vertex sequences one step at a time in numpy
-frontier blocks of bounded size, then collapsing to orbit representatives.
-The diagram route counts symmetry classes of chord diagrams instead and
-never touches the graph.  Their agreement on small dimensions is one of the
-package's main checks.
+The direct route lists classes of spanning trees, paths and cycles of the
+Roberts graph; the diagram route counts symmetry classes of chord diagrams
+and never touches the graph.  Their agreement on small dimensions is one
+of the package's main checks.
 
-The relabelling group moves any ordered non-antipodal pair of facets onto
-(1, 2), the endpoints of edge rank 0.  Every tree has a leaf, and every path
-an endpoint; taking that facet and its one neighbour as the pair shows that
-every orbit of trees or paths has a member in which facet 1 is a leaf
-hanging from facet 2.  The tree and path generators emit only members of
-that shape: vertex 0's edges are ranks 0 .. 2n-3, so the shape is
-`mask & ((1 << (2n-2)) - 1) == 1`.  A cycle has no leaf, but every orbit of
-cycles still has a member through edge rank 0, and the cycle generator
-emits those.  One step further, the elements that fix facets 1 and 2 fix
-facet 1* and move facet 3 onto any facet of axes 3..n, so the walks take
-only facet 3 or facet 1* as their second step, and the trees keep facet 2
-either joined to facet 3 or with no neighbour on axes 3..n.  One orbit
-dedup, told the shape of its stream, remembers only the images of that
-shape and serves all three.
+Trees are walked by backtracking over edge ranks, and only in one shape:
+the relabelling group moves any ordered non-antipodal pair of facets onto
+(1, 2), the ends of edge rank 0, and every tree has a leaf, so every orbit
+has a member in which facet 1 is a leaf hanging from facet 2.  The
+elements that fix facets 1 and 2 move facet 3 onto any facet of axes
+3..n, so the stream also keeps facet 2 joined to facet 3 or with no
+neighbour on axes 3..n.  An orbit dedup that remembers only the images of
+that shape collapses the stream to classes.
 
-Each listing certifies itself by orbit-stabilizer: the dedup counts every
-class's stabilizer, and the orbit sizes |B_n| / |Stab| must sum to the
-closed-form number of labelled trees, paths or cycles, or the listing
-raises CountMismatchError.  A cut that drops an orbit, or a dedup that
+Paths and cycles are walked as vertex sequences in B_n normal form, one
+per orbit of directed walks, and a sequence stands for its class when it
+is the least normal form among its re-readings; no walk is deduplicated.
+Which positions of a normal-form sequence share an axis is exactly its
+chord diagram, so this walk is the paper's diagram bijection used as a
+generator, not a method independent of the chords.  Two checks are
+independent of them: each class is printed as `canonical_mask` of its edge
+set, which expands the group's cosets, and each listing certifies itself
+by orbit-stabilizer.
+The orbit sizes |B_n| / |Stab| must sum to the closed-form number of
+labelled trees, paths or cycles, or the listing raises
+CountMismatchError; a cut that drops an orbit, or a dedup or walk that
 loses or repeats a class, fails it.
 """
 
@@ -52,6 +51,7 @@ from .core import (
     _mask_ranks,
     _orbit_arrays,
     antipode_index,
+    canonical_mask,
     path_endpoints,
     roberts_edges,
     subgraph_from_mask,
@@ -211,15 +211,6 @@ def _raw_trees_second_edge(n: int, second: int, skip: int):
         r += 1
 
 
-def _second_steps(n: int) -> tuple[int, ...]:
-    """The second steps a walk 0 -> 1 needs: vertex 2 (facet 3) and vertex
-    n (facet 1*), one vertex at n=2.  H, the stabilizer of facets 1 and 2,
-    fixes facet 1* and moves facet 3 onto every facet of axes 3..n, so
-    every orbit of walks 0 -> 1 meets one of these second steps.  The
-    tree stream takes them too (`_raw_tree_masks`)."""
-    return tuple(sorted({2, n}))
-
-
 def _far_edges(n: int) -> int:
     """Mask of vertex 1's edges into axes 3..n; the lowest, rank 2n-2, is
     its edge to vertex 2 (facet 3).  Empty at n=2."""
@@ -230,113 +221,36 @@ def _far_edges(n: int) -> int:
 def _raw_tree_masks(n: int):
     """Masks of spanning trees in which vertex 0 is a leaf on vertex 1, and
     vertex 1 holds the edge to vertex 2 (facet 3) or has no neighbour on
-    axes 3..n at all.  Any tree with vertex 0 a leaf on vertex 1 is moved
-    into that shape by H (`_second_steps`), which fixes vertices 0 and 1.
+    axes 3..n at all.  H, the stabilizer of facets 1 and 2, fixes facet 1*
+    (vertex n) and moves facet 3 onto every facet of axes 3..n, so it moves
+    any tree with vertex 0 a leaf on vertex 1 into that shape.
 
     Vertex 0 is a leaf on 1 when rank 0 is the lowest edge and the
     second-lowest lies past vertex 0's other edges.  That second edge is
-    (1, v2) for a second step v2, walked in turn: with v2 = 2 nothing else
-    is asked; with v2 = n vertex 1's edges into axes 3..n are left out of
-    the graph, so (1, n) is its one other edge."""
+    (1, v2) for v2 = 2 or v2 = n (one vertex at n=2), walked in turn: with
+    v2 = 2 nothing else is asked; with v2 = n vertex 1's edges into axes
+    3..n are left out of the graph, so (1, n) is its one other edge."""
     grid = _edge_rank_grid(n)
     far = _far_edges(n)
-    for v2 in _second_steps(n):
+    for v2 in sorted({2, n}):
         yield from _raw_trees_second_edge(n, grid[1][v2], far if v2 == n else 0)
 
 
-# (walk, neighbour) pairs one frontier block may expand to: a larger block
-# is split.  The walk's arrays then peak near 0.25 MB at n=5 and 0.45 MB at
-# n=6; 1 << 16 pairs walked n=6 a few per cent faster but peaked at 1.4 MB
-_WALK_PAIRS = 1 << 14
+def _dedup_restricted(n: int, masks) -> list[tuple[int, int]]:
+    """Orbit dedup for the tree stream, whose every member has facet 1 a
+    leaf on facet 2 (`mask & star == 1`, star = vertex 0's edges) and
+    facet 2 joined to facet 3 or to no facet of axes 3..n (`_far_edges`).
+    Only orbit images of that shape are remembered, which is what keeps
+    runs at the budget ceiling inside memory.  The representative is still
+    the best key over the whole orbit.  A member of another shape would
+    never be remembered, so its orbit could be emitted twice: it raises
+    RuntimeError instead.
 
-
-def _raw_walk_masks(n: int, close: bool):
-    """Masks of spanning paths (or, with `close`, cycles) whose walk starts
-    0 -> 1, so every mask holds edge rank 0.  A cycle closes back to 0, and
-    starting 0 -> 1 fixes its orientation, so each undirected cycle is walked
-    once.  Only the second steps of `_second_steps` are walked, facet 3's
-    walks first.
-
-    The walk runs as frontier blocks: arrays of (vertex, visited bits, edge
-    mask), one row per partial walk, all of one length.  A block takes one
-    step by listing its rows' unvisited neighbours with one `np.nonzero`
-    over (row, neighbour) pairs, in row-major order, so the blocks keep the
-    walks in lexicographic vertex-sequence order.  A block with more than
-    `_WALK_PAIRS` pairs is split, and the pieces are finished depth-first,
-    leftmost first, from a stack: the stream, order included, is that of a
-    depth-first walk taking neighbours in ascending order.  A block of
-    whole walks is yielded, for cycles only the rows whose last vertex is a
-    neighbour of vertex 0, with that closing edge added.  Edge masks are
-    uint64, so n past 6, whose 2n(n-1) edge ranks outgrow them, raises
-    ValueError: the cap that `_FULL_EXPANSION_MAX` puts on the dedup too."""
-    ranks = 2 * n * (n - 1)
-    if ranks > 64:
-        raise ValueError(f"walk edge masks hold 64 edge ranks; n={n} has {ranks}")
-    grid = _edge_rank_grid(n)
-    nbrs = np.array(_neighbours(n), dtype=np.uint8)
-    nbr_bits = np.left_shift(1, nbrs, dtype=np.uint16)
-    nbr_ranks = np.take_along_axis(np.array(grid), nbrs.astype(np.intp), axis=1)
-    edge_bits = np.left_shift(np.uint64(1), nbr_ranks.astype(np.uint64))
-    closing = np.zeros(2 * n, dtype=np.uint64)
-    closing[nbrs[0]] = edge_bits[0]
-    step = max(1, _WALK_PAIRS // nbrs.shape[1])
-    seconds = _second_steps(n)
-    first = (
-        np.array(seconds, dtype=np.uint8),
-        np.array([0b11 | (1 << v2) for v2 in seconds], dtype=np.uint16),
-        np.array([1 | (1 << grid[1][v2]) for v2 in seconds], dtype=np.uint64),
-    )
-    stack = [(3, first)]
-    while stack:
-        depth, (v, visited, mask) = stack.pop()
-        if depth == 2 * n:
-            if close:
-                shut = closing[v]  # 0 where the last vertex is antipodal to 0
-                mask = (mask | shut)[shut != 0]
-            yield from mask.tolist()
-            continue
-        if len(v) > step:
-            stack.extend(
-                (depth, (v[s : s + step], visited[s : s + step], mask[s : s + step]))
-                for s in reversed(range(0, len(v), step))
-            )
-            continue
-        bits = nbr_bits[v]
-        rows, cols = np.nonzero((bits & visited[:, None]) == 0)
-        last = v[rows]
-        child = (
-            nbrs[last, cols],
-            visited[rows] | bits[rows, cols],
-            mask[rows] | edge_bits[last, cols],
-        )
-        stack.append((depth + 1, child))
-
-
-def _raw_path_masks(n: int):
-    """Masks of spanning paths with one endpoint at vertex 0, next to 1."""
-    return _raw_walk_masks(n, close=False)
-
-
-def _raw_cycle_masks(n: int):
-    """Masks of spanning cycles through edge rank 0, one per undirected cycle."""
-    return _raw_walk_masks(n, close=True)
-
-
-def _dedup_restricted(n: int, masks, star: int) -> list[tuple[int, int]]:
-    """Orbit dedup for streams whose every member has the shape
-    `mask & star == 1`, facet 1 a leaf on facet 2 for trees and paths
-    (star = vertex 0's edges) and edge rank 0 held for cycles (star = 1),
-    and in which facet 2 is joined to facet 3 or to no facet of axes 3..n
-    (`_far_edges`).  Only orbit images of that shape are remembered, which
-    is what keeps runs at the budget ceiling inside memory.  The
-    representative is still the best key over the whole orbit.  A member of
-    another shape would never be remembered, so its orbit could be emitted
-    twice: it raises RuntimeError instead.
-
-    Each class comes as (representative, |Stab|).  `_orbit_arrays` gives one
-    image per group element that puts rank 0 in the image, and the
-    representative holds rank 0, so the elements that fix the class's
+    Each class comes as (representative, |Stab|), sorted.  `_orbit_arrays`
+    gives one image per group element that puts rank 0 in the image, and
+    the representative holds rank 0, so the elements that fix the class's
     representative are counted exactly."""
+    star = (1 << (2 * n - 2)) - 1  # vertex 0's edges are ranks 0 .. 2n-3
     far = _far_edges(n)
     to_three = 1 << (2 * n - 2)  # the lowest of vertex 1's far edges
     seen: set[int] = set()
@@ -359,6 +273,91 @@ def _dedup_restricted(n: int, masks, star: int) -> list[tuple[int, int]]:
         out.append((rep, int(np.count_nonzero(images == np.uint64(rep)))))
     out.sort()
     return out
+
+
+# ---------------------------------------------------------------------------
+# Hamiltonian walks in B_n normal form
+
+
+def _normal_walks(n: int, close: bool) -> list[tuple[int, ...]]:
+    """Every spanning path (or, with `close`, cycle, cut open at vertex 0)
+    as a vertex sequence in B_n normal form: the axes first appear in the
+    order 1, 2, 3, ... and each first appears unstarred.  B_n acts freely
+    on directed sequences, so each orbit holds exactly one of these.  A
+    step enters any unvisited facet of a touched axis, or the lowest
+    untouched axis at its unstarred facet; a cycle ends beside vertex 0."""
+    two_n = 2 * n
+    out = []
+
+    def extend(seq: tuple[int, ...], visited: int, touched: int) -> None:
+        if len(seq) == two_n:
+            if not close or seq[-1] != n:
+                out.append(seq)
+            return
+        blocked = visited | 1 << antipode_index(seq[-1], n)
+        for u in range(two_n):
+            if (u % n < touched or u == touched) and not blocked >> u & 1:
+                extend(seq + (u,), visited | 1 << u, max(touched, u % n + 1))
+
+    extend((0,), 1, 1)
+    return out
+
+
+def _class_stabilizer(n: int, seq: tuple[int, ...], close: bool) -> int:
+    """|Stab| of the class of the normal-form walk `seq` when `seq` is the
+    least normal form of its re-readings (a path from either end, a cycle
+    from each vertex in either direction), else 0.  The elements of B_n
+    that fix the walk's edge set are one to one with the re-readings whose
+    normal form is `seq`.  Each re-reading is relabelled position by
+    position and dropped where it first differs from `seq`."""
+    two_n = 2 * n
+    if close:
+        readings = [seq[k:] + seq[:k] for k in range(two_n)]
+        readings += [w[::-1] for w in readings]
+    else:
+        readings = [seq, seq[::-1]]
+    stab = 0
+    for w in readings:
+        label = [-1] * two_n
+        axes = 0
+        for v, want in zip(w, seq):
+            got = label[v]
+            if got < 0:
+                got = label[v] = axes
+                label[v - n] = axes + n  # v's antipode, indexed from either end
+                axes += 1
+            if got != want:
+                break
+        else:
+            stab += 1
+            continue
+        if got < want:
+            return 0
+    return stab
+
+
+def _walk_masks(n: int, close: bool):
+    """(canonical mask, |Stab|) of each class of spanning paths (or, with
+    `close`, cycles): the edge mask of the class's least normal-form walk,
+    put in canonical form by `canonical_mask`, which expands the group's
+    cosets and knows nothing of the walk."""
+    grid = _edge_rank_grid(n)
+    for seq in _normal_walks(n, close):
+        stab = _class_stabilizer(n, seq, close)
+        if stab:
+            ends = seq[1:] + seq[:1] if close else seq[1:]
+            mask = sum(1 << grid[a][b] for a, b in zip(seq, ends))
+            yield canonical_mask(n, mask), stab
+
+
+def _raw_path_masks(n: int):
+    """(canonical mask, |Stab|) of each class of spanning paths."""
+    return _walk_masks(n, close=False)
+
+
+def _raw_cycle_masks(n: int):
+    """(canonical mask, |Stab|) of each class of spanning cycles."""
+    return _walk_masks(n, close=True)
 
 
 def _labelled_count(kind: str, n: int) -> int:
@@ -392,18 +391,13 @@ def _certify(kind: str, n: int, classes) -> None:
 
 
 def _stream_classes(kind: str, n: int) -> list[tuple[int, int]]:
-    # one listing's raw stream, deduplicated.  The generators are looked up
-    # here, at call time, so that a wrapped module attribute is the one
-    # that runs
-    raw = {
-        "trees": _raw_tree_masks,
-        "paths": _raw_path_masks,
-        "cycles": _raw_cycle_masks,
-    }[kind]
-    # vertex 0's edges are ranks 0 .. 2n-3: trees and paths hold rank 0
-    # alone of them, cycles hold rank 0
-    star = 1 if kind == "cycles" else (1 << (2 * n - 2)) - 1
-    return _dedup_restricted(n, raw(n), star)
+    # one listing's classes as (representative, |Stab|), sorted.  The
+    # generators are looked up here, at call time, so that a wrapped module
+    # attribute is the one that runs
+    if kind == "trees":
+        return _dedup_restricted(n, _raw_tree_masks(n))
+    walk = _raw_path_masks if kind == "paths" else _raw_cycle_masks
+    return sorted(walk(n))
 
 
 def _class_masks(kind: str, n: int) -> tuple[int, ...]:

@@ -142,11 +142,10 @@ def stabilizer_order(n: int, mask: int) -> int:
 # the recursive Hamiltonian walk
 
 
-def recursive_walk_masks(n: int, shard: tuple[int, int], close: bool):
-    """The path (or, with `close`, cycle) masks of
-    `enumeration._raw_walk_masks`, walked by nested generators: the stream,
-    order included, that its frontier blocks must reproduce."""
-    which, of = shard
+def recursive_walk_masks(n: int, close: bool):
+    """The masks of every spanning path (or, with `close`, cycle) whose
+    walk starts 0 -> 1, walked by nested generators with no symmetry cut:
+    every class of either kind has such a member."""
     two_n = 2 * n
     grid = _edge_rank_grid(n)
     neighbours = _neighbours(n)
@@ -165,10 +164,7 @@ def recursive_walk_masks(n: int, shard: tuple[int, int], close: bool):
             if not visited & bit:
                 yield from rec(u, visited | bit, depth + 1, mask | (1 << row[u]))
 
-    seconds = [u for u in neighbours[1] if u != 0]
-    for k, v2 in enumerate(seconds):
-        if k % of == which:
-            yield from rec(v2, 0b11 | (1 << v2), 3, 1 | (1 << grid[1][v2]))
+    return rec(1, 0b11, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from cubenets.chords import (
     _dihedral_maps,
 )
 from cubenets.core import ResourceLimitError, SpanningSubgraph, canonical_form
-from cubenets.enumeration import build_table
+from cubenets.enumeration import build_table, enumerate_classes
 from oracles import (
     canonical_diagram,
     cycle_from_diagram,
@@ -80,6 +80,24 @@ def test_cycle_from_diagram_roundtrip():
         for d in enumerate_diagrams(2 * n, 0):
             c = cycle_from_diagram(d, n)
             assert canonical_diagram(diagram_from_cycle(c)) == d
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_listed_cycle_classes_are_the_loopless_diagrams_one_to_one(n):
+    # class by class, not only in count: the direct listing's cycles map
+    # onto pairwise-distinct diagram classes, and onto every one of them
+    got = [canonical_diagram(diagram_from_cycle(c)) for c in enumerate_classes("cycles", n)]
+    assert len(set(got)) == len(got)
+    assert set(got) == set(enumerate_diagrams(2 * n, 0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_listed_path_classes_are_the_one_loop_diagrams_one_to_one(n):
+    # a path closes into a 2n-gon whose closing edge takes the new loop
+    paths = enumerate_classes("paths", n)
+    got = [canonical_diagram(insert_loop(*diagram_from_path(p))) for p in paths]
+    assert len(set(got)) == len(got)
+    assert set(got) == set(enumerate_diagrams(2 * n + 2, 1))
 
 
 def test_cycle_from_diagram_rejects_loops():

@@ -22,9 +22,8 @@ from cubenets.core import (
 )
 from cubenets.enumeration import (
     _dedup_restricted,
-    _raw_cycle_masks,
-    _raw_path_masks,
     _raw_tree_masks,
+    _stream_classes,
     random_spanning_tree,
 )
 from oracles import (
@@ -33,6 +32,7 @@ from oracles import (
     full_orbit,
     label_map,
     orbit_masks,
+    recursive_walk_masks,
     signed_permutations,
     stabilizer_order,
     subgraph_from_json,
@@ -353,24 +353,23 @@ def test_dedup_emits_canonical_representatives():
     for mask in raw:
         assert canonical_mask(3, mask) in reps
     # the enumeration's restricted dedup, which remembers only images of its
-    # stream's shape (facet 1 a leaf on facet 2 for trees and paths, edge
-    # rank 0 held for cycles, and facet 2 joined to facet 3 or to nothing on
-    # axes 3..n), gives the same list on every direct stream
-    for raw_masks, cycles, top in (
-        (_raw_tree_masks, False, 4),
-        (_raw_path_masks, False, 5),
-        (_raw_cycle_masks, True, 5),
-    ):
-        for n in range(2, top + 1):
-            star = 1 if cycles else (1 << (2 * n - 2)) - 1  # vertex 0's edges
-            stream = list(raw_masks(n))
-            assert all(mask & star == 1 for mask in stream)
-            pairs = _dedup_restricted(n, stream, star)
-            assert [rep for rep, _ in pairs] == dedup_canonical_masks(n, stream)
-            # each class carries its stabilizer order
-            assert [stab for _, stab in pairs] == [
-                stabilizer_order(n, rep) for rep, _ in pairs
-            ]
+    # stream's shape (facet 1 a leaf on facet 2, and facet 2 joined to facet
+    # 3 or to nothing on axes 3..n), gives the same list on the tree stream
+    for n in range(2, 5):
+        stream = list(_raw_tree_masks(n))
+        pairs = _dedup_restricted(n, stream)
+        assert [rep for rep, _ in pairs] == dedup_canonical_masks(n, stream)
+        # each class carries its stabilizer order
+        assert [stab for _, stab in pairs] == [stabilizer_order(n, rep) for rep, _ in pairs]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_walk_listings_match_the_recursive_walk(n):
+    # the normal-form walk's classes, each with its |Stab|, are the full
+    # dedup of every walk 0 -> 1, with each stabilizer from the full group
+    for kind, close in (("paths", False), ("cycles", True)):
+        reps = dedup_canonical_masks(n, recursive_walk_masks(n, close))
+        assert _stream_classes(kind, n) == [(rep, stabilizer_order(n, rep)) for rep in reps]
 
 
 def test_dedup_refuses_a_mask_outside_its_stream_shape():
@@ -379,9 +378,8 @@ def test_dedup_refuses_a_mask_outside_its_stream_shape():
     n = 3
     tree = SpanningSubgraph(n, "tree", ((0, 1), (0, 2), (0, 4), (0, 5), (1, 3)))
     assert validate(tree) is None
-    star = (1 << (2 * n - 2)) - 1
     with pytest.raises(RuntimeError, match="stream shape"):
-        _dedup_restricted(n, [tree.mask()], star)
+        _dedup_restricted(n, [tree.mask()])
 
 
 def test_subgraph_mask_roundtrip():

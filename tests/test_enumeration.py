@@ -30,6 +30,9 @@ from cubenets.enumeration import (
     VerifyReport,
     _check_tree,
     _check_trees,
+    _class_stabilizer,
+    _labelled_count,
+    _normal_walks,
     _raw_tree_masks,
     _tree_from_parents,
     build_table,
@@ -46,7 +49,6 @@ from oracles import (
     apply_subgraph,
     orbit_masks,
     random_signed_permutation,
-    recursive_walk_masks,
     stabilizer_order,
 )
 
@@ -180,65 +182,58 @@ def test_direct_cycles_at_the_budget_ceiling():
     assert all(c.mask() & 1 for c in cycles)  # each holds edge rank 0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_walk_stack_matches_the_recursive_walk(n):
-    from cubenets.enumeration import _raw_walk_masks
-
-    # the frontier blocks yield the nested generators' stream, order and
-    # all, filtered to the second steps facet 3 and facet 1* (vertices 2
-    # and n); a walk 0 -> 1 -> v2 holds the edge (1, v2)
-    grid = _edge_rank_grid(n)
-    bits = [1 << grid[1][v2] for v2 in sorted({2, n})]
-    for close in (False, True):
-        walks = recursive_walk_masks(n, (0, 1), close)
-        want = [mask for mask in walks if any(mask & bit for bit in bits)]
-        assert list(_raw_walk_masks(n, close)) == want
+# (paths, cycles) walked in B_n normal form for n = 2..6
+NORMAL_WALKS = {2: (1, 1), 3: (5, 4), 4: (36, 31), 5: (329, 293), 6: (3655, 3326)}
 
 
-def oracle_walks(n, v2, close):
-    """The recursive walk's stream through second step v2 alone: its shards
-    run over the 2n-3 second steps 2..n, n+2..2n-1, so v2 in {2, n} is the
-    shard v2 - 2, and no other second step is walked."""
-    return recursive_walk_masks(n, (v2 - 2, 2 * n - 3), close)
+def walk_classes(n, close):
+    """(normal-form walk, |Stab|) of each class, with no canonical mask, so
+    it reaches past the group expansion's cap."""
+    walks = _normal_walks(n, close)
+    return [(seq, stab) for seq in walks if (stab := _class_stabilizer(n, seq, close))]
 
 
-@pytest.mark.parametrize("pairs", [1, 7, 64])
-def test_split_frontier_blocks_keep_the_walk_order(monkeypatch, pairs):
-    from cubenets import enumeration
-    from cubenets.enumeration import _raw_walk_masks
-
-    # a block is cut into runs of pairs // (2n-2) walks, at least one: single
-    # walks under 1 (and under 7 past n=2), runs of 32 down to 8 under 64
-    monkeypatch.setattr(enumeration, "_WALK_PAIRS", pairs)
-    for n in (2, 3, 4, 5):
-        for close in (False, True):
-            want = [m for v2 in sorted({2, n}) for m in oracle_walks(n, v2, close)]
-            assert list(_raw_walk_masks(n, close)) == want
+def orbit_sum(n, classes):
+    return sum(2**n * math.factorial(n) // stab for _, stab in classes)
 
 
-def test_walk_streams_at_the_cycle_budget_ceiling():
-    from cubenets.enumeration import _raw_walk_masks
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_normal_form_walks_are_one_per_directed_orbit(n):
+    for close, size in zip((False, True), NORMAL_WALKS[n]):
+        walks = list(_normal_walks(n, close))
+        assert len(walks) == len(set(walks)) == size
+        for seq in walks:
+            # a spanning walk with no antipodal step, whose axes first
+            # appear in order, each at its unstarred facet
+            assert sorted(seq) == list(range(2 * n))
+            steps = zip(seq, seq[1:] + seq[:1] if close else seq[1:])
+            assert all(antipode_index(a, n) != b for a, b in steps)
+            assert list(dict.fromkeys(v % n for v in seq)) == list(range(n))
+            assert all(seq.index(a) < seq.index(a + n) for a in range(n))
+        # B_n acts freely on directed walks, and each labelled walk is read
+        # as 2 directed paths or as 4n directed cycles
+        reread = 4 * n if close else 2
+        labelled = _labelled_count("cycles" if close else "paths", n)
+        assert size * 2**n * math.factorial(n) == labelled * reread
 
-    # at n=6 the walks through facet 3 and then those through facet 1* start
-    # as the recursive walk's do, and the whole streams are as long as the
-    # depth-first walk's: 298080 paths and 282288 cycles walk 0 -> 1 ->
-    # facet 3 or facet 1*
-    to_three = 1 << _edge_rank_grid(6)[1][2]
-    for close, size in ((False, 298080), (True, 282288)):
-        stream = list(_raw_walk_masks(6, close))
-        assert len(stream) == size
-        # the facet-3 part comes first: past it, the facet-1* part begins
-        past = next(i for i, mask in enumerate(stream) if not mask & to_three)
-        for v2, part in ((2, stream), (6, stream[past:])):
-            assert part[:2000] == list(itertools.islice(oracle_walks(6, v2, close), 2000))
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_walk_classes_are_the_diagram_classes(n):
+    # one class per loopless 2n-gon diagram for cycles, and per one-loop
+    # (2n+2)-gon diagram for paths; and their orbits cover every walk
+    for close, (extra, loops) in ((True, (0, 0)), (False, (2, 1))):
+        classes = walk_classes(n, close)
+        assert len(classes) == count_diagram_classes(2 * n + extra, loops)
+        assert orbit_sum(n, classes) == _labelled_count("cycles" if close else "paths", n)
 
 
-def test_walks_past_64_edge_ranks_are_refused():
-    from cubenets.enumeration import _raw_walk_masks
-
-    # n=7 has 84 edge ranks, more than a uint64 edge mask holds
-    with pytest.raises(ValueError, match="64 edge ranks"):
-        next(_raw_walk_masks(7, False))
+def test_path_classes_past_the_listing_budget():
+    # n=7 is past DIRECT_LIMITS and past canonical_mask's cap: the walk's
+    # classes are counted on sequences, and their orbits still cover every
+    # labelled path exactly once
+    classes = walk_classes(7, False)
+    assert len(classes) == 24252 == count_diagram_classes(16, 1)
+    assert orbit_sum(7, classes) == _labelled_count("paths", 7)
 
 
 def spanning_trees_without_vertex_zero(n, dropped=()):
@@ -313,8 +308,6 @@ def labelled_walks(n, close):
 
 
 def test_closed_forms_count_the_labelled_objects():
-    from cubenets.enumeration import _labelled_count
-
     for n in (2, 3, 4):
         assert _labelled_count("paths", n) == labelled_walks(n, close=False)
         assert _labelled_count("cycles", n) == labelled_walks(n, close=True)
@@ -332,8 +325,6 @@ def test_closed_forms_count_the_labelled_objects():
 
 @pytest.mark.parametrize("kind", ["trees", "paths", "cycles"])
 def test_listed_orbits_cover_every_labelled_object(kind):
-    from cubenets.enumeration import _labelled_count
-
     # orbit-stabilizer, with each stabilizer from the full group's expansion
     for n in (2, 3, 4):
         order = 2**n * math.factorial(n)
@@ -346,18 +337,18 @@ def test_listed_orbits_cover_every_labelled_object(kind):
 def test_a_dedup_that_loses_or_invents_a_class_fails_the_check(monkeypatch, capsys, fault):
     from cubenets import cli, enumeration
 
-    real = enumeration._dedup_restricted
+    real = enumeration._stream_classes
 
-    def planted(n, masks, star):
-        pairs = real(n, masks, star)
+    def planted(kind, n):
+        pairs = real(kind, n)
         if fault == "drop":
             return pairs[1:]
-        # a second, non-canonical image of the last class, as a dedup that
-        # failed to recognise it would emit
+        # a second, non-canonical image of the last class, as a dedup or a
+        # walk that failed to recognise it would emit
         rep, stab = pairs[-1]
         return pairs + [(min(orbit_masks(n, rep) - {rep}), stab)]
 
-    monkeypatch.setattr(enumeration, "_dedup_restricted", planted)
+    monkeypatch.setattr(enumeration, "_stream_classes", planted)
     for kind in ("trees", "paths", "cycles"):
         with pytest.raises(CountMismatchError, match=f"orbit-stabilizer check at n=4 on {kind}"):
             enumeration._listing.__wrapped__(kind, 4)
