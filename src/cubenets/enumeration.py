@@ -20,13 +20,15 @@ is the least normal form among its re-readings; no walk is deduplicated.
 Which positions of a normal-form sequence share an axis is exactly its
 chord diagram, so this walk is the paper's diagram bijection used as a
 generator, not a method independent of the chords.  Two checks are
-independent of them: each class is printed as `canonical_mask` of its edge
-set, which expands the group's cosets, and each listing certifies itself
-by orbit-stabilizer.
-The orbit sizes |B_n| / |Stab| must sum to the closed-form number of
-labelled trees, paths or cycles, or the listing raises
+independent of them.  Every listing and every direct count certifies its
+classes by orbit-stabilizer: the orbit sizes |B_n| / |Stab| must sum to
+the closed-form number of labelled trees, paths or cycles, or it raises
 CountMismatchError; a cut that drops an orbit, or a dedup or walk that
-loses or repeats a class, fails it.
+loses or repeats a class, fails it.  And a listing prints each path or
+cycle class as `canonical_mask` of its edge set, which expands the
+group's cosets.  Direct counts of paths, cycles and ter (paths whose ends
+are antipodal) read the walk's classes and certificate alone; only
+listings compute canonical masks.
 """
 
 from __future__ import annotations
@@ -336,18 +338,28 @@ def _class_stabilizer(n: int, seq: tuple[int, ...], close: bool) -> int:
     return stab
 
 
+@cache
+def _walk_classes(n: int, close: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(least normal-form walk, |Stab|) of each class of spanning paths (or,
+    with `close`, cycles), walked once per dimension and kind; callers
+    check the budget before the cache."""
+    return tuple(
+        (seq, stab)
+        for seq in _normal_walks(n, close)
+        if (stab := _class_stabilizer(n, seq, close))
+    )
+
+
 def _walk_masks(n: int, close: bool):
     """(canonical mask, |Stab|) of each class of spanning paths (or, with
     `close`, cycles): the edge mask of the class's least normal-form walk,
     put in canonical form by `canonical_mask`, which expands the group's
     cosets and knows nothing of the walk."""
     grid = _edge_rank_grid(n)
-    for seq in _normal_walks(n, close):
-        stab = _class_stabilizer(n, seq, close)
-        if stab:
-            ends = seq[1:] + seq[:1] if close else seq[1:]
-            mask = sum(1 << grid[a][b] for a, b in zip(seq, ends))
-            yield canonical_mask(n, mask), stab
+    for seq, stab in _walk_classes(n, close):
+        ends = seq[1:] + seq[:1] if close else seq[1:]
+        mask = sum(1 << grid[a][b] for a, b in zip(seq, ends))
+        yield canonical_mask(n, mask), stab
 
 
 def _raw_path_masks(n: int):
@@ -410,9 +422,9 @@ def _class_masks(kind: str, n: int) -> tuple[int, ...]:
 
 @cache
 def _listing(kind: str, n: int) -> tuple[int, ...]:
-    # a table's ter count classifies the path listing its paths count takes:
-    # the cache keeps it to one walk per kind.  The dedup returns its classes
-    # unique and sorted by representative
+    # only listings reach here; counts of paths, cycles and ter read the
+    # walk's classes.  The stream's classes come unique and sorted by
+    # representative, and are certified before they are cached
     classes = _stream_classes(kind, n)
     _certify(kind, n, classes)
     return tuple(rep for rep, _ in classes)
@@ -497,10 +509,19 @@ def _chord_count(kind: str, n: int) -> int:
 
 
 def _direct_count(kind: str, n: int) -> int:
+    if kind == "trees":
+        return len(_class_masks(kind, n))
+    # paths, cycles and ter are counted on the certified walk, with no
+    # listing.  ter takes the path budget: a normal-form path starts at
+    # facet 1, so its ends are antipodal exactly when it ends at facet 1*
+    walk = "cycles" if kind == "cycles" else "paths"
+    _check_dim(n)
+    _check_direct(walk, n)
+    classes = _walk_classes(n, walk == "cycles")
+    _certify(walk, n, classes)
     if kind == "ter":
-        paths = enumerate_classes("paths", n)
-        return sum(1 for p in paths if classify_path(p) == "ter")
-    return len(_class_masks(kind, n))
+        return sum(seq[-1] == n for seq, _ in classes)
+    return len(classes)
 
 
 def count_classes(kind: str, n: int, method: str = "direct") -> int:

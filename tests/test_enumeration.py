@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from cubenets.enumeration import (
     CountMismatchError,
     EnumerationTable,
     ResourceLimitError,
+    TableRow,
     VerifyReport,
     _check_tree,
     _check_trees,
@@ -436,6 +438,85 @@ def test_count_classes_routes_agree(n):
         assert count_classes(kind, n, "chords") == direct
         assert count_classes(kind, n, "both") == direct
     assert count_classes("ter", n + 1, "both") == count_classes("paths", n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_counts_equal_the_listings(n):
+    # the count route reads the walk's classes, the listing their canonical
+    # masks; both must hold the same classes, and a path counted as ter by
+    # its last vertex must be one whose listed ends are antipodal
+    kinds = ("paths", "cycles") if n <= DIRECT_LIMITS["paths"] else ("cycles",)
+    for kind in kinds:
+        assert count_classes(kind, n) == len(enumerate_classes(kind, n))
+    if n <= DIRECT_LIMITS["paths"]:
+        paths = enumerate_classes("paths", n)
+        ter = sum(classify_path(p) == "ter" for p in paths)
+        assert count_classes("ter", n) == ter
+
+
+@pytest.fixture
+def fresh_walks():
+    from cubenets import enumeration
+
+    enumeration._walk_classes.cache_clear()
+    enumeration._listing.cache_clear()
+    yield enumeration
+    enumeration._walk_classes.cache_clear()
+    enumeration._listing.cache_clear()
+
+
+def test_a_walk_that_drops_a_class_fails_the_count(monkeypatch, capsys, fresh_walks):
+    from cubenets import cli
+
+    real = fresh_walks._class_stabilizer
+    first = {close: walk_classes(4, close)[0][0] for close in (False, True)}
+
+    def planted(n, seq, close):
+        return 0 if n == 4 and seq == first[close] else real(n, seq, close)
+
+    monkeypatch.setattr(fresh_walks, "_class_stabilizer", planted)
+    for kind in ("paths", "cycles", "ter"):
+        with pytest.raises(CountMismatchError, match="orbit-stabilizer check at n=4"):
+            count_classes(kind, 4)
+    assert cli.main(["table", "--max-dim", "4", "--method", "direct"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("orbit-stabilizer check at n=4 on ")
+
+
+def test_direct_counts_are_refused_before_any_walk(monkeypatch, fresh_walks):
+    def no_walk(n, close):
+        raise RuntimeError(f"walked n={n}")
+
+    monkeypatch.setattr(fresh_walks, "_normal_walks", no_walk)
+    for kind, n in (("paths", 6), ("ter", 6), ("cycles", 7)):
+        for method in ("direct", "both"):
+            with pytest.raises(ResourceLimitError, match="DIRECT_LIMITS"):
+                count_classes(kind, n, method)
+
+
+def readme_table_rows():
+    """The rows of the README's `cubenets table --max-dim 7` example."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("$ cubenets table --max-dim 7\n", 1)[1].split("```", 1)[0]
+    return [
+        TableRow(*map(int, line.split()))
+        for line in block.splitlines()
+        if line.split() and line.split()[0].isdigit()
+    ]
+
+
+def test_table_counts_without_listing(monkeypatch, fresh_walks):
+    # the table's direct side counts the walk's classes: no canonical mask,
+    # no materialized subgraph, no endpoint classification, no orbit dedup
+    def refused(*args, **kwargs):
+        raise RuntimeError("the count route built a listing")
+
+    for name in ("canonical_mask", "subgraph_from_mask", "classify_path", "_orbit_arrays"):
+        monkeypatch.setattr(fresh_walks, name, refused)
+    rows = readme_table_rows()
+    assert [r.n for r in rows] == list(range(2, 8))
+    assert build_table(7, "both").rows == tuple(rows)
 
 
 def test_count_classes_refusals():
