@@ -9,11 +9,14 @@ diagrams with exactly one loop (a chord across a single boundary edge) count
 them the same way.
 
 Class counts come from Burnside's lemma (`count_diagram_classes`) and never
-list a matching.  `enumerate_diagrams` lists the classes themselves, up to
-the 16-gon (CHORDS_LIST_LIMIT): it generates only matchings whose chord at
-vertex 0 is one of their shortest, in increasing order, and moves them with
-the one dihedral action `_apply_vertex_map` that `diagram_stabilizer` uses
-too.
+list a matching.  `_diagram_classes_by_loops` is the package's one
+generator of matchings: it lists each class once with its stabilizer order,
+generating only matchings whose chord at vertex 0 is one of their shortest,
+in increasing order.  `enumerate_diagrams` serves its classes up to the
+16-gon (CHORDS_LIST_LIMIT), and `enumeration` reads the spanning path and
+cycle classes from the same pass.  A class is moved only by the maps
+`_zero_chord_maps` picks, under the one dihedral action `_apply_vertex_map`
+that `diagram_stabilizer` uses too.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from math import comb, gcd
 
 from .core import _check_budget
 
-# the 16-gon's classes take about 2.5 s to list, the 18-gon's about half a
-# minute, past the n = 5 tree listing's ~16 s
+# the 16-gon's classes take about 0.7 s to list in process, the 18-gon's
+# about 16 s and 435 MB, past the n = 5 tree listing's ~5 s
 CHORDS_LIST_LIMIT = 8
 
 
@@ -63,8 +66,8 @@ def _dihedral_maps(m: int) -> tuple[tuple[int, ...], ...]:
 
 def _apply_vertex_map(d: ChordDiagram, vm) -> tuple[int, ...]:
     out = [-1] * d.m
-    for i in range(d.m):
-        out[vm[i]] = vm[d.mate[i]]
+    for i, j in enumerate(d.mate):
+        out[vm[i]] = vm[j]
     return tuple(out)
 
 
@@ -72,9 +75,29 @@ def _apply_vertex_map(d: ChordDiagram, vm) -> tuple[int, ...]:
 # enumeration up to symmetry
 
 
+def _zero_chord_maps(mate: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The dihedral maps, in `_dihedral_maps` order, under which the image
+    of the matching `mate` again mates vertex 0 to mate[0]: those that carry
+    a chord onto (0, mate[0]).  A chord (a, b) with b = a + mate[0] (mod m)
+    gives two, the rotation that sends a to 0 and the reflection that sends
+    b to 0; no other map keeps vertex 0's mate, so a map fixes the matching
+    only if it is one of these."""
+    m, target = len(mate), mate[0]
+    picks = []
+    for a, b in enumerate(mate):
+        if (b - a) % m == target:
+            # map k < m is i -> i + k, map m + k is i -> k - i
+            picks += (-a % m, m + b)
+    maps = _dihedral_maps(m)
+    return [maps[k] for k in sorted(picks)]
+
+
 @cache
-def _diagram_classes_by_loops(m: int, cap: int) -> tuple[tuple[ChordDiagram, ...], ...]:
-    """Least mate tables of the diagram classes with 0..cap loops, one pass.
+def _diagram_classes_by_loops(
+    m: int, cap: int
+) -> tuple[tuple[tuple[ChordDiagram, ...], tuple[int, ...]], ...]:
+    """Least mate tables of the diagram classes with 0..cap loops and their
+    stabilizer orders, one pass: for each loop count, (diagrams, |Stab|s).
 
     Matchings are generated by always pairing the lowest free vertex, so
     they come out in increasing mate-table order and the first member of an
@@ -83,12 +106,11 @@ def _diagram_classes_by_loops(m: int, cap: int) -> tuple[tuple[ChordDiagram, ...
     member is one of them; so only matchings with mate[0] <= m/2 and no
     chord shorter than mate[0] are generated, branches past the loop budget
     are abandoned, and each new orbit remembers only its images with the
-    same mate[0].
+    same mate[0], which `_zero_chord_maps` gives.  |Stab| counts those
+    images equal to the class's table.
     """
-    if m % 2 or m < 2:
-        raise ValueError(f"vertex count must be even and positive, got {m}")
-    maps = _dihedral_maps(m)
     reps: list[list[ChordDiagram]] = [[] for _ in range(cap + 1)]
+    stabs: list[list[int]] = [[] for _ in range(cap + 1)]
     mate = [-1] * m
 
     def rec(free, loops, short, seen):
@@ -96,23 +118,23 @@ def _diagram_classes_by_loops(m: int, cap: int) -> tuple[tuple[ChordDiagram, ...
             key = tuple(mate)
             if key not in seen:
                 d = ChordDiagram(m, key)
-                for vm in maps:
-                    image = _apply_vertex_map(d, vm)
-                    if image[0] == short:
-                        seen.add(image)
+                images = [_apply_vertex_map(d, vm) for vm in _zero_chord_maps(key)]
+                seen.update(images)
                 reps[loops].append(d)
+                stabs[loops].append(images.count(key))
             return
         ib = free & -free
         i = ib.bit_length() - 1
         rest = free ^ ib
-        cand = rest
+        # chords from i no shorter than `short`: i + short <= j <= i + m - short
+        cand = rest & (1 << i + m - short + 1) - (1 << i + short)
         while cand:
             jb = cand & -cand
             j = jb.bit_length() - 1
             cand ^= jb
             # vertex 0 is matched, so a chord here is a loop only if j = i + 1
             lp = loops + (j == i + 1)
-            if min(j - i, m - j + i) < short or lp > cap:
+            if lp > cap:
                 continue
             mate[i], mate[j] = j, i
             rec(rest ^ jb, lp, short, seen)
@@ -121,18 +143,20 @@ def _diagram_classes_by_loops(m: int, cap: int) -> tuple[tuple[ChordDiagram, ...
     for short in range(1, m // 2 + 1):
         mate[0], mate[short] = short, 0
         rec(full ^ 1 ^ (1 << short), int(short == 1), short, set())
-    return tuple(tuple(bucket) for bucket in reps)
+    return tuple((tuple(r), tuple(s)) for r, s in zip(reps, stabs))
 
 
 def enumerate_diagrams(m: int, loop_count: int) -> tuple[ChordDiagram, ...]:
     """Canonical chord diagrams on m vertices with exactly loop_count loops,
     sorted.  Cached; asking for 0 or 1 loops shares one generation pass.
     Polygons past 2 * CHORDS_LIST_LIMIT vertices raise ResourceLimitError."""
+    if m % 2 or m < 2:
+        raise ValueError(f"vertex count must be even and positive, got {m}")
     if loop_count < 0 or loop_count > m // 2:
         return ()
     _check_budget(m // 2, CHORDS_LIST_LIMIT, "CHORDS_LIST_LIMIT", "diagram listings")
     cap = max(1, loop_count)
-    return _diagram_classes_by_loops(m, cap)[loop_count]
+    return _diagram_classes_by_loops(m, cap)[loop_count][0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +282,7 @@ def _edge_image(m: int, vm, e: int) -> int:
 
 def diagram_stabilizer(d: ChordDiagram) -> tuple[tuple[int, ...], ...]:
     return tuple(
-        vm for vm in _dihedral_maps(d.m) if _apply_vertex_map(d, vm) == d.mate
+        vm for vm in _zero_chord_maps(d.mate) if _apply_vertex_map(d, vm) == d.mate
     )
 
 

@@ -1,9 +1,9 @@
 """Exhaustive and sampled enumeration of unfoldings up to relabelling.
 
 The direct route lists classes of spanning trees, paths and cycles of the
-Roberts graph; the diagram route counts symmetry classes of chord diagrams
-and never touches the graph.  Their agreement on small dimensions is one
-of the package's main checks.
+Roberts graph and certifies them; the diagram route counts symmetry
+classes of chord diagrams by Burnside and never touches the graph.  Their
+agreement on small dimensions is one of the package's main checks.
 
 Trees are walked by backtracking over edge ranks, and only in one shape:
 the relabelling group moves any ordered non-antipodal pair of facets onto
@@ -14,21 +14,20 @@ elements that fix facets 1 and 2 move facet 3 onto any facet of axes
 neighbour on axes 3..n.  An orbit dedup that remembers only the images of
 that shape collapses the stream to classes.
 
-Paths and cycles are walked as vertex sequences in B_n normal form, one
-per orbit of directed walks, and a sequence stands for its class when it
-is the least normal form among its re-readings; no walk is deduplicated.
-Which positions of a normal-form sequence share an axis is exactly its
-chord diagram, so this walk is the paper's diagram bijection used as a
-generator, not a method independent of the chords.  Two checks are
-independent of them.  Every listing and every direct count certifies its
-classes by orbit-stabilizer: the orbit sizes |B_n| / |Stab| must sum to
-the closed-form number of labelled trees, paths or cycles, or it raises
-CountMismatchError; a cut that drops an orbit, or a dedup or walk that
-loses or repeats a class, fails it.  And a listing prints each path or
-cycle class as `canonical_mask` of its edge set, which expands the
+Paths and cycles are read from the chord diagrams: a cycle class is a
+loopless diagram on the 2n-gon, a path class a diagram on the (2n+2)-gon
+with one loop, and `chords` generates each class once with its |Stab|.  So
+the direct route for paths and cycles is the paper's diagram bijection, not
+a method independent of the chords.  Two checks are independent of them.
+Every listing and every direct count certifies its classes by
+orbit-stabilizer: the orbit sizes |B_n| / |Stab| must sum to the
+closed-form number of labelled trees, paths or cycles, or it raises
+CountMismatchError; a cut that drops an orbit, or a dedup or generator
+that loses or repeats a class, fails it.  And a listing prints each path
+or cycle class as `canonical_mask` of its edge set, which expands the
 group's cosets.  Direct counts of paths, cycles and ter (paths whose ends
-are antipodal) read the walk's classes and certificate alone; only
-listings compute canonical masks.
+are antipodal) read the diagram classes and certificate alone; only
+listings label a diagram into its walk and compute canonical masks.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .chords import count_diagram_classes
+from .chords import ChordDiagram, _diagram_classes_by_loops, count_diagram_classes
 from .core import (
     FacetLabel,
     ResourceLimitError,
@@ -278,98 +277,53 @@ def _dedup_restricted(n: int, masks) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian walks in B_n normal form
+# path and cycle classes, read from the chord diagrams
+
+# (polygon vertices beyond 2n, loops) of the chord diagrams whose classes
+# are each kind's classes; "ter" is the paths whose ends are antipodal facets
+_DIAGRAMS = {"cycles": (0, 0), "ter": (0, 1), "paths": (2, 1)}
 
 
-def _normal_walks(n: int, close: bool) -> list[tuple[int, ...]]:
-    """Every spanning path (or, with `close`, cycle, cut open at vertex 0)
-    as a vertex sequence in B_n normal form: the axes first appear in the
-    order 1, 2, 3, ... and each first appears unstarred.  B_n acts freely
-    on directed sequences, so each orbit holds exactly one of these.  A
-    step enters any unvisited facet of a touched axis, or the lowest
-    untouched axis at its unstarred facet; a cycle ends beside vertex 0."""
-    two_n = 2 * n
-    out = []
-
-    def extend(seq: tuple[int, ...], visited: int, touched: int) -> None:
-        if len(seq) == two_n:
-            if not close or seq[-1] != n:
-                out.append(seq)
-            return
-        blocked = visited | 1 << antipode_index(seq[-1], n)
-        for u in range(two_n):
-            if (u % n < touched or u == touched) and not blocked >> u & 1:
-                extend(seq + (u,), visited | 1 << u, max(touched, u % n + 1))
-
-    extend((0,), 1, 1)
-    return out
+def _diagram_classes(kind: str, n: int) -> tuple[tuple[ChordDiagram, int], ...]:
+    """(least mate table, |Stab|) of each class of spanning paths or cycles:
+    the loopless 2n-gon diagrams for cycles, the one-loop (2n+2)-gon
+    diagrams for paths, with the loop at (0, 1) and the path on positions
+    2..2n+1.  B_n acts freely on directed walks, so a walk's stabilizer is
+    its diagram's dihedral stabilizer.  Callers check the budget first."""
+    extra, loops = _DIAGRAMS[kind]
+    diagrams, stabs = _diagram_classes_by_loops(2 * n + extra, 1)[loops]
+    return tuple(zip(diagrams, stabs))
 
 
-def _class_stabilizer(n: int, seq: tuple[int, ...], close: bool) -> int:
-    """|Stab| of the class of the normal-form walk `seq` when `seq` is the
-    least normal form of its re-readings (a path from either end, a cycle
-    from each vertex in either direction), else 0.  The elements of B_n
-    that fix the walk's edge set are one to one with the re-readings whose
-    normal form is `seq`.  Each re-reading is relabelled position by
-    position and dropped where it first differs from `seq`."""
-    two_n = 2 * n
-    if close:
-        readings = [seq[k:] + seq[:k] for k in range(two_n)]
-        readings += [w[::-1] for w in readings]
-    else:
-        readings = [seq, seq[::-1]]
-    stab = 0
-    for w in readings:
-        label = [-1] * two_n
-        axes = 0
-        for v, want in zip(w, seq):
-            got = label[v]
-            if got < 0:
-                got = label[v] = axes
-                label[v - n] = axes + n  # v's antipode, indexed from either end
-                axes += 1
-            if got != want:
-                break
-        else:
-            stab += 1
-            continue
-        if got < want:
-            return 0
-    return stab
-
-
-@cache
-def _walk_classes(n: int, close: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(least normal-form walk, |Stab|) of each class of spanning paths (or,
-    with `close`, cycles), walked once per dimension and kind; callers
-    check the budget before the cache."""
-    return tuple(
-        (seq, stab)
-        for seq in _normal_walks(n, close)
-        if (stab := _class_stabilizer(n, seq, close))
-    )
-
-
-def _walk_masks(n: int, close: bool):
-    """(canonical mask, |Stab|) of each class of spanning paths (or, with
-    `close`, cycles): the edge mask of the class's least normal-form walk,
-    put in canonical form by `canonical_mask`, which expands the group's
-    cosets and knows nothing of the walk."""
+def _walk_masks(kind: str, n: int):
+    """(canonical mask, |Stab|) of each class of spanning paths or cycles.
+    A diagram is labelled into its walk along the polygon: a chord's first
+    end takes the next axis, its mate the antipode.  That walk's edge mask
+    is put in canonical form by `canonical_mask`, which expands the group's
+    cosets and knows nothing of the diagram."""
     grid = _edge_rank_grid(n)
-    for seq, stab in _walk_classes(n, close):
-        ends = seq[1:] + seq[:1] if close else seq[1:]
+    for d, stab in _diagram_classes(kind, n):
+        start = d.m - 2 * n  # 2 for a path, past its loop; 0 for a cycle
+        label = [0] * d.m
+        axis = 0
+        for p in range(start, d.m):
+            if d.mate[p] > p:
+                label[p], label[d.mate[p]] = axis, axis + n
+                axis += 1
+        seq = label[start:]
+        ends = seq[1:] + seq[:1] if kind == "cycles" else seq[1:]
         mask = sum(1 << grid[a][b] for a, b in zip(seq, ends))
         yield canonical_mask(n, mask), stab
 
 
 def _raw_path_masks(n: int):
     """(canonical mask, |Stab|) of each class of spanning paths."""
-    return _walk_masks(n, close=False)
+    return _walk_masks("paths", n)
 
 
 def _raw_cycle_masks(n: int):
     """(canonical mask, |Stab|) of each class of spanning cycles."""
-    return _walk_masks(n, close=True)
+    return _walk_masks("cycles", n)
 
 
 def _labelled_count(kind: str, n: int) -> int:
@@ -423,7 +377,7 @@ def _class_masks(kind: str, n: int) -> tuple[int, ...]:
 @cache
 def _listing(kind: str, n: int) -> tuple[int, ...]:
     # only listings reach here; counts of paths, cycles and ter read the
-    # walk's classes.  The stream's classes come unique and sorted by
+    # diagram classes.  The stream's classes come unique and sorted by
     # representative, and are certified before they are cached
     classes = _stream_classes(kind, n)
     _certify(kind, n, classes)
@@ -496,10 +450,6 @@ def random_spanning_tree(n: int, rng: random.Random) -> SpanningSubgraph:
 
 METHODS = ("direct", "chords", "both")
 
-# (polygon vertices beyond 2n, loops) of the chord diagrams whose classes
-# are each kind's classes; "ter" is the paths whose ends are antipodal facets
-_DIAGRAMS = {"cycles": (0, 0), "ter": (0, 1), "paths": (2, 1)}
-
 
 def _chord_count(kind: str, n: int) -> int:
     _check_dim(n)
@@ -511,26 +461,28 @@ def _chord_count(kind: str, n: int) -> int:
 def _direct_count(kind: str, n: int) -> int:
     if kind == "trees":
         return len(_class_masks(kind, n))
-    # paths, cycles and ter are counted on the certified walk, with no
-    # listing.  ter takes the path budget: a normal-form path starts at
-    # facet 1, so its ends are antipodal exactly when it ends at facet 1*
+    # paths, cycles and ter are counted on the certified diagram classes,
+    # with no listing.  ter takes the path budget: a path's ends are
+    # antipodal when its first and last positions, 2 and 2n+1, share a chord
     walk = "cycles" if kind == "cycles" else "paths"
     _check_dim(n)
     _check_direct(walk, n)
-    classes = _walk_classes(n, walk == "cycles")
+    classes = _diagram_classes(walk, n)
     _certify(walk, n, classes)
     if kind == "ter":
-        return sum(seq[-1] == n for seq, _ in classes)
+        return sum(d.mate[2] == 2 * n + 1 for d, _ in classes)
     return len(classes)
 
 
 def count_classes(kind: str, n: int, method: str = "direct") -> int:
     """Classes of `kind` ("trees", "paths", "cycles" or "ter") in dimension n.
 
-    method "direct" walks the Roberts graph (DIRECT_LIMITS), "chords" counts
-    diagram classes (CHORDS_COUNT_LIMIT; trees have no diagram route), and
-    "both" computes the two independently and raises CountMismatchError
-    unless they agree.  The diagram route is refused before any walk.
+    method "direct" (DIRECT_LIMITS) lists tree classes on the Roberts graph
+    and counts path and cycle classes on the generated chord diagrams,
+    certified by orbit-stabilizer; "chords" counts diagram classes by
+    Burnside (CHORDS_COUNT_LIMIT; trees have no diagram route), and "both"
+    computes the two and raises CountMismatchError unless they agree.  The
+    diagram route is refused before any generation.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

@@ -15,6 +15,7 @@ from cubenets.chords import (
     edge_orbit_count,
     enumerate_diagrams,
     _apply_vertex_map,
+    _diagram_classes_by_loops,
     _dihedral_maps,
 )
 from cubenets.core import ResourceLimitError, SpanningSubgraph, canonical_form
@@ -118,8 +119,29 @@ def test_canonical_diagram_invariant_under_symmetry():
 
 
 def test_orbit_times_stabilizer():
-    for d in enumerate_diagrams(8, 0):
-        assert diagram_orbit_size(d) * len(diagram_stabilizer(d)) == 16
+    # every class the pass generates up to the 12-gon, at every loop count,
+    # carries its |Stab|: |Stab| * |orbit| = 2m, the orbit taken over all
+    # 2m symmetries
+    for m in range(2, 13, 2):
+        for diagrams, stabs in _diagram_classes_by_loops(m, m // 2):
+            for d, stab in zip(diagrams, stabs):
+                assert stab == len(diagram_stabilizer(d))
+                assert diagram_orbit_size(d) * stab == 2 * m
+
+
+def test_stabilizer_is_the_full_filter():
+    # the stabilizer tries only the maps that keep vertex 0's chord; it
+    # must keep exactly the symmetries, in order, that fix the diagram
+    rng = random.Random(12)
+    for m in range(2, 13, 2):
+        for diagrams, _ in _diagram_classes_by_loops(m, m // 2):
+            for d in diagrams:
+                vm = rng.choice(_dihedral_maps(m))
+                moved = ChordDiagram(m, _apply_vertex_map(d, vm))
+                fixing = tuple(
+                    g for g in _dihedral_maps(m) if _apply_vertex_map(moved, g) == moved.mate
+                )
+                assert diagram_stabilizer(moved) == fixing
 
 
 def test_class_counts_loopless():
@@ -153,8 +175,10 @@ def test_enumerate_degenerate_requests():
     assert enumerate_diagrams(6, 4) == ()
     assert len(enumerate_diagrams(2, 1)) == 1
     assert len(enumerate_diagrams(2, 0)) == 0
-    with pytest.raises(ValueError):
-        enumerate_diagrams(5, 0)
+    # an odd or non-positive vertex count is refused at any loop count
+    for m, k in ((5, 0), (5, 3), (7, 4), (-2, 0)):
+        with pytest.raises(ValueError, match="even and positive"):
+            enumerate_diagrams(m, k)
     with pytest.raises(ResourceLimitError, match="CHORDS_LIST_LIMIT"):
         enumerate_diagrams(18, 0)
 

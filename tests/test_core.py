@@ -365,8 +365,9 @@ def test_dedup_emits_canonical_representatives():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_walk_listings_match_the_recursive_walk(n):
-    # the normal-form walk's classes, each with its |Stab|, are the full
-    # dedup of every walk 0 -> 1, with each stabilizer from the full group
+    # the classes read from the chord diagrams, each with its |Stab|, are
+    # the full dedup of every walk 0 -> 1 on the graph, with each
+    # stabilizer from the full group
     for kind, close in (("paths", False), ("cycles", True)):
         reps = dedup_canonical_masks(n, recursive_walk_masks(n, close))
         assert _stream_classes(kind, n) == [(rep, stabilizer_order(n, rep)) for rep in reps]

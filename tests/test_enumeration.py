@@ -32,9 +32,9 @@ from cubenets.enumeration import (
     VerifyReport,
     _check_tree,
     _check_trees,
-    _class_stabilizer,
+    _certify,
+    _diagram_classes,
     _labelled_count,
-    _normal_walks,
     _raw_tree_masks,
     _tree_from_parents,
     build_table,
@@ -184,58 +184,34 @@ def test_direct_cycles_at_the_budget_ceiling():
     assert all(c.mask() & 1 for c in cycles)  # each holds edge rank 0
 
 
-# (paths, cycles) walked in B_n normal form for n = 2..6
-NORMAL_WALKS = {2: (1, 1), 3: (5, 4), 4: (36, 31), 5: (329, 293), 6: (3655, 3326)}
-
-
-def walk_classes(n, close):
-    """(normal-form walk, |Stab|) of each class, with no canonical mask, so
-    it reaches past the group expansion's cap."""
-    walks = _normal_walks(n, close)
-    return [(seq, stab) for seq in walks if (stab := _class_stabilizer(n, seq, close))]
-
-
 def orbit_sum(n, classes):
     return sum(2**n * math.factorial(n) // stab for _, stab in classes)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_normal_form_walks_are_one_per_directed_orbit(n):
-    for close, size in zip((False, True), NORMAL_WALKS[n]):
-        walks = list(_normal_walks(n, close))
-        assert len(walks) == len(set(walks)) == size
-        for seq in walks:
-            # a spanning walk with no antipodal step, whose axes first
-            # appear in order, each at its unstarred facet
-            assert sorted(seq) == list(range(2 * n))
-            steps = zip(seq, seq[1:] + seq[:1] if close else seq[1:])
-            assert all(antipode_index(a, n) != b for a, b in steps)
-            assert list(dict.fromkeys(v % n for v in seq)) == list(range(n))
-            assert all(seq.index(a) < seq.index(a + n) for a in range(n))
-        # B_n acts freely on directed walks, and each labelled walk is read
-        # as 2 directed paths or as 4n directed cycles
-        reread = 4 * n if close else 2
-        labelled = _labelled_count("cycles" if close else "paths", n)
-        assert size * 2**n * math.factorial(n) == labelled * reread
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_walk_classes_are_the_diagram_classes(n):
     # one class per loopless 2n-gon diagram for cycles, and per one-loop
-    # (2n+2)-gon diagram for paths; and their orbits cover every walk
-    for close, (extra, loops) in ((True, (0, 0)), (False, (2, 1))):
-        classes = walk_classes(n, close)
+    # (2n+2)-gon diagram for paths, whose loop is at (0, 1); and their
+    # orbits cover every walk
+    for kind, (extra, loops) in (("cycles", (0, 0)), ("paths", (2, 1))):
+        classes = _diagram_classes(kind, n)
         assert len(classes) == count_diagram_classes(2 * n + extra, loops)
-        assert orbit_sum(n, classes) == _labelled_count("cycles" if close else "paths", n)
+        assert orbit_sum(n, classes) == _labelled_count(kind, n)
+        if kind == "paths":
+            assert all(d.mate[0] == 1 for d, _ in classes)
 
 
 def test_path_classes_past_the_listing_budget():
-    # n=7 is past DIRECT_LIMITS and past canonical_mask's cap: the walk's
-    # classes are counted on sequences, and their orbits still cover every
-    # labelled path exactly once
-    classes = walk_classes(7, False)
-    assert len(classes) == 24252 == count_diagram_classes(16, 1)
-    assert orbit_sum(7, classes) == _labelled_count("paths", 7)
+    # n=7 paths and n=8 cycles are past DIRECT_LIMITS and past
+    # canonical_mask's cap; both come from the 16-gon pass, and their orbits
+    # still cover every labelled path and cycle exactly once
+    paths, cycles = _diagram_classes("paths", 7), _diagram_classes("cycles", 8)
+    assert len(paths) == 24252 == count_diagram_classes(16, 1)
+    assert len(cycles) == 21994 == count_diagram_classes(16, 0)
+    _certify("paths", 7, paths)
+    _certify("cycles", 8, cycles)
+    assert orbit_sum(7, paths) == _labelled_count("paths", 7)
+    assert orbit_sum(8, cycles) == _labelled_count("cycles", 8)
 
 
 def spanning_trees_without_vertex_zero(n, dropped=()):
@@ -442,9 +418,10 @@ def test_count_classes_routes_agree(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_counts_equal_the_listings(n):
-    # the count route reads the walk's classes, the listing their canonical
-    # masks; both must hold the same classes, and a path counted as ter by
-    # its last vertex must be one whose listed ends are antipodal
+    # the count route reads the diagram classes, the listing their walks'
+    # canonical masks; both must hold the same classes, and a path counted
+    # as ter by the chord joining its ends must be one whose listed ends are
+    # antipodal
     kinds = ("paths", "cycles") if n <= DIRECT_LIMITS["paths"] else ("cycles",)
     for kind in kinds:
         assert count_classes(kind, n) == len(enumerate_classes(kind, n))
@@ -455,26 +432,29 @@ def test_counts_equal_the_listings(n):
 
 
 @pytest.fixture
-def fresh_walks():
+def fresh_listings():
     from cubenets import enumeration
 
-    enumeration._walk_classes.cache_clear()
     enumeration._listing.cache_clear()
     yield enumeration
-    enumeration._walk_classes.cache_clear()
     enumeration._listing.cache_clear()
 
 
-def test_a_walk_that_drops_a_class_fails_the_count(monkeypatch, capsys, fresh_walks):
+def test_a_walk_that_drops_a_class_fails_the_count(monkeypatch, capsys, fresh_listings):
     from cubenets import cli
 
-    real = fresh_walks._class_stabilizer
-    first = {close: walk_classes(4, close)[0][0] for close in (False, True)}
+    real = fresh_listings._diagram_classes_by_loops
 
-    def planted(n, seq, close):
-        return 0 if n == 4 and seq == first[close] else real(n, seq, close)
+    def planted(m, cap):
+        # the n=4 cycles (loopless 8-gon) and paths (one-loop 10-gon) each
+        # lose their first class
+        drop = {8: 0, 10: 1}.get(m)
+        return tuple(
+            (ds[1:], ss[1:]) if k == drop else (ds, ss)
+            for k, (ds, ss) in enumerate(real(m, cap))
+        )
 
-    monkeypatch.setattr(fresh_walks, "_class_stabilizer", planted)
+    monkeypatch.setattr(fresh_listings, "_diagram_classes_by_loops", planted)
     for kind in ("paths", "cycles", "ter"):
         with pytest.raises(CountMismatchError, match="orbit-stabilizer check at n=4"):
             count_classes(kind, 4)
@@ -484,11 +464,11 @@ def test_a_walk_that_drops_a_class_fails_the_count(monkeypatch, capsys, fresh_wa
     assert err.startswith("orbit-stabilizer check at n=4 on ")
 
 
-def test_direct_counts_are_refused_before_any_walk(monkeypatch, fresh_walks):
-    def no_walk(n, close):
-        raise RuntimeError(f"walked n={n}")
+def test_direct_counts_are_refused_before_any_walk(monkeypatch, fresh_listings):
+    def no_pass(m, cap):
+        raise RuntimeError(f"generated the {m}-gon")
 
-    monkeypatch.setattr(fresh_walks, "_normal_walks", no_walk)
+    monkeypatch.setattr(fresh_listings, "_diagram_classes_by_loops", no_pass)
     for kind, n in (("paths", 6), ("ter", 6), ("cycles", 7)):
         for method in ("direct", "both"):
             with pytest.raises(ResourceLimitError, match="DIRECT_LIMITS"):
@@ -506,14 +486,14 @@ def readme_table_rows():
     ]
 
 
-def test_table_counts_without_listing(monkeypatch, fresh_walks):
-    # the table's direct side counts the walk's classes: no canonical mask,
+def test_table_counts_without_listing(monkeypatch, fresh_listings):
+    # the table's direct side counts the diagram classes: no canonical mask,
     # no materialized subgraph, no endpoint classification, no orbit dedup
     def refused(*args, **kwargs):
         raise RuntimeError("the count route built a listing")
 
     for name in ("canonical_mask", "subgraph_from_mask", "classify_path", "_orbit_arrays"):
-        monkeypatch.setattr(fresh_walks, name, refused)
+        monkeypatch.setattr(fresh_listings, name, refused)
     rows = readme_table_rows()
     assert [r.n for r in rows] == list(range(2, 8))
     assert build_table(7, "both").rows == tuple(rows)
