@@ -5,14 +5,15 @@ Roberts graph and certifies them; the diagram route counts symmetry
 classes of chord diagrams by Burnside and never touches the graph.  Their
 agreement on small dimensions is one of the package's main checks.
 
-Trees are walked by backtracking over edge ranks, and only in one shape:
-the relabelling group moves any ordered non-antipodal pair of facets onto
-(1, 2), the ends of edge rank 0, and every tree has a leaf, so every orbit
-has a member in which facet 1 is a leaf hanging from facet 2.  The
-elements that fix facets 1 and 2 move facet 3 onto any facet of axes
-3..n, so the stream also keeps facet 2 joined to facet 3 or with no
-neighbour on axes 3..n.  An orbit dedup that remembers only the images of
-that shape collapses the stream to classes.
+Trees are walked only in one shape: the relabelling group moves any
+ordered non-antipodal pair of facets onto (1, 2), the ends of edge rank 0,
+and every tree has a leaf, so every orbit has a member in which facet 1 is
+a leaf hanging from facet 2.  The elements that fix facets 1 and 2 move
+facet 3 onto any facet of axes 3..n, so the stream also keeps facet 2
+joined to facet 3 or with no neighbour on axes 3..n.  A tree is walked as
+its parent function toward facet 1, one facet's pick at a time, with that
+rule as a pick rule.  An orbit dedup that remembers only the images of the
+shape collapses the stream to classes.
 
 Paths and cycles are read from the chord diagrams: a cycle class is a
 loopless diagram on the 2n-gon, a path class a diagram on the (2n+2)-gon
@@ -49,12 +50,10 @@ from .core import (
     _check_budget,
     _check_dim,
     _edge_rank_grid,
-    _mask_ranks,
     _orbit_arrays,
     antipode_index,
     canonical_mask,
     path_endpoints,
-    roberts_edges,
     subgraph_from_mask,
 )
 from .nets import box_parts, verify_development
@@ -87,22 +86,6 @@ def _check_direct(kind: str, n: int) -> None:
 # raw generation, symmetry-restricted
 
 
-def _suffix_adjacency(n: int, skip: int) -> list[list[int]]:
-    """suffix[r][v] = neighbour bitmask of v using edges of rank >= r that
-    are not in the mask `skip`."""
-    edges = roberts_edges(n)
-    rows = [[0] * (2 * n)]
-    for r in reversed(range(len(edges))):
-        row = rows[-1][:]
-        if not skip >> r & 1:
-            i, j = edges[r]
-            row[i] |= 1 << j
-            row[j] |= 1 << i
-        rows.append(row)
-    rows.reverse()
-    return rows
-
-
 @cache
 def _neighbours(n: int) -> tuple[tuple[int, ...], ...]:
     """Row v lists facet v's Roberts-graph neighbours in ascending order."""
@@ -110,106 +93,6 @@ def _neighbours(n: int) -> tuple[tuple[int, ...], ...]:
         tuple(u for u in range(2 * n) if u != v and u != antipode_index(v, n))
         for v in range(2 * n)
     )
-
-
-def _reaches(adj_a: list[int], adj_b: list[int], start: int, goal: int) -> bool:
-    """Whether every vertex in the bitmask `goal` is reachable from `start`
-    over the union of two neighbour-bitmask adjacencies."""
-    reach = frontier = 1 << start
-    while frontier:
-        nxt = 0
-        v = frontier
-        while v:
-            bit = v & -v
-            k = bit.bit_length() - 1
-            v ^= bit
-            nxt |= adj_a[k] | adj_b[k]
-        frontier = nxt & ~reach
-        reach |= frontier
-        if reach & goal == goal:
-            return True
-    return False
-
-
-def _raw_trees_second_edge(n: int, second: int, skip: int):
-    """Spanning-tree masks containing edge rank 0 and edge rank `second` but
-    no rank strictly between, nor any rank in the mask `skip`: the part of
-    the tree stream whose second step is edge `second`.  With `second` >=
-    2n-2 every rank of vertex 0 but rank 0 is skipped, so vertex 0 is a
-    leaf on vertex 1 in each tree emitted.
-
-    Edges are decided in rank order, linking before skipping, on an explicit
-    stack with one frame per linked edge.  The walk keeps one invariant: the
-    chosen forest plus every undecided edge spans all facets, so each branch
-    it enters ends in at least one tree and nothing is walked in vain.
-    Linking edge r leaves that union unchanged, and so does skipping an edge
-    whose endpoints the forest already joins; only skipping a linked edge
-    (i, j) can break it, and it does exactly when no other route joins i to
-    j.  So connectivity is tested once per skip of a linked edge, as a
-    search from i that stops on reaching j, and a bridge is never skipped.
-    The walk's root skips ranks 1..second-1 at once and gets one full check.
-    The ranks in `skip` are left out of the graph altogether: they never
-    enter the suffix adjacency and are never linked, so the invariant holds
-    on the smaller graph.
-    """
-    edges = list(roberts_edges(n))
-    for r in _mask_ranks(skip):
-        edges[r] = (1, 1)  # a loop, whose ends link() always finds joined
-    two_n = 2 * n
-    need = two_n - 1
-    suffix = _suffix_adjacency(n, skip)
-    chosen_adj = [0] * two_n
-    parent = list(range(two_n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def link(r):
-        """Add edge r to the forest; return the absorbed root, or -1 if its
-        endpoints are already joined."""
-        i, j = edges[r]
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return -1
-        parent[rj] = ri
-        chosen_adj[i] |= 1 << j
-        chosen_adj[j] |= 1 << i
-        return rj
-
-    if link(0) < 0:
-        raise RuntimeError("edge rank 0 failed to link into an empty forest")
-    if link(second) < 0:
-        return
-    r = second + 1
-    if not _reaches(chosen_adj, suffix[r], 0, (1 << two_n) - 1):
-        return
-    count, mask = 2, 1 | (1 << second)
-    stack = []
-    while True:
-        if count == need:
-            yield mask
-            # backtrack to the deepest linked edge whose skip keeps the
-            # invariant, and take that skip
-            while stack:
-                r, count, mask, absorbed = stack.pop()
-                parent[absorbed] = absorbed
-                i, j = edges[r]
-                chosen_adj[i] ^= 1 << j
-                chosen_adj[j] ^= 1 << i
-                r += 1
-                if _reaches(chosen_adj, suffix[r], i, 1 << j):
-                    break
-            else:
-                return
-            continue
-        absorbed = link(r)
-        if absorbed >= 0:
-            stack.append((r, count, mask, absorbed))
-            count += 1
-            mask |= 1 << r
-        r += 1
 
 
 def _far_edges(n: int) -> int:
@@ -226,15 +109,51 @@ def _raw_tree_masks(n: int):
     (vertex n) and moves facet 3 onto every facet of axes 3..n, so it moves
     any tree with vertex 0 a leaf on vertex 1 into that shape.
 
-    Vertex 0 is a leaf on 1 when rank 0 is the lowest edge and the
-    second-lowest lies past vertex 0's other edges.  That second edge is
-    (1, v2) for v2 = 2 or v2 = n (one vertex at n=2), walked in turn: with
-    v2 = 2 nothing else is asked; with v2 = n vertex 1's edges into axes
-    3..n are left out of the graph, so (1, n) is its one other edge."""
+    A tree is walked as its parent function toward vertex 0.  Vertex 1
+    hangs from vertex 0; then each vertex v = 2, ..., 2n-1 in turn picks a
+    neighbour other than 0, which keeps vertex 0 a leaf.  Each component of
+    the partial forest has one vertex without a parent, its root, and v has
+    none yet, so a pick u closes a cycle exactly when u's root is v: one
+    walk up the parents, and undoing a pick resets one entry.  Vertex 1's
+    other edges are the picks that take it, so the facet-3 rule is a pick
+    rule: a vertex of axes 3..n other than 2 may take vertex 1 only once
+    vertex 2, which picks first, has."""
+    two_n = 2 * n
     grid = _edge_rank_grid(n)
-    far = _far_edges(n)
-    for v2 in sorted({2, n}):
-        yield from _raw_trees_second_edge(n, grid[1][v2], far if v2 == n else 0)
+    # picks[v][k]: (u, bit of edge (v, u)) for each neighbour u != 0 that
+    # v may take, where k says whether vertex 2 hangs from vertex 1
+    picks = []
+    for v in range(two_n):
+        every = tuple((u, 1 << grid[v][u]) for u in _neighbours(n)[v] if u)
+        far = v != 2 and v % n > 1
+        picks.append((tuple(p for p in every if p[0] != 1) if far else every, every))
+    parent = list(range(two_n))  # a vertex without a parent is its own
+    parent[1] = 0
+    before = [1] * two_n  # before[v]: the edges picked before v's turn
+    todo = [()] * two_n  # todo[v]: v's picks not yet tried
+    todo[2] = iter(picks[2][0])
+    v = 2
+    while True:
+        for u, bit in todo[v]:
+            root = u
+            while parent[root] != root:
+                root = parent[root]
+            if root != v:
+                break
+        else:
+            # v has no pick left: undo the pick of the vertex before it
+            if v == 2:
+                return
+            v -= 1
+            parent[v] = v
+            continue
+        if v == two_n - 1:
+            yield before[v] | bit
+        else:
+            parent[v] = u
+            before[v + 1] = before[v] | bit
+            v += 1
+            todo[v] = iter(picks[v][parent[2] == 1])
 
 
 def _dedup_restricted(n: int, masks) -> list[tuple[int, int]]:
