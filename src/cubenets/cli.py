@@ -4,13 +4,15 @@ Each command computes through the library, lays out its result and
 returns it with an exit code, or raises; `main` alone writes: the result,
 a string as it is and any other value as indented JSON, written piece by
 piece so a large document never exists as one string, or the error's
-message as one stderr line.  Exit codes: 0 success, 1 a verification
-failure (among them an internal check that fails, such as a realized box
-that is not its partition or an unfolding that overlaps itself, reported as
-its RuntimeError's message) or a method disagreement, 2 bad usage, bad
-input, a request past a budget or an output file that cannot be written.
-All output is UTF-8; JSON is the interchange format and stays stably ordered
-so fixed seeds give byte-identical runs.
+message as one stderr line.  A listed class's edges are one piece: their
+label pairs, read off the class mask, fill one cached template.  Exit
+codes: 0 success, 1 a verification failure (among them an internal check
+that fails, such as a realized box that is not its partition or an
+unfolding that overlaps itself, reported as its RuntimeError's message) or
+a method disagreement, 2 bad usage, bad input, a request past a budget or
+an output file that cannot be written.  All output is UTF-8; JSON is the
+interchange format and stays stably ordered so fixed seeds give
+byte-identical runs.
 """
 
 from __future__ import annotations
@@ -26,15 +28,15 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .chords import edge_orbit_count, enumerate_diagrams
-from .core import FacetLabel, SpanningSubgraph, _check_dim
+from .core import FacetLabel, SpanningSubgraph, _check_dim, _label_table, _mask_ranks
 from .enumeration import (
     METHODS,
     CountMismatchError,
     ResourceLimitError,
+    _class_masks,
+    _classify_path_mask,
     build_table,
-    classify_path,
     count_classes,
-    enumerate_classes,
     verify_unfoldings,
 )
 from .nets import is_net, net_json, render_svg
@@ -98,10 +100,18 @@ def _row_template(keys: tuple, lengths: tuple, pad: str) -> str:
     return "{" + inner + ("," + inner).join(items) + pad + "}"
 
 
+@cache
+def _nested_template(lengths: tuple, pad: str) -> str:
+    inner = pad + "  "
+    items = (_list_template(m, inner) for m in lengths)
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def _leaf_json(doc, pad: str) -> str | None:
     """The layout of `doc` at indent `pad` as one short string when it is a
     leaf: a scalar, an empty container, a non-empty list of plain ints or of
-    strings, or a non-empty dict whose values are all non-empty lists of
+    strings, a non-empty list of non-empty lists of strings (one listed
+    class), or a non-empty dict whose values are all non-empty lists of
     plain ints; None for any other container.  Lists and such dicts fill a
     cached %-template.  Ints are told by exact type, because `%s` writes a
     bool as True and an int subclass by its own `__str__`."""
@@ -121,6 +131,11 @@ def _leaf_json(doc, pad: str) -> str | None:
         return _list_template(len(doc), pad) % tuple(doc)
     if types == {str}:
         return _list_template(len(doc), pad) % tuple(map(encode_basestring_ascii, doc))
+    if types <= {list, tuple} and all(doc):
+        flat = tuple(chain.from_iterable(doc))
+        if {*map(type, flat)} == {str}:
+            strings = tuple(map(encode_basestring_ascii, flat))
+            return _nested_template(tuple(map(len, doc)), pad) % strings
     return None
 
 
@@ -199,17 +214,21 @@ def _cmd_enumerate(args):
         raise ValueError(
             "diagram route only counts classes; listing needs --method direct"
         )
-    count = count_classes(kind, n, args.method)
-    doc = {"n": n, "kind": kind, "count": count}
+    # a listing past its budget is refused as a listing, not as a count
+    masks = () if args.count_only else _class_masks(kind, n)
+    doc = {"n": n, "kind": kind, "count": count_classes(kind, n, args.method)}
     if args.count_only:
         return json.dumps(doc), 0
-    subs = enumerate_classes(kind, n)
+    # each class is its label pairs, read off its certified mask: no
+    # per-class object, and one template fill when it is written
+    pairs = _label_table(n)[1]
+    classes = [[pairs[r] for r in _mask_ranks(m)] for m in masks]
     if kind == "paths":
-        doc["classes"] = [
-            {"edges": sub.to_json(), "ends": classify_path(sub)} for sub in subs
+        classes = [
+            {"edges": edges, "ends": _classify_path_mask(n, m)}
+            for edges, m in zip(classes, masks)
         ]
-    else:
-        doc["classes"] = [sub.to_json() for sub in subs]
+    doc["classes"] = classes
     return doc, 0
 
 

@@ -82,6 +82,14 @@ def roberts_edges(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @cache
+def _label_table(n: int) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """The 2n label strings in index order, and each edge rank's pair of
+    them: the one labelling that listings, `to_json` and `__str__` print."""
+    labels = tuple(str(FacetLabel.from_index(i, n)) for i in range(2 * n))
+    return labels, tuple((labels[i], labels[j]) for i, j in roberts_edges(n))
+
+
+@cache
 def _edge_rank_grid(n: int) -> tuple[tuple[int, ...], ...]:
     """rank[i][j] of the edge {i, j}, or -1 where no edge exists."""
     grid = [[-1] * (2 * n) for _ in range(2 * n)]
@@ -155,16 +163,9 @@ class SpanningSubgraph:
             pairs.append((FacetLabel.parse(ends[0]), FacetLabel.parse(ends[1])))
         return SpanningSubgraph.from_labels(n, pairs, kind)
 
-    @property
-    def label_edges(self) -> tuple[tuple[FacetLabel, FacetLabel], ...]:
-        n = self.n
-        return tuple(
-            (FacetLabel.from_index(i, n), FacetLabel.from_index(j, n))
-            for i, j in self.edges
-        )
-
     def to_json(self) -> list[list[str]]:
-        return [[str(a), str(b)] for a, b in self.label_edges]
+        labels = _label_table(self.n)[0]
+        return [[labels[i], labels[j]] for i, j in self.edges]
 
     def mask(self) -> int:
         """Edge set as a bitmask over edge ranks."""
@@ -178,7 +179,8 @@ class SpanningSubgraph:
         return m
 
     def __str__(self) -> str:
-        return ",".join(f"{a}-{b}" for a, b in self.label_edges)
+        labels = _label_table(self.n)[0]
+        return ",".join(f"{labels[i]}-{labels[j]}" for i, j in self.edges)
 
 
 def subgraph_from_mask(n: int, mask: int, kind: Kind = "tree") -> SpanningSubgraph:
@@ -228,18 +230,6 @@ def validate(sub: SpanningSubgraph):
         if leaves != 2:
             return f"wrong degrees: {leaves} endpoints, expected 2"
     return None
-
-
-def path_endpoints(sub: SpanningSubgraph) -> tuple[int, int]:
-    """The two degree-1 label indices of a spanning path."""
-    deg = [0] * (2 * sub.n)
-    for i, j in sub.edges:
-        deg[i] += 1
-        deg[j] += 1
-    ends = [k for k, d in enumerate(deg) if d == 1]
-    if len(ends) != 2:
-        raise ValueError("subgraph is not a path")
-    return ends[0], ends[1]
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,11 @@ from .core import (
     _check_budget,
     _check_dim,
     _edge_rank_grid,
+    _mask_ranks,
     _orbit_arrays,
     antipode_index,
     canonical_mask,
-    path_endpoints,
+    roberts_edges,
     subgraph_from_mask,
 )
 from .nets import box_parts, verify_development
@@ -76,10 +77,10 @@ DIRECT_LIMITS = {"trees": 5, "paths": 5, "cycles": 6}
 CHORDS_COUNT_LIMIT = 20
 
 
-def _check_direct(kind: str, n: int) -> None:
+def _check_direct(kind: str, n: int, what: str = "listings") -> None:
     if kind not in DIRECT_LIMITS:
         raise ValueError(f"unknown kind {kind!r}")
-    _check_budget(n, DIRECT_LIMITS[kind], "DIRECT_LIMITS", f"direct {kind} listings")
+    _check_budget(n, DIRECT_LIMITS[kind], "DIRECT_LIMITS", f"direct {kind} {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +319,22 @@ def enumerate_trees(n: int) -> tuple[SpanningSubgraph, ...]:
 def classify_path(p: SpanningSubgraph) -> str:
     """"ter" when the endpoints are antipodal facets, else "ext" (one more
     edge then closes the path into a spanning cycle)."""
-    a, b = path_endpoints(p)
-    return "ter" if antipode_index(a, p.n) == b else "ext"
+    return _classify_path_mask(p.n, p.mask())
+
+
+def _classify_path_mask(n: int, mask: int) -> str:
+    """`classify_path` of the path with edge mask `mask`.  A path's two
+    ends are its only facets of odd degree, and they are antipodal, a and
+    a + n, exactly when their set is {a} and its shift by n."""
+    edges = roberts_edges(n)
+    odd = 0
+    for r in _mask_ranks(mask):
+        i, j = edges[r]
+        odd ^= 1 << i | 1 << j
+    if odd.bit_count() != 2:
+        raise ValueError("subgraph is not a path")
+    low = odd & -odd
+    return "ter" if odd == low | low << n else "ext"
 
 
 def _random_parents(n: int, rng: random.Random) -> list[int]:
@@ -378,14 +393,15 @@ def _chord_count(kind: str, n: int) -> int:
 
 
 def _direct_count(kind: str, n: int) -> int:
+    # ter takes the path budget: a path's ends are antipodal when its first
+    # and last positions, 2 and 2n+1, share a chord
+    walk = "paths" if kind == "ter" else kind
+    _check_dim(n)
+    _check_direct(walk, n, "counts")
     if kind == "trees":
         return len(_class_masks(kind, n))
     # paths, cycles and ter are counted on the certified diagram classes,
-    # with no listing.  ter takes the path budget: a path's ends are
-    # antipodal when its first and last positions, 2 and 2n+1, share a chord
-    walk = "cycles" if kind == "cycles" else "paths"
-    _check_dim(n)
-    _check_direct(walk, n)
+    # with no listing
     classes = _diagram_classes(walk, n)
     _certify(walk, n, classes)
     if kind == "ter":
@@ -455,8 +471,8 @@ def build_table(max_n: int, method: str = "chords") -> EnumerationTable:
     # count_classes checks each row too; these up-front checks make a run
     # past a budget fail before its first row
     if method == "direct":
-        _check_direct("paths", max_n)
-        _check_direct("cycles", max_n)
+        _check_direct("paths", max_n, "counts")
+        _check_direct("cycles", max_n, "counts")
     else:
         _check_budget(max_n, CHORDS_COUNT_LIMIT, "CHORDS_COUNT_LIMIT", "chord counts")
     direct_max = min(DIRECT_LIMITS["paths"], DIRECT_LIMITS["cycles"])

@@ -36,6 +36,7 @@ from .core import (
     FacetLabel,
     SpanningSubgraph,
     _check_dim,
+    _label_table,
     antipode_index,
     validate,
 )
@@ -143,18 +144,13 @@ class Development:
 def development_json(dev: Development) -> dict:
     """Interchange form: facets sorted by label, tree edges sorted."""
     n = dev.n
+    labels = _label_table(n)[0]
     by_label = sorted(zip(dev.order, dev.coords))
     doc = {
         "n": n,
         "base": str(dev.base),
-        "facets": [
-            {"label": str(FacetLabel.from_index(lab, n)), "coord": list(pos)}
-            for lab, pos in by_label
-        ],
-        "tree": [
-            [str(FacetLabel.from_index(i, n)), str(FacetLabel.from_index(j, n))]
-            for i, j in dev.tree_edges()
-        ],
+        "facets": [{"label": labels[lab], "coord": list(pos)} for lab, pos in by_label],
+        "tree": [[labels[i], labels[j]] for i, j in dev.tree_edges()],
     }
     if not dev.is_spanning:
         doc["spanning"] = False

@@ -35,7 +35,6 @@ from cubenets.core import (
     _edge_rank_grid,
     _group_edge_maps,
     antipode_index,
-    path_endpoints,
     validate,
 )
 from cubenets.enumeration import _neighbours
@@ -465,7 +464,9 @@ def diagram_from_path(p: SpanningSubgraph) -> tuple[ChordDiagram, int]:
     problem = validate(p)
     if p.kind != "path" or problem is not None:
         raise ValueError(f"need a valid spanning path: {problem}")
-    return _diagram_along(p, path_endpoints(p)[0]), 2 * p.n - 1
+    degree = Counter(itertools.chain.from_iterable(p.edges))
+    start = min(v for v, d in degree.items() if d == 1)
+    return _diagram_along(p, start), 2 * p.n - 1
 
 
 def _reassemble(d: ChordDiagram, n: int, kind: str, marked: int) -> SpanningSubgraph:

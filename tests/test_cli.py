@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubenets import cli, enumeration
+from cubenets import cli, core, enumeration
 from cubenets.chords import enumerate_diagrams
 from cubenets.cli import main
-from cubenets.enumeration import enumerate_classes
+from cubenets.core import FacetLabel, SpanningSubgraph
+from cubenets.enumeration import classify_path, enumerate_classes
 from oracles import (
     cycle_from_diagram,
     diagram_from_cycle,
@@ -204,9 +205,9 @@ def test_enumerate_both_methods_agree(capsys):
     assert json.loads(out)["count"] == 24
 
 
-def _direct_line(kind, limit, n):
+def _direct_line(kind, limit, n, what="listings"):
     return (
-        f"direct {kind} listings are budgeted up to n={limit} (DIRECT_LIMITS), "
+        f"direct {kind} {what} are budgeted up to n={limit} (DIRECT_LIMITS), "
         f"got n={n}"
     )
 
@@ -218,11 +219,12 @@ _CHORD_COUNT_LINE = (
 # every budget a command can hit, with the one stderr line it exits 2 on
 BUDGET_EXITS = {
     "enumerate --dim 6 --kind trees": _direct_line("trees", 5, 6),
-    "enumerate --dim 7 --kind trees --count-only": _direct_line("trees", 5, 7),
+    "enumerate --dim 7 --kind trees --count-only": _direct_line("trees", 5, 7, "counts"),
     "enumerate --dim 6 --kind paths": _direct_line("paths", 5, 6),
-    "enumerate --dim 7 --kind cycles --count-only": _direct_line("cycles", 6, 7),
+    "enumerate --dim 6 --kind paths --count-only": _direct_line("paths", 5, 6, "counts"),
+    "enumerate --dim 7 --kind cycles --count-only": _direct_line("cycles", 6, 7, "counts"),
     "enumerate --dim 21 --kind paths --method chords --count-only": _CHORD_COUNT_LINE,
-    "table --max-dim 6 --method direct": _direct_line("paths", 5, 6),
+    "table --max-dim 6 --method direct": _direct_line("paths", 5, 6, "counts"),
     "table --max-dim 21": _CHORD_COUNT_LINE,
     "verify --dim 6 --exhaustive": _direct_line("trees", 5, 6),
     "chords --dim 9": (
@@ -543,6 +545,45 @@ def test_bad_usage_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["trees", "paths", "cycles"])
+def test_enumerate_lists_what_the_object_route_lists(kind, n, capsys):
+    # the listing is read off the class masks; the public subgraphs, their
+    # to_json and classify_path must give the same document
+    subs = enumerate_classes(kind, n)
+    if kind == "paths":
+        classes = [{"edges": sub.to_json(), "ends": classify_path(sub)} for sub in subs]
+    else:
+        classes = [sub.to_json() for sub in subs]
+    doc = {"n": n, "kind": kind, "count": len(subs), "classes": classes}
+    out = _cli_stdout(capsys, "enumerate", "--dim", str(n), "--kind", kind)
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_a_tree_listing_builds_no_subgraph_and_labels_each_facet_once(
+    monkeypatch, capsys
+):
+    built, labelled = [], []
+    post_init, from_index = SpanningSubgraph.__post_init__, FacetLabel.from_index
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_from_index(i, n):
+        labelled.append(i)
+        return from_index(i, n)
+
+    monkeypatch.setattr(SpanningSubgraph, "__post_init__", counted_post_init)
+    monkeypatch.setattr(FacetLabel, "from_index", staticmethod(counted_from_index))
+    enumeration._listing.cache_clear()
+    core._label_table.cache_clear()
+    out = _cli_stdout(capsys, "enumerate", "--dim", "4", "--kind", "trees")
+    assert json.loads(out)["count"] == 261
+    assert built == []
+    assert len(labelled) <= 2 * 4
+
+
 # ---------------------------------------------------------------------------
 # golden outputs of the direct route and the diagram converters
 
@@ -658,6 +699,7 @@ json_documents = st.recursive(
         | st.lists(st.integers(), min_size=1)
         | st.lists(st.integers() | st.booleans(), min_size=1)
         | st.lists(st.text(), min_size=1)
+        | st.lists(st.lists(st.text(), min_size=1), min_size=1)
         | st.lists(inner).map(tuple)
         | st.dictionaries(st.text(), inner)
         | st.dictionaries(st.text(), st.lists(st.integers(), min_size=1))
@@ -691,6 +733,12 @@ def test_indented_json_cases():
         ["a", "b"], ["a", 1], ("é", "%s"),
         [row, {**row, "rolls": [2, -1, 2]}],  # two rows of one shape
         [row, [row, [[4, 3]]], [4, 3]],  # one shape at two depths
+        [["1", "2"], ["1", "2*"]],  # a listed class
+        (("1", "2"), ["1", "2*"]),  # its edges as the listing holds them
+        [["a"], []],  # an empty inner list is not one class
+        [["a"], [1]], [["a", True]],  # nor are mixed types
+        [["é", "%s"]],
+        [[["1", "2"]], {"edges": [["1", "2"]]}],  # one class shape at two depths
     ):
         assert _written(doc) == json.dumps(doc, indent=2)
 

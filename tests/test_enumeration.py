@@ -158,6 +158,11 @@ def test_classify_path_split():
     for n, want in [(2, (0, 1)), (3, (1, 3)), (4, (4, 20))]:
         kinds = Counter(classify_path(p) for p in enumerate_classes("paths", n))
         assert (kinds["ter"], kinds["ext"]) == want
+    # a cycle has no odd-degree facet, the cross tree four
+    cross = SpanningSubgraph.from_text(3, "1-2,1-2*,1-3,1-3*,2-1*")
+    for sub in (enumerate_classes("cycles", 3)[0], cross):
+        with pytest.raises(ValueError, match="not a path"):
+            classify_path(sub)
 
 
 def test_direct_limits_enforced():
