@@ -5,7 +5,10 @@ returns it with an exit code, or raises; `main` alone writes: the result,
 a string as it is and any other value as indented JSON, written piece by
 piece so a large document never exists as one string, or the error's
 message as one stderr line.  A listed class's edges are one piece: their
-label pairs, read off the class mask, fill one cached template.  Exit
+label pairs, read off the class mask, fill one cached template.  Row
+blocks are laid out from arrays: a partition listing, realized or not, is
+a `_Rows` of the library's row arrays, written one row per piece from one
+string table per block of rows, with no dict or Python int per row.  Exit
 codes: 0 success, 1 a verification failure (among them an internal check
 that fails, such as a realized box that is not its partition or an
 unfolding that overlaps itself, reported as its RuntimeError's message) or
@@ -23,9 +26,12 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .chords import edge_orbit_count, enumerate_diagrams
 from .core import FacetLabel, SpanningSubgraph, _check_dim, _label_table, _mask_ranks
@@ -91,16 +97,6 @@ def _list_template(length: int, pad: str) -> str:
 
 
 @cache
-def _row_template(keys: tuple, lengths: tuple, pad: str) -> str:
-    inner = pad + "  "
-    items = (
-        encode_basestring_ascii(k).replace("%", "%%") + ": " + _list_template(m, inner)
-        for k, m in zip(keys, lengths)
-    )
-    return "{" + inner + ("," + inner).join(items) + pad + "}"
-
-
-@cache
 def _nested_template(lengths: tuple, pad: str) -> str:
     inner = pad + "  "
     items = (_list_template(m, inner) for m in lengths)
@@ -110,21 +106,15 @@ def _nested_template(lengths: tuple, pad: str) -> str:
 def _leaf_json(doc, pad: str) -> str | None:
     """The layout of `doc` at indent `pad` as one short string when it is a
     leaf: a scalar, an empty container, a non-empty list of plain ints or of
-    strings, a non-empty list of non-empty lists of strings (one listed
-    class), or a non-empty dict whose values are all non-empty lists of
-    plain ints; None for any other container.  Lists and such dicts fill a
-    cached %-template.  Ints are told by exact type, because `%s` writes a
-    bool as True and an int subclass by its own `__str__`."""
+    strings, or a non-empty list of non-empty lists of strings (one listed
+    class); None for any other container.  Lists fill a cached %-template.
+    Ints are told by exact type, because `%s` writes a bool as True and an
+    int subclass by its own `__str__`."""
     if type(doc) is str:
         return encode_basestring_ascii(doc)
     if not doc or not isinstance(doc, (dict, list, tuple)):
         return json.dumps(doc)
     if isinstance(doc, dict):
-        values = doc.values()
-        if {*map(type, values)} <= {list, tuple} and all(values):
-            flat = tuple(chain.from_iterable(values))
-            if {*map(type, flat)} == {int}:
-                return _row_template(tuple(doc), tuple(map(len, values)), pad) % flat
         return None
     types = {*map(type, doc)}
     if types == {int}:
@@ -139,11 +129,68 @@ def _leaf_json(doc, pad: str) -> str | None:
     return None
 
 
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """A list of dicts held as arrays: row r is {keys[k]: arrays[k][r]} for
+    one or more string keys and as many (B, m_k) integer arrays, m_k >= 1,
+    laid out by `_write_rows` without building a dict or a Python int.  The
+    layout holds one string per value in a block's range, so the values
+    must span a small range, as partitions, roll words and boxes do."""
+
+    keys: tuple[str, ...]
+    arrays: tuple[np.ndarray, ...]
+
+
+# rows laid out per block: one block's strings are alive at a time
+_ROW_BLOCK = 256
+
+
+def _write_rows(rows: _Rows, write, pad: str, lead: str) -> None:
+    """`_write_json` of `rows`, one row per piece.  A block's values are
+    stacked into one array and turned into strings by indexing one table of
+    `str(v)` over the block's range of values; each row is one join of
+    them, interleaved with the separators every row shares."""
+    count = len(rows.arrays[0])
+    if not count:
+        write(lead + "[]")
+        return
+    inner = pad + "  "
+    field = inner + "  "
+    item = field + "  "
+    # seps[k] comes before value k of a row, seps[-1] after its last
+    seps, cur = [], "{"
+    for key, a in zip(rows.keys, rows.arrays):
+        seps += [cur + field + encode_basestring_ascii(key) + ": [" + item]
+        seps += ["," + item] * (a.shape[1] - 1)
+        cur = field + "],"
+    seps.append(cur[:-1] + inner + "}")
+    between = np.array(seps[1:], object)
+    rest = "," + inner + seps[0]
+    first = lead + "[" + inner + seps[0]
+    for lo in range(0, count, _ROW_BLOCK):
+        flat = np.hstack([a[lo : lo + _ROW_BLOCK] for a in rows.arrays], dtype=np.int64)
+        low = int(flat.min())
+        table = np.array([str(v) for v in range(low, int(flat.max()) + 1)], object)
+        out = np.empty((len(flat), 2 * len(seps) - 1), object)
+        out[:, 0] = rest
+        out[0, 0] = first
+        out[:, 1::2] = table[flat - low]
+        out[:, 2::2] = between
+        for row in out.tolist():
+            write("".join(row))
+        first = rest
+    write(pad + "]")
+
+
 def _write_json(doc, write, pad: str = "\n", lead: str = "") -> None:
     """Pass `lead` and then `json.dumps(doc, indent=2)`, byte for byte, to
-    `write`, in pieces no larger than one leaf (see `_leaf_json`) with the
-    separator before it, so the document never exists as one string.  Keys
-    must be strings, as in every document this CLI writes."""
+    `write`, in pieces no larger than one leaf (see `_leaf_json`) or one row
+    of a `_Rows`, with the separator before it, so the document never exists
+    as one string.  Keys must be strings, as in every document this CLI
+    writes; a `_Rows` is written as its list of dicts."""
+    if type(doc) is _Rows:
+        _write_rows(doc, write, pad, lead)
+        return
     leaf = _leaf_json(doc, pad)
     if leaf is not None:
         write(lead + leaf)
@@ -246,12 +293,8 @@ def _cmd_partitions(args):
     n = args.dim
     parts = enumerate_cube_partitions(n)
     if not args.realize:
-        return {"n": n, "partitions": [{"partition": p} for p in parts.tolist()]}, 0
-    words, boxes = realization_block(parts)
-    rows = [
-        {"partition": p, "rolls": word, "box": box}
-        for p, word, box in zip(parts.tolist(), words.tolist(), boxes.tolist())
-    ]
+        return {"n": n, "partitions": _Rows(("partition",), (parts,))}, 0
+    rows = _Rows(("partition", "rolls", "box"), (parts, *realization_block(parts)))
     return {"n": n, "partitions": rows}, 0
 
 

@@ -573,8 +573,12 @@ def verify_unfoldings(
     _check_dim(n)
     if exhaustive:
         report = VerifyReport(n, "exhaustive")
-        trees = enumerate_classes("trees", n)
-        _check_trees(report, (_tree_walk(tree, 0)[0] for tree in trees))
+        # each class's parents toward facet 1, read off its mask: no
+        # per-class object
+        edges = roberts_edges(n)
+        masks = _class_masks("trees", n)
+        rows = (_tree_walk(n, [edges[r] for r in _mask_ranks(m)], 0)[0] for m in masks)
+        _check_trees(report, rows)
         return report
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)

@@ -176,16 +176,18 @@ def develop_path(n: int, base: FacetLabel, dirs) -> Development:
     return _word_development(initial_state(n, base), dirs)
 
 
-def _tree_walk(tree: SpanningSubgraph, root: int) -> tuple[list[int], list[int]]:
-    """Each facet's parent toward `root` in the tree (-1 for the root and for
-    any facet the tree does not reach), and the facets reached, in preorder
-    with children in label order."""
-    # tree.edges is a sorted tuple of sorted pairs, so every row comes out sorted
-    adj = [[] for _ in range(2 * tree.n)]
-    for i, j in tree.edges:
+def _tree_walk(n: int, edges, root: int) -> tuple[list[int], list[int]]:
+    """Each facet's parent toward `root` in the tree on the 2n facets with
+    index pairs `edges` (-1 for the root and for any facet the tree does
+    not reach), and the facets reached, in preorder with children in label
+    order."""
+    # edges come as sorted pairs in sorted order (a subgraph's edges, or a
+    # mask's in rank order), so every row comes out sorted
+    adj = [[] for _ in range(2 * n)]
+    for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    parents = [-1] * (2 * tree.n)
+    parents = [-1] * (2 * n)
     preorder, stack = [], [root]
     while stack:
         u = stack.pop()
@@ -214,7 +216,7 @@ def develop_tree(tree: SpanningSubgraph, base: FacetLabel) -> Development:
     if problem is not None:
         raise ValueError(f"not a spanning {tree.kind}: {problem}")
     n = tree.n
-    parents, order = _tree_walk(tree, base.index(n))
+    parents, order = _tree_walk(n, tree.edges, base.index(n))
     cells, ok = develop_parent_block(initial_state(n, base), [parents])
     if not ok[0]:
         raise RuntimeError("a tree child sits at its parent's base antipode")

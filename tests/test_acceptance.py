@@ -68,7 +68,7 @@ def block_developments(n, trees, base=FacetLabel(1)):
     start = initial_state(n, base)
     size = tree_block_size(n)
     for k in range(0, len(trees), size):
-        walks = [_tree_walk(tree, start.slots[0]) for tree in trees[k : k + size]]
+        walks = [_tree_walk(n, tree.edges, start.slots[0]) for tree in trees[k : k + size]]
         cells, ok = develop_parent_block(start, [parents for parents, _ in walks])
         assert ok.all()
         for (parents, order), tree_cells in zip(walks, cells):

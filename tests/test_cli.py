@@ -8,8 +8,9 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubenets import cli, core, enumeration
@@ -17,6 +18,7 @@ from cubenets.chords import enumerate_diagrams
 from cubenets.cli import main
 from cubenets.core import FacetLabel, SpanningSubgraph
 from cubenets.enumeration import classify_path, enumerate_classes
+from cubenets.partitions import enumerate_cube_partitions, realization_block
 from oracles import (
     cycle_from_diagram,
     diagram_from_cycle,
@@ -754,12 +756,96 @@ class _Pieces(list):
 
 
 def test_a_large_document_is_written_in_short_pieces(monkeypatch):
-    # the 0.6 MB realize document reaches stdout a row at a time, never as
-    # one string; the realize workload's peak memory rests on this
-    pieces = _Pieces()
-    monkeypatch.setattr(sys, "stdout", pieces)
-    assert main(["partitions", "--dim", "20", "--realize"]) == 0
-    text = "".join(pieces)
-    assert len(text) > 500_000
-    assert max(map(len, pieces)) <= 4096
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    # the 0.6 MB realize document and the 0.16 MB plain listing reach stdout
+    # a row at a time, never as one string; the realize workload's peak
+    # memory rests on this
+    for flags, size in ((["--realize"], 500_000), ([], 150_000)):
+        pieces = _Pieces()
+        monkeypatch.setattr(sys, "stdout", pieces)
+        assert main(["partitions", "--dim", "20", *flags]) == 0
+        text = "".join(pieces)
+        assert len(text) > size
+        assert max(map(len, pieces)) <= 4096
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _row_dicts(rows):
+    """The list of dicts a `cli._Rows` stands for, built through `tolist()`."""
+    columns = [a.tolist() for a in rows.arrays]
+    return [dict(zip(rows.keys, values)) for values in zip(*columns)]
+
+
+@st.composite
+def row_blocks(draw):
+    """A `cli._Rows` of 1-4 keys (non-ASCII ones and ones holding `%`
+    among them) over int arrays of 1..300 rows and 1..60 columns, each
+    array constant or spread over up to 10**4 values, negative ones too."""
+    keys = draw(
+        st.lists(
+            st.text(max_size=4) | st.sampled_from(["%s", "%%d", "é", "ключ", "\u2028"]),
+            min_size=1, max_size=4, unique=True,
+        )
+    )
+    count = draw(st.integers(1, 300))
+    arrays = []
+    for _ in keys:
+        width = draw(st.integers(1, 60))
+        low = draw(st.integers(-(10**4), 10**4))
+        span = draw(st.sampled_from([0, 1, 40, 10**4]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        arrays.append(rng.integers(low, low + span, (count, width), endpoint=True))
+    return cli._Rows(tuple(keys), tuple(arrays))
+
+
+def _block_edges():
+    """Row counts on and just past the layout's block boundaries, and the
+    (1, 1) array of a plain listing at n=2."""
+    block = cli._ROW_BLOCK
+    ramp = lambda count, width: np.arange(count * width).reshape(count, width) - 7
+    return [
+        cli._Rows(("partition",), (np.array([[2]]),)),
+        cli._Rows(("a", "%s"), (ramp(block, 3), ramp(block, 1))),
+        cli._Rows(("a", "%s"), (ramp(block + 1, 3), ramp(block + 1, 1))),
+        cli._Rows(("é",), (np.full((2 * block + 5, 4), -3),)),
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(row_blocks(), st.sampled_from(["bare", "in a dict", "in a list"]))
+def test_rows_are_written_as_their_list_of_dicts(rows, where):
+    doc, equivalent = {
+        "bare": (rows, _row_dicts(rows)),
+        "in a dict": ({"n": 1, "partitions": rows}, {"n": 1, "partitions": _row_dicts(rows)}),
+        "in a list": ([rows, 0], [_row_dicts(rows), 0]),
+    }[where]
+    assert _written(doc) == json.dumps(equivalent, indent=2)
+
+
+@pytest.mark.parametrize("rows", _block_edges(), ids=["1x1", "one-block", "past-a-block", "constant"])
+def test_rows_across_block_edges(rows):
+    assert _written({"n": 2, "partitions": rows}) == json.dumps(
+        {"n": 2, "partitions": _row_dicts(rows)}, indent=2
+    )
+
+
+def test_no_rows_are_an_empty_list():
+    rows = cli._Rows(("partition",), (np.zeros((0, 3), int),))
+    assert _written({"partitions": rows}) == json.dumps({"partitions": []}, indent=2)
+
+
+@pytest.mark.parametrize("realize", [True, False], ids=["realize", "plain"])
+def test_partition_documents_equal_their_dict_layout(capsys, realize):
+    # the rows the command once built from `realization_block`'s arrays
+    # through `tolist()`, laid out by json.dumps
+    parts = enumerate_cube_partitions(20)
+    if realize:
+        words, boxes = realization_block(parts)
+        rows = [
+            {"partition": p, "rolls": word, "box": box}
+            for p, word, box in zip(parts.tolist(), words.tolist(), boxes.tolist())
+        ]
+    else:
+        rows = [{"partition": p} for p in parts.tolist()]
+    code, out, err = run(capsys, "partitions", "--dim", "20", *["--realize"] * realize)
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"n": 20, "partitions": rows}, indent=2) + "\n"

@@ -46,7 +46,7 @@ from cubenets.enumeration import (
     verify_unfoldings,
 )
 from cubenets.nets import cube_partition_of
-from cubenets.rolling import _tree_bytes, _tree_walk, develop_tree, tree_block_size
+from cubenets.rolling import _tree_bytes, develop_tree, tree_block_size
 from oracles import (
     apply_subgraph,
     orbit_masks,
@@ -625,9 +625,37 @@ def test_verify_memory_stays_flat_in_the_sample_count():
     assert peaks[1] - peaks[0] < block * _tree_bytes(12)
 
 
-def test_exhaustive_parent_arrays_are_the_listed_trees():
-    trees = enumerate_classes("trees", 4)
-    assert [_tree_from_parents(_tree_walk(t, 0)[0]) for t in trees] == list(trees)
+def test_exhaustive_parent_arrays_are_the_listed_trees(monkeypatch):
+    # the exhaustive route reads each class's parents off its mask, with no
+    # per-class object: they are the listed trees
+    from cubenets import enumeration
+
+    rows = []
+    monkeypatch.setattr(enumeration, "_check_trees", lambda report, walk: rows.extend(walk))
+    for n in (2, 3, 4):
+        rows.clear()
+        verify_unfoldings(n, exhaustive=True)
+        assert [_tree_from_parents(p) for p in rows] == list(enumerate_classes("trees", n))
+
+
+def test_an_exhaustive_failure_names_its_listed_tree(monkeypatch):
+    from cubenets import enumeration
+
+    monkeypatch.setattr(
+        enumeration, "verify_development", lambda dev: (["planted problem"], None)
+    )
+    kernel = enumeration.develop_parent_block
+
+    def refuse_row_2(start, parents):
+        cells, ok = kernel(start, parents)
+        ok[2] = False
+        return cells, ok
+
+    monkeypatch.setattr(enumeration, "develop_parent_block", refuse_row_2)
+    report = verify_unfoldings(3, exhaustive=True)
+    tree = enumerate_classes("trees", 3)[2]
+    assert report.trees_checked == 11
+    assert report.failures == [{"tree": tree.to_json(), "problems": ["planted problem"]}]
 
 
 def test_a_tree_the_block_refuses_takes_the_scalar_route(monkeypatch):

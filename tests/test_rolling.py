@@ -37,7 +37,7 @@ L = FacetLabel.parse
 
 def parents_of(tree):
     """Each facet's parent toward facet 1, as verify's block takes it."""
-    return rolling._tree_walk(tree, 0)[0]
+    return rolling._tree_walk(tree.n, tree.edges, 0)[0]
 
 
 def state_table(state):
@@ -494,7 +494,7 @@ def test_parent_block_cells_match_develop_tree(n):
     for base in kernel_bases(n, rng):
         root = base.index(n)
         trees = [random_spanning_tree(n, rng) for _ in range(5 if n == 70 else 40)]
-        rows = [rolling._tree_walk(t, root)[0] for t in trees]
+        rows = [rolling._tree_walk(n, t.edges, root)[0] for t in trees]
         # the root's own entry is not read: an in-range label develops as -1
         rows.append(rows[0][:])
         rows[-1][root] = rng.randrange(2 * n)
