@@ -10,13 +10,13 @@ them the same way.
 
 Class counts come from Burnside's lemma (`count_diagram_classes`) and never
 list a matching.  `_diagram_classes_by_loops` is the package's one
-generator of matchings: it lists each class once with its stabilizer order,
-generating only matchings whose chord at vertex 0 is one of their shortest,
-in increasing order.  `enumerate_diagrams` serves its classes up to the
-16-gon (CHORDS_LIST_LIMIT), and `enumeration` reads the spanning path and
-cycle classes from the same pass.  A class is moved only by the maps
-`_zero_chord_maps` picks, under the one dihedral action `_apply_vertex_map`
-that `diagram_stabilizer` uses too.
+generator of matchings: it lists the classes of one loop count once each
+with their stabilizer orders, generating only matchings whose chord at
+vertex 0 is one of their shortest, in increasing order.  `enumerate_diagrams`
+serves its classes up to the 16-gon (CHORDS_LIST_LIMIT), and `enumeration`
+reads the spanning path and cycle classes from the same pass.  A class is
+moved only by the maps `_zero_chord_maps` picks, under the one dihedral
+action `_apply_vertex_map` that `diagram_stabilizer` uses too.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from math import comb, gcd
 
 from .core import _check_budget
 
-# the 16-gon's classes take about 0.7 s to list in process, the 18-gon's
-# about 16 s and 435 MB, past the n = 5 tree listing's ~5 s
+# the 16-gon's classes take about 0.3-0.4 s to list in process at either
+# loop count, the 18-gon's about 6-8 s and 270-300 MB, past the whole n = 5
+# tree listing's ~1.5 s
 CHORDS_LIST_LIMIT = 8
 
 
@@ -94,34 +95,38 @@ def _zero_chord_maps(mate: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 @cache
 def _diagram_classes_by_loops(
-    m: int, cap: int
-) -> tuple[tuple[tuple[ChordDiagram, ...], tuple[int, ...]], ...]:
-    """Least mate tables of the diagram classes with 0..cap loops and their
-    stabilizer orders, one pass: for each loop count, (diagrams, |Stab|s).
+    m: int, loops: int
+) -> tuple[tuple[ChordDiagram, ...], tuple[int, ...]]:
+    """Least mate tables of the diagram classes with exactly `loops` loops,
+    and their stabilizer orders: (diagrams, |Stab|s).
 
     Matchings are generated by always pairing the lowest free vertex, so
     they come out in increasing mate-table order and the first member of an
     orbit met is its least.  Every orbit has members whose chord at vertex 0
     is one of its shortest chords (rotate one to start there), and the least
     member is one of them; so only matchings with mate[0] <= m/2 and no
-    chord shorter than mate[0] are generated, branches past the loop budget
-    are abandoned, and each new orbit remembers only its images with the
-    same mate[0], which `_zero_chord_maps` gives.  |Stab| counts those
-    images equal to the class's table.
+    chord shorter than mate[0] are generated.  A loop is a chord of length
+    1, so a class with loops starts from mate[0] = 1, where branches past
+    the loop count are abandoned, and a loopless class from mate[0] >= 2.
+    Each new orbit remembers only its images with the same mate[0], which
+    `_zero_chord_maps` gives.  |Stab| counts those images equal to the
+    class's table.
     """
-    reps: list[list[ChordDiagram]] = [[] for _ in range(cap + 1)]
-    stabs: list[list[int]] = [[] for _ in range(cap + 1)]
+    reps: list[ChordDiagram] = []
+    stabs: list[int] = []
     mate = [-1] * m
 
-    def rec(free, loops, short, seen):
+    def rec(free, lps, short, seen):
         if not free:
             key = tuple(mate)
-            if key not in seen:
-                d = ChordDiagram(m, key)
-                images = [_apply_vertex_map(d, vm) for vm in _zero_chord_maps(key)]
-                seen.update(images)
-                reps[loops].append(d)
-                stabs[loops].append(images.count(key))
+            # the walk abandons branches with too many loops; drop too few
+            if lps < loops or key in seen:
+                return
+            d = ChordDiagram(m, key)
+            images = [_apply_vertex_map(d, vm) for vm in _zero_chord_maps(key)]
+            seen.update(images)
+            reps.append(d)
+            stabs.append(images.count(key))
             return
         ib = free & -free
         i = ib.bit_length() - 1
@@ -133,30 +138,29 @@ def _diagram_classes_by_loops(
             j = jb.bit_length() - 1
             cand ^= jb
             # vertex 0 is matched, so a chord here is a loop only if j = i + 1
-            lp = loops + (j == i + 1)
-            if lp > cap:
+            lp = lps + (j == i + 1)
+            if lp > loops:
                 continue
             mate[i], mate[j] = j, i
             rec(rest ^ jb, lp, short, seen)
 
     full = (1 << m) - 1
-    for short in range(1, m // 2 + 1):
+    for short in range(1, 2) if loops else range(2, m // 2 + 1):
         mate[0], mate[short] = short, 0
         rec(full ^ 1 ^ (1 << short), int(short == 1), short, set())
-    return tuple((tuple(r), tuple(s)) for r, s in zip(reps, stabs))
+    return tuple(reps), tuple(stabs)
 
 
 def enumerate_diagrams(m: int, loop_count: int) -> tuple[ChordDiagram, ...]:
     """Canonical chord diagrams on m vertices with exactly loop_count loops,
-    sorted.  Cached; asking for 0 or 1 loops shares one generation pass.
-    Polygons past 2 * CHORDS_LIST_LIMIT vertices raise ResourceLimitError."""
+    sorted.  Cached per (m, loop_count).  Polygons past 2 * CHORDS_LIST_LIMIT
+    vertices raise ResourceLimitError."""
     if m % 2 or m < 2:
         raise ValueError(f"vertex count must be even and positive, got {m}")
     if loop_count < 0 or loop_count > m // 2:
         return ()
     _check_budget(m // 2, CHORDS_LIST_LIMIT, "CHORDS_LIST_LIMIT", "diagram listings")
-    cap = max(1, loop_count)
-    return _diagram_classes_by_loops(m, cap)[loop_count][0]
+    return _diagram_classes_by_loops(m, loop_count)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def _diagram_classes(kind: str, n: int) -> tuple[tuple[ChordDiagram, int], ...]:
     2..2n+1.  B_n acts freely on directed walks, so a walk's stabilizer is
     its diagram's dihedral stabilizer.  Callers check the budget first."""
     extra, loops = _DIAGRAMS[kind]
-    diagrams, stabs = _diagram_classes_by_loops(2 * n + extra, 1)[loops]
+    diagrams, stabs = _diagram_classes_by_loops(2 * n + extra, loops)
     return tuple(zip(diagrams, stabs))
 
 

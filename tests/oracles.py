@@ -420,6 +420,23 @@ def loops(d: ChordDiagram) -> int:
     return len(loop_chords(d))
 
 
+def perfect_matchings(m: int):
+    """Every perfect matching of vertices 0..m-1 as a mate table, by pairing
+    the lowest free vertex with each other free vertex in turn."""
+    mate = [-1] * m
+
+    def rec(free):
+        if not free:
+            yield tuple(mate)
+            return
+        i, rest = free[0], free[1:]
+        for j in rest:
+            mate[i], mate[j] = j, i
+            yield from rec(tuple(v for v in rest if v != j))
+
+    yield from rec(tuple(range(m)))
+
+
 def canonical_diagram(d: ChordDiagram) -> ChordDiagram:
     """Least mate table over all rotations and reflections of the polygon."""
     best = min(_apply_vertex_map(d, vm) for vm in _dihedral_maps(d.m))

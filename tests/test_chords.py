@@ -123,7 +123,8 @@ def test_orbit_times_stabilizer():
     # carries its |Stab|: |Stab| * |orbit| = 2m, the orbit taken over all
     # 2m symmetries
     for m in range(2, 13, 2):
-        for diagrams, stabs in _diagram_classes_by_loops(m, m // 2):
+        for k in range(m // 2 + 1):
+            diagrams, stabs = _diagram_classes_by_loops(m, k)
             for d, stab in zip(diagrams, stabs):
                 assert stab == len(diagram_stabilizer(d))
                 assert diagram_orbit_size(d) * stab == 2 * m
@@ -134,14 +135,30 @@ def test_stabilizer_is_the_full_filter():
     # must keep exactly the symmetries, in order, that fix the diagram
     rng = random.Random(12)
     for m in range(2, 13, 2):
-        for diagrams, _ in _diagram_classes_by_loops(m, m // 2):
-            for d in diagrams:
+        for k in range(m // 2 + 1):
+            for d in _diagram_classes_by_loops(m, k)[0]:
                 vm = rng.choice(_dihedral_maps(m))
                 moved = ChordDiagram(m, _apply_vertex_map(d, vm))
                 fixing = tuple(
                     g for g in _dihedral_maps(m) if _apply_vertex_map(moved, g) == moved.mate
                 )
                 assert diagram_stabilizer(moved) == fixing
+
+
+def test_pass_lists_the_class_of_every_matching():
+    # brute force: every perfect matching of the m-gon, put in canonical form
+    # over all 2m symmetries, gives exactly the classes the pass lists at its
+    # loop count, each with the order of its full stabilizer
+    for m in range(2, 11, 2):
+        classes = [set() for _ in range(m // 2 + 1)]
+        for mate in oracles.perfect_matchings(m):
+            d = ChordDiagram(m, mate)
+            classes[loops(d)].add(canonical_diagram(d))
+        for k in range(m // 2 + 1):
+            got = enumerate_diagrams(m, k)
+            assert got == tuple(sorted(classes[k], key=lambda d: d.mate))
+            stabs = _diagram_classes_by_loops(m, k)[1]
+            assert stabs == tuple(len(diagram_stabilizer(d)) for d in got)
 
 
 def test_class_counts_loopless():

@@ -452,14 +452,13 @@ def test_a_walk_that_drops_a_class_fails_the_count(monkeypatch, capsys, fresh_li
 
     real = fresh_listings._diagram_classes_by_loops
 
-    def planted(m, cap):
+    def planted(m, loops):
         # the n=4 cycles (loopless 8-gon) and paths (one-loop 10-gon) each
         # lose their first class
-        drop = {8: 0, 10: 1}.get(m)
-        return tuple(
-            (ds[1:], ss[1:]) if k == drop else (ds, ss)
-            for k, (ds, ss) in enumerate(real(m, cap))
-        )
+        ds, ss = real(m, loops)
+        if (m, loops) in ((8, 0), (10, 1)):
+            return ds[1:], ss[1:]
+        return ds, ss
 
     monkeypatch.setattr(fresh_listings, "_diagram_classes_by_loops", planted)
     for kind in ("paths", "cycles", "ter"):
@@ -472,7 +471,7 @@ def test_a_walk_that_drops_a_class_fails_the_count(monkeypatch, capsys, fresh_li
 
 
 def test_direct_counts_are_refused_before_any_walk(monkeypatch, fresh_listings):
-    def no_pass(m, cap):
+    def no_pass(m, loops):
         raise RuntimeError(f"generated the {m}-gon")
 
     monkeypatch.setattr(fresh_listings, "_diagram_classes_by_loops", no_pass)
@@ -480,6 +479,31 @@ def test_direct_counts_are_refused_before_any_walk(monkeypatch, fresh_listings):
         for method in ("direct", "both"):
             with pytest.raises(ResourceLimitError, match="DIRECT_LIMITS"):
                 count_classes(kind, n, method)
+
+
+def test_each_caller_generates_only_the_loop_count_it_reads(monkeypatch, fresh_listings):
+    # the pass is keyed by (polygon, loops): the table's direct side asks for
+    # the loopless 2n-gon (cycles) and the one-loop (2n+2)-gon (paths and
+    # ter) and nothing else, and a listing asks for its own loop count alone
+    from cubenets import chords
+
+    real = chords._diagram_classes_by_loops
+    asked = set()
+
+    def recording(m, loops):
+        asked.add((m, loops))
+        return real(m, loops)
+
+    monkeypatch.setattr(chords, "_diagram_classes_by_loops", recording)
+    monkeypatch.setattr(fresh_listings, "_diagram_classes_by_loops", recording)
+    build_table(5, "both")
+    assert asked == {(4, 0), (6, 0), (8, 0), (10, 0), (6, 1), (8, 1), (10, 1), (12, 1)}
+    asked.clear()
+    count_classes("paths", 5)
+    assert asked == {(12, 1)}
+    asked.clear()
+    chords.enumerate_diagrams(16, 0)
+    assert asked == {(16, 0)}
 
 
 def readme_table_rows():
