@@ -53,9 +53,6 @@ class ChordDiagram:
     def chords(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, self.mate[i]) for i in range(self.m) if i < self.mate[i])
 
-    def to_json(self) -> dict:
-        return {"m": self.m, "matching": [list(c) for c in self.chords()]}
-
 
 @cache
 def _dihedral_maps(m: int) -> tuple[tuple[int, ...], ...]:

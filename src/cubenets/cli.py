@@ -4,18 +4,17 @@ Each command computes through the library, lays out its result and
 returns it with an exit code, or raises; `main` alone writes: the result,
 a string as it is and any other value as indented JSON, written piece by
 piece so a large document never exists as one string, or the error's
-message as one stderr line.  A listed class's edges are one piece: their
-label pairs, read off the class mask, fill one cached template.  Row
-blocks are laid out from arrays: a partition listing, realized or not, is
-a `_Rows` of the library's row arrays, written one row per piece from one
-string table per block of rows, with no dict or Python int per row.  Exit
-codes: 0 success, 1 a verification failure (among them an internal check
-that fails, such as a realized box that is not its partition or an
-unfolding that overlaps itself, reported as its RuntimeError's message) or
-a method disagreement, 2 bad usage, bad input, a request past a budget or
-an output file that cannot be written.  All output is UTF-8; JSON is the
-interchange format and stays stably ordered so fixed seeds give
-byte-identical runs.
+message as one stderr line.  Every listing (tree, path and cycle classes,
+box partitions, realized or not, and chord diagrams) is a `_Rows`: the
+shape of one row and integer arrays of the rows' values, written one row
+per piece from one string table per block of rows, with no dict or Python
+int per row.  Exit codes: 0 success, 1 a verification failure (among them
+an internal check that fails, such as a realized box that is not its
+partition or an unfolding that overlaps itself, reported as its
+RuntimeError's message) or a method disagreement, 2 bad usage, bad input,
+a request past a budget or an output file that cannot be written.  All
+output is UTF-8; JSON is the interchange format and stays stably ordered
+so fixed seeds give byte-identical runs.
 """
 
 from __future__ import annotations
@@ -27,14 +26,19 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .chords import edge_orbit_count, enumerate_diagrams
-from .core import FacetLabel, SpanningSubgraph, _check_dim, _label_table, _mask_ranks
+from .core import (
+    FacetLabel,
+    SpanningSubgraph,
+    _check_dim,
+    _label_table,
+    _mask_ranks,
+    roberts_edges,
+)
 from .enumeration import (
     METHODS,
     CountMismatchError,
@@ -88,57 +92,20 @@ def _emit(out, output: str | None) -> None:
         fh.flush()
 
 
-# keyed by shape and depth, never by value: every row of a listing fills
-# the same template, and a document has only a few shapes
-@cache
-def _list_template(length: int, pad: str) -> str:
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(["%s"] * length) + pad + "]"
-
-
-@cache
-def _nested_template(lengths: tuple, pad: str) -> str:
-    inner = pad + "  "
-    items = (_list_template(m, inner) for m in lengths)
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
-
-
-def _leaf_json(doc, pad: str) -> str | None:
-    """The layout of `doc` at indent `pad` as one short string when it is a
-    leaf: a scalar, an empty container, a non-empty list of plain ints or of
-    strings, or a non-empty list of non-empty lists of strings (one listed
-    class); None for any other container.  Lists fill a cached %-template.
-    Ints are told by exact type, because `%s` writes a bool as True and an
-    int subclass by its own `__str__`."""
-    if type(doc) is str:
-        return encode_basestring_ascii(doc)
-    if not doc or not isinstance(doc, (dict, list, tuple)):
-        return json.dumps(doc)
-    if isinstance(doc, dict):
-        return None
-    types = {*map(type, doc)}
-    if types == {int}:
-        return _list_template(len(doc), pad) % tuple(doc)
-    if types == {str}:
-        return _list_template(len(doc), pad) % tuple(map(encode_basestring_ascii, doc))
-    if types <= {list, tuple} and all(doc):
-        flat = tuple(chain.from_iterable(doc))
-        if {*map(type, flat)} == {str}:
-            strings = tuple(map(encode_basestring_ascii, flat))
-            return _nested_template(tuple(map(len, doc)), pad) % strings
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class _Rows:
-    """A list of dicts held as arrays: row r is {keys[k]: arrays[k][r]} for
-    one or more string keys and as many (B, m_k) integer arrays, m_k >= 1,
-    laid out by `_write_rows` without building a dict or a Python int.  The
-    layout holds one string per value in a block's range, so the values
-    must span a small range, as partitions, roll words and boxes do."""
+    """A list of rows held as arrays, laid out by `_write_rows` without
+    building a row or a Python int.  Every row has the layout of `shape`, a
+    JSON value whose leaves are None; row r's leaves, in document order,
+    hold row r of the (B, m_k) integer `arrays` side by side.  A value v is
+    written as `table[v]`, a JSON text, or without a table as `str(v)`; the
+    layout then holds one string per value in a block's range, so the
+    values must span a small range, as partitions, roll words, boxes and
+    chord ends do."""
 
-    keys: tuple[str, ...]
+    shape: object
     arrays: tuple[np.ndarray, ...]
+    table: tuple[str, ...] | None = None
 
 
 # rows laid out per block: one block's strings are alive at a time
@@ -147,34 +114,38 @@ _ROW_BLOCK = 256
 
 def _write_rows(rows: _Rows, write, pad: str, lead: str) -> None:
     """`_write_json` of `rows`, one row per piece.  A block's values are
-    stacked into one array and turned into strings by indexing one table of
-    `str(v)` over the block's range of values; each row is one join of
-    them, interleaved with the separators every row shares."""
+    stacked into one array and turned into strings by indexing the table,
+    or one of `str(v)` over the block's range of values; each row is one
+    join of them, interleaved with the text that `_write_json` lays around
+    the shape's leaves."""
     count = len(rows.arrays[0])
     if not count:
         write(lead + "[]")
         return
     inner = pad + "  "
-    field = inner + "  "
-    item = field + "  "
-    # seps[k] comes before value k of a row, seps[-1] after its last
-    seps, cur = [], "{"
-    for key, a in zip(rows.keys, rows.arrays):
-        seps += [cur + field + encode_basestring_ascii(key) + ": [" + item]
-        seps += ["," + item] * (a.shape[1] - 1)
-        cur = field + "],"
-    seps.append(cur[:-1] + inner + "}")
+    pieces = []
+    _write_json(rows.shape, pieces.append, inner)
+    # seps[k] comes before leaf k of a row, seps[-1] after its last.  Only
+    # a None leaf's piece ends in "null" (a string's ends in a quote), and
+    # escaped JSON holds no NUL to take for a cut
+    text = "".join(p[:-4] + "\0" if p.endswith("null") else p for p in pieces)
+    seps = text.split("\0")
     between = np.array(seps[1:], object)
     rest = "," + inner + seps[0]
     first = lead + "[" + inner + seps[0]
+    table = None if rows.table is None else np.array(rows.table, object)
     for lo in range(0, count, _ROW_BLOCK):
         flat = np.hstack([a[lo : lo + _ROW_BLOCK] for a in rows.arrays], dtype=np.int64)
-        low = int(flat.min())
-        table = np.array([str(v) for v in range(low, int(flat.max()) + 1)], object)
+        if table is None:
+            low = int(flat.min())
+            strings = np.array([str(v) for v in range(low, int(flat.max()) + 1)], object)
+            flat -= low
+        else:
+            strings = table
         out = np.empty((len(flat), 2 * len(seps) - 1), object)
         out[:, 0] = rest
         out[0, 0] = first
-        out[:, 1::2] = table[flat - low]
+        out[:, 1::2] = strings[flat]
         out[:, 2::2] = between
         for row in out.tolist():
             write("".join(row))
@@ -184,16 +155,15 @@ def _write_rows(rows: _Rows, write, pad: str, lead: str) -> None:
 
 def _write_json(doc, write, pad: str = "\n", lead: str = "") -> None:
     """Pass `lead` and then `json.dumps(doc, indent=2)`, byte for byte, to
-    `write`, in pieces no larger than one leaf (see `_leaf_json`) or one row
-    of a `_Rows`, with the separator before it, so the document never exists
-    as one string.  Keys must be strings, as in every document this CLI
-    writes; a `_Rows` is written as its list of dicts."""
+    `write`, in pieces no larger than one scalar, one empty container or
+    one row of a `_Rows`, with the separator before it, so the document
+    never exists as one string.  Keys must be strings, as in every document
+    this CLI writes; a `_Rows` is written as its list of rows."""
     if type(doc) is _Rows:
         _write_rows(doc, write, pad, lead)
         return
-    leaf = _leaf_json(doc, pad)
-    if leaf is not None:
-        write(lead + leaf)
+    if not doc or not isinstance(doc, (dict, list, tuple)):
+        write(lead + json.dumps(doc))
         return
     inner = pad + "  "
     if isinstance(doc, dict):
@@ -266,16 +236,18 @@ def _cmd_enumerate(args):
     doc = {"n": n, "kind": kind, "count": count_classes(kind, n, args.method)}
     if args.count_only:
         return json.dumps(doc), 0
-    # each class is its label pairs, read off its certified mask: no
-    # per-class object, and one template fill when it is written
-    pairs = _label_table(n)[1]
-    classes = [[pairs[r] for r in _mask_ranks(m)] for m in masks]
+    # each class is a row of label indices, read off its certified mask:
+    # no per-class object, and the labels' JSON texts are its table
+    table = (*_label_table(n), "ter", "ext")
+    size = 2 * n - (kind != "cycles")
+    ranks = np.array([_mask_ranks(m) for m in masks], np.intp).reshape(-1, size)
+    columns = [np.array(roberts_edges(n))[ranks].reshape(-1, 2 * size)]
+    shape = [[None, None]] * size
     if kind == "paths":
-        classes = [
-            {"edges": edges, "ends": _classify_path_mask(n, m)}
-            for edges, m in zip(classes, masks)
-        ]
-    doc["classes"] = classes
+        shape = {"edges": shape, "ends": None}
+        ends = [[table.index(_classify_path_mask(n, m))] for m in masks]
+        columns.append(np.array(ends))
+    doc["classes"] = _Rows(shape, tuple(columns), tuple(map(json.dumps, table)))
     return doc, 0
 
 
@@ -292,10 +264,10 @@ def _cmd_verify(args):
 def _cmd_partitions(args):
     n = args.dim
     parts = enumerate_cube_partitions(n)
-    if not args.realize:
-        return {"n": n, "partitions": _Rows(("partition",), (parts,))}, 0
-    rows = _Rows(("partition", "rolls", "box"), (parts, *realization_block(parts)))
-    return {"n": n, "partitions": rows}, 0
+    arrays = (parts, *realization_block(parts)) if args.realize else (parts,)
+    keys = ("partition", "rolls", "box")
+    shape = {key: [None] * a.shape[1] for key, a in zip(keys, arrays)}
+    return {"n": n, "partitions": _Rows(shape, arrays)}, 0
 
 
 def _cmd_chords(args):
@@ -303,15 +275,20 @@ def _cmd_chords(args):
     _check_dim(n)
     diagrams = enumerate_diagrams(2 * n, args.loops)
     doc = {"n": n, "loops": args.loops, "count": len(diagrams)}
-    rows = []
-    for d in diagrams:
-        row = d.to_json()
-        if args.ext_net_counts:
-            row["net_classes"] = edge_orbit_count(d)
-        rows.append(row)
-    doc["diagrams"] = rows
+    # each diagram is a row [m, chord ends..., net classes]; its chords
+    # are (i, mate[i]) over the vertices i below their mates, in order
+    shape = {"m": None, "matching": [[None, None]] * n}
+    mates = np.array([d.mate for d in diagrams], np.int64).reshape(-1, 2 * n)
+    lows = np.nonzero(mates > np.arange(2 * n))[1].reshape(-1, n)
+    ends = np.stack([lows, np.take_along_axis(mates, lows, 1)], 2)
+    columns = [np.full((len(diagrams), 1), 2 * n), ends.reshape(-1, 2 * n)]
+    if args.ext_net_counts:
+        shape["net_classes"] = None
+        counts = [edge_orbit_count(d) for d in diagrams]
+        columns.append(np.array(counts, np.int64).reshape(-1, 1))
+    doc["diagrams"] = _Rows(shape, tuple(columns))
     if args.ext_net_counts and args.loops == 0:
-        doc["net_class_total"] = sum(r["net_classes"] for r in rows)
+        doc["net_class_total"] = sum(counts)
     return doc, 0
 
 

@@ -82,11 +82,10 @@ def roberts_edges(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @cache
-def _label_table(n: int) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """The 2n label strings in index order, and each edge rank's pair of
-    them: the one labelling that listings, `to_json` and `__str__` print."""
-    labels = tuple(str(FacetLabel.from_index(i, n)) for i in range(2 * n))
-    return labels, tuple((labels[i], labels[j]) for i, j in roberts_edges(n))
+def _label_table(n: int) -> tuple[str, ...]:
+    """The 2n label strings in index order: the one labelling that
+    listings, `to_json` and `__str__` print."""
+    return tuple(str(FacetLabel.from_index(i, n)) for i in range(2 * n))
 
 
 @cache
@@ -164,7 +163,7 @@ class SpanningSubgraph:
         return SpanningSubgraph.from_labels(n, pairs, kind)
 
     def to_json(self) -> list[list[str]]:
-        labels = _label_table(self.n)[0]
+        labels = _label_table(self.n)
         return [[labels[i], labels[j]] for i, j in self.edges]
 
     def mask(self) -> int:
@@ -179,7 +178,7 @@ class SpanningSubgraph:
         return m
 
     def __str__(self) -> str:
-        labels = _label_table(self.n)[0]
+        labels = _label_table(self.n)
         return ",".join(f"{labels[i]}-{labels[j]}" for i, j in self.edges)
 
 

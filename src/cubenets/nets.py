@@ -4,10 +4,10 @@ A spanning development with all 2n cells distinct is a net.  Its bounding
 box always has n-1 extents that are at least 2 and sum to 3n-2, i.e. the
 extents form an integer partition of 3n-2 into n-1 parts of size >= 2; the
 box sum grows by exactly one with every facet placed after the first.
-One pass over the cells, `_box_scan`, yields what `collision` and
-`verify_development` read.  `box_parts` judges a whole block of boxes from
-the block kernels in `rolling`, and is the library's only box test over
-blocks.
+One pass over the cells, `_box_scan`, yields what `collision`,
+`cube_partition_of` and `verify_development` read.  `box_parts` judges a
+whole block of boxes from the block kernels in `rolling`, and is the
+library's only box test over blocks.
 """
 
 from __future__ import annotations
@@ -81,16 +81,11 @@ def is_net(dev: Development) -> bool:
     return dev.is_spanning and collision(dev) is None
 
 
-def bounding_box(dev: Development) -> tuple[int, ...]:
-    """Extent along each lattice axis, in axis order."""
-    return tuple(max(c) - min(c) + 1 for c in zip(*dev.coords))
-
-
 def cube_partition_of(dev: Development) -> CubePartition:
     """Bounding-box extents of a spanning development as a partition."""
     if not dev.is_spanning:
         raise ValueError("development does not cover all facets")
-    return CubePartition(bounding_box(dev))
+    return CubePartition(_box_scan(dev.coords)[2])
 
 
 def verify_development(dev: Development) -> tuple[list[str], Optional[CubePartition]]:

@@ -144,7 +144,7 @@ class Development:
 def development_json(dev: Development) -> dict:
     """Interchange form: facets sorted by label, tree edges sorted."""
     n = dev.n
-    labels = _label_table(n)[0]
+    labels = _label_table(n)
     by_label = sorted(zip(dev.order, dev.coords))
     doc = {
         "n": n,

@@ -53,7 +53,7 @@ def subgraph_from_json(n, data, kind="tree") -> SpanningSubgraph:
 
 
 def diagram_from_json(doc) -> ChordDiagram:
-    """Inverse of `ChordDiagram.to_json`."""
+    """The diagram of one row of a `cubenets chords` listing."""
     m = doc["m"]
     mate = [-1] * m
     for i, j in doc["matching"]:
@@ -369,6 +369,12 @@ def uturn_audit(dev: Development):
 
 # ---------------------------------------------------------------------------
 # shapes of nets
+
+
+def bounding_box(dev: Development) -> tuple[int, ...]:
+    """Extent along each lattice axis, in axis order, taken axis by axis
+    rather than in `nets._box_scan`'s one pass over the cells."""
+    return tuple(max(c) - min(c) + 1 for c in zip(*dev.coords))
 
 
 def box_growth_trace(dev: Development) -> list[int]:

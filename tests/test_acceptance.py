@@ -14,7 +14,7 @@ import pytest
 from cubenets.chords import edge_orbit_count, enumerate_diagrams
 from cubenets.core import FacetLabel, SpanningSubgraph, canonical_mask
 from cubenets.enumeration import build_table, enumerate_trees, random_spanning_tree
-from cubenets.nets import CubePartition, bounding_box, collision, cube_partition_of
+from cubenets.nets import CubePartition, collision, cube_partition_of
 from cubenets.partitions import enumerate_cube_partitions, realize_partition
 from cubenets.rolling import (
     Development,
@@ -26,6 +26,7 @@ from cubenets.rolling import (
 )
 from oracles import (
     apply_subgraph,
+    bounding_box,
     box_growth_trace,
     canonical_net,
     cycle_from_diagram,

@@ -1,6 +1,7 @@
 """Chord diagram behaviors: structure, symmetry classes, frozen class counts,
 and the correspondences with spanning cycles and paths."""
 
+import json
 import random
 import time
 
@@ -18,6 +19,7 @@ from cubenets.chords import (
     _diagram_classes_by_loops,
     _dihedral_maps,
 )
+from cubenets.cli import main
 from cubenets.core import ResourceLimitError, SpanningSubgraph, canonical_form
 from cubenets.enumeration import build_table, enumerate_classes
 from oracles import (
@@ -58,11 +60,12 @@ def test_loop_detection():
     assert loop_chords(ChordDiagram(4, (3, 2, 1, 0))) == ((0, 3), (1, 2))
 
 
-def test_json_roundtrip():
-    d = ChordDiagram(6, (5, 3, 4, 1, 2, 0))
-    doc = d.to_json()
-    assert doc == {"m": 6, "matching": [[0, 5], [1, 3], [2, 4]]}
-    assert diagram_from_json(doc) == d
+def test_json_roundtrip(capsys):
+    # each row of the listing reads back as the class it was written from
+    assert main(["chords", "--dim", "3"]) == 0
+    rows = json.loads(capsys.readouterr().out)["diagrams"]
+    assert rows[0] == {"m": 6, "matching": [[0, 2], [1, 4], [3, 5]]}
+    assert tuple(map(diagram_from_json, rows)) == enumerate_diagrams(6, 0)
 
 
 def test_square_cycle_diagram():

@@ -725,7 +725,7 @@ def test_indented_json_cases():
     row = {"partition": [4, 3], "rolls": [1, -2, 1], "box": [4, 3]}
     for doc in (
         {}, [], (), {"a": []}, [{}], [True, 1, None], "ö\n", {"é": [1, -2]},
-        {"a": [1], "b": [True]},  # `%s` would write the bool as True
+        {"a": [1], "b": [True]},  # `str` would write the bool as True
         {"a": [1], "b": []},
         [1, True],
         [2**70, -3],
@@ -735,12 +735,13 @@ def test_indented_json_cases():
         ["a", "b"], ["a", 1], ("é", "%s"),
         [row, {**row, "rolls": [2, -1, 2]}],  # two rows of one shape
         [row, [row, [[4, 3]]], [4, 3]],  # one shape at two depths
-        [["1", "2"], ["1", "2*"]],  # a listed class
-        (("1", "2"), ["1", "2*"]),  # its edges as the listing holds them
-        [["a"], []],  # an empty inner list is not one class
-        [["a"], [1]], [["a", True]],  # nor are mixed types
+        [["1", "2"], ["1", "2*"]],  # a class's edges
+        (("1", "2"), ["1", "2*"]),  # tuples and lists mixed
+        [["a"], []],
+        [["a"], [1]], [["a", True]],  # mixed types
         [["é", "%s"]],
         [[["1", "2"]], {"edges": [["1", "2"]]}],  # one class shape at two depths
+        {"null": None, "xnull": [None]},  # nulls beside keys that end like one
     ):
         assert _written(doc) == json.dumps(doc, indent=2)
 
@@ -756,57 +757,109 @@ class _Pieces(list):
 
 
 def test_a_large_document_is_written_in_short_pieces(monkeypatch):
-    # the 0.6 MB realize document and the 0.16 MB plain listing reach stdout
-    # a row at a time, never as one string; the realize workload's peak
-    # memory rests on this
-    for flags, size in ((["--realize"], 500_000), ([], 150_000)):
+    # every listing reaches stdout a row at a time, never as one string:
+    # one piece per row, one per scalar beside the rows, and the closing
+    # bracket, brace and newline.  The realize workload's peak memory
+    # rests on this
+    for argv, size in (
+        (["partitions", "--dim", "20", "--realize"], 500_000),
+        (["partitions", "--dim", "20"], 150_000),
+        (["chords", "--dim", "6"], 60_000),
+        (["enumerate", "--dim", "4", "--kind", "paths"], 10_000),
+    ):
         pieces = _Pieces()
         monkeypatch.setattr(sys, "stdout", pieces)
-        assert main(["partitions", "--dim", "20", *flags]) == 0
+        assert main(argv) == 0
         text = "".join(pieces)
         assert len(text) > size
         assert max(map(len, pieces)) <= 4096
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        *scalars, rows = doc.values()
+        assert len(pieces) == len(rows) + len(scalars) + 3, argv
 
 
-def _row_dicts(rows):
-    """The list of dicts a `cli._Rows` stands for, built through `tolist()`."""
-    columns = [a.tolist() for a in rows.arrays]
-    return [dict(zip(rows.keys, values)) for values in zip(*columns)]
+def _row_values(rows):
+    """The list a `cli._Rows` stands for: its shape once per row, the None
+    leaves filled in document order with the row's values, read through
+    `tolist()` and, where there is one, the table."""
+    values = np.hstack(rows.arrays).tolist()
+    if rows.table is not None:
+        values = [[json.loads(rows.table[v]) for v in row] for row in values]
+
+    def fill(shape, row):
+        if shape is None:
+            return next(row)
+        if isinstance(shape, dict):
+            return {key: fill(value, row) for key, value in shape.items()}
+        return [fill(value, row) for value in shape]
+
+    return [fill(rows.shape, iter(row)) for row in values]
+
+
+def _leaves(shape):
+    if shape is None:
+        return 1
+    return sum(map(_leaves, shape.values() if isinstance(shape, dict) else shape))
+
+
+# keys that are not ASCII, that hold `%`, a line separator or a NUL, and
+# ones that end like the None leaf a shape is cut at
+_KEYS = st.text(max_size=4) | st.sampled_from(
+    ["%s", "%%d", "é", "ключ", "\u2028", "\0", "null", "xnull"]
+)
+
+_shapes = st.recursive(
+    st.none() | st.integers(1, 60).map(lambda width: [None] * width) | st.just([]),
+    lambda inner: (
+        st.lists(inner, min_size=1, max_size=4)
+        | st.dictionaries(_KEYS, inner, min_size=1, max_size=4)
+    ),
+    max_leaves=8,
+).filter(_leaves)
 
 
 @st.composite
 def row_blocks(draw):
-    """A `cli._Rows` of 1-4 keys (non-ASCII ones and ones holding `%`
-    among them) over int arrays of 1..300 rows and 1..60 columns, each
-    array constant or spread over up to 10**4 values, negative ones too."""
-    keys = draw(
-        st.lists(
-            st.text(max_size=4) | st.sampled_from(["%s", "%%d", "é", "ключ", "\u2028"]),
-            min_size=1, max_size=4, unique=True,
-        )
-    )
+    """A `cli._Rows` over 1..300 rows: a shape of nested lists and of dicts
+    that mix lists and single leaves, and its leaves split over 1-4 int
+    arrays.  Either every value indexes a table of JSON texts, or each
+    array is constant or spread over up to 10**4 values, negative ones
+    too."""
+    shape = draw(_shapes)
+    leaves = _leaves(shape)
+    cuts = sorted(draw(st.sets(st.integers(1, leaves - 1), max_size=3)) if leaves > 1 else ())
+    widths = np.diff([0, *cuts, leaves])
     count = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        texts = st.text(max_size=4) | st.sampled_from(["%s", "é", "\u2028", "null"])
+        table = draw(st.lists(st.integers() | texts, min_size=1, max_size=20))
+        arrays = [rng.integers(0, len(table), (count, w)) for w in widths]
+        return cli._Rows(shape, tuple(arrays), tuple(map(json.dumps, table)))
     arrays = []
-    for _ in keys:
-        width = draw(st.integers(1, 60))
+    for w in widths:
         low = draw(st.integers(-(10**4), 10**4))
         span = draw(st.sampled_from([0, 1, 40, 10**4]))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        arrays.append(rng.integers(low, low + span, (count, width), endpoint=True))
-    return cli._Rows(tuple(keys), tuple(arrays))
+        arrays.append(rng.integers(low, low + span, (count, w), endpoint=True))
+    return cli._Rows(shape, tuple(arrays))
 
 
 def _block_edges():
-    """Row counts on and just past the layout's block boundaries, and the
-    (1, 1) array of a plain listing at n=2."""
+    """Row counts on and just past the layout's block boundaries, the
+    (1, 1) array of a plain listing at n=2, and a table across a boundary."""
     block = cli._ROW_BLOCK
     ramp = lambda count, width: np.arange(count * width).reshape(count, width) - 7
+    split = {"a": [None] * 3, "%s": [None]}
+    labels = ('"1"', '"2"', '"1*"', '"2*"', '"ter"')
     return [
-        cli._Rows(("partition",), (np.array([[2]]),)),
-        cli._Rows(("a", "%s"), (ramp(block, 3), ramp(block, 1))),
-        cli._Rows(("a", "%s"), (ramp(block + 1, 3), ramp(block + 1, 1))),
-        cli._Rows(("é",), (np.full((2 * block + 5, 4), -3),)),
+        cli._Rows({"partition": [None]}, (np.array([[2]]),)),
+        cli._Rows(split, (ramp(block, 3), ramp(block, 1))),
+        cli._Rows(split, (ramp(block + 1, 3), ramp(block + 1, 1))),
+        cli._Rows({"é": [None] * 4}, (np.full((2 * block + 5, 4), -3),)),
+        cli._Rows(
+            {"edges": [[None, None]] * 2, "ends": None}, (ramp(block + 1, 5) % 5,), labels
+        ),
     ]
 
 
@@ -814,23 +867,32 @@ def _block_edges():
 @given(row_blocks(), st.sampled_from(["bare", "in a dict", "in a list"]))
 def test_rows_are_written_as_their_list_of_dicts(rows, where):
     doc, equivalent = {
-        "bare": (rows, _row_dicts(rows)),
-        "in a dict": ({"n": 1, "partitions": rows}, {"n": 1, "partitions": _row_dicts(rows)}),
-        "in a list": ([rows, 0], [_row_dicts(rows), 0]),
+        "bare": (rows, _row_values(rows)),
+        "in a dict": ({"n": 1, "partitions": rows}, {"n": 1, "partitions": _row_values(rows)}),
+        "in a list": ([rows, 0], [_row_values(rows), 0]),
     }[where]
     assert _written(doc) == json.dumps(equivalent, indent=2)
 
 
-@pytest.mark.parametrize("rows", _block_edges(), ids=["1x1", "one-block", "past-a-block", "constant"])
+@pytest.mark.parametrize(
+    "rows", _block_edges(), ids=["1x1", "one-block", "past-a-block", "constant", "table"]
+)
 def test_rows_across_block_edges(rows):
     assert _written({"n": 2, "partitions": rows}) == json.dumps(
-        {"n": 2, "partitions": _row_dicts(rows)}, indent=2
+        {"n": 2, "partitions": _row_values(rows)}, indent=2
     )
 
 
-def test_no_rows_are_an_empty_list():
-    rows = cli._Rows(("partition",), (np.zeros((0, 3), int),))
-    assert _written({"partitions": rows}) == json.dumps({"partitions": []}, indent=2)
+def test_no_rows_are_an_empty_list(capsys):
+    for rows in (
+        cli._Rows({"partition": [None] * 3}, (np.zeros((0, 3), int),)),
+        cli._Rows([[None, None]], (np.zeros((0, 2), int),), ('"1"', '"2"')),
+    ):
+        assert _written({"partitions": rows}) == json.dumps({"partitions": []}, indent=2)
+    # the 4-gon's matchings have no loop or two, so none has exactly one
+    out = _cli_stdout(capsys, "chords", "--dim", "2", "--loops", "1")
+    doc = {"n": 2, "loops": 1, "count": 0, "diagrams": []}
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("realize", [True, False], ids=["realize", "plain"])

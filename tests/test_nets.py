@@ -7,7 +7,6 @@ import pytest
 from cubenets.core import FacetLabel, SpanningSubgraph
 from cubenets.nets import (
     CubePartition,
-    bounding_box,
     collision,
     cube_partition_of,
     is_net,
@@ -16,7 +15,7 @@ from cubenets.nets import (
     verify_development,
 )
 from cubenets.rolling import Development, develop_path, develop_tree
-from oracles import box_growth_trace, canonical_net
+from oracles import bounding_box, box_growth_trace, canonical_net
 
 L = FacetLabel.parse
 

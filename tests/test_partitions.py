@@ -10,7 +10,7 @@ import pytest
 from cubenets import partitions
 from cubenets.cli import main
 from cubenets.core import FacetLabel, ResourceLimitError
-from cubenets.nets import CubePartition, bounding_box, cube_partition_of
+from cubenets.nets import CubePartition, cube_partition_of
 from cubenets.partitions import (
     PARTITIONS_LIMIT,
     IllegalSlideError,
@@ -22,7 +22,7 @@ from cubenets.partitions import (
 from cubenets.rolling import develop_word_block, initial_state
 
 import oracles
-from oracles import realization_slides
+from oracles import bounding_box, realization_slides
 
 
 def brute_partitions(n):

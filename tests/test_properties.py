@@ -18,7 +18,6 @@ from cubenets.enumeration import random_spanning_tree
 from cubenets.nets import (
     CubePartition,
     _box_scan,
-    bounding_box,
     box_parts,
     is_net,
     verify_development,
@@ -27,6 +26,7 @@ from cubenets.partitions import enumerate_cube_partitions, realize_partition
 from cubenets.rolling import develop_path, develop_tree, initial_state
 from oracles import (
     apply_subgraph,
+    bounding_box,
     box_growth_trace,
     canonical_diagram,
     canonical_net,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cubenets import rolling
 from cubenets.core import FacetLabel, SpanningSubgraph
 from cubenets.enumeration import random_spanning_tree
-from cubenets.nets import bounding_box, is_net
+from cubenets.nets import is_net
 from cubenets.rolling import (
     Development,
     RevisitError,
@@ -24,6 +24,7 @@ from cubenets.rolling import (
     tree_block_size,
 )
 from oracles import (
+    bounding_box,
     is_coherent,
     roll,
     root_path,
