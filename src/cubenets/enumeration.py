@@ -59,6 +59,7 @@ from .core import (
 )
 from .nets import box_parts, verify_development
 from .rolling import (
+    _index_dtype,
     _tree_walk,
     develop_parent_block,
     develop_tree,
@@ -337,32 +338,76 @@ def _classify_path_mask(n: int, mask: int) -> str:
     return "ter" if odd == low | low << n else "ext"
 
 
-def _random_parents(n: int, rng: random.Random) -> list[int]:
-    """Uniform spanning tree of the Roberts graph by loop-erased walks, as
-    each facet's parent toward facet 1 (-1 for facet 1 itself).  Each step
-    draws its neighbour's rank by the rejection loop over `getrandbits` that
-    `rng.randrange(2n-2)` runs, so the stream is that call's, draw for
-    draw."""
+@cache
+def _neighbour_table(n: int) -> np.ndarray:
+    """Flat (2n * (2n-2),) array: entry v * (2n-2) + r is facet v's
+    neighbour of rank r, `_neighbours(n)[v][r]`."""
+    return np.array(_neighbours(n), _index_dtype(n)).ravel()
+
+
+def _draw_ranks(rng: random.Random, k: int, size: int) -> np.ndarray:
+    """`size` >= 1 independent uniform ranks in [0, k), k >= 2, read from
+    `rng.randbytes`: each is the top bits of the smallest little-endian
+    unsigned word that holds k-1, and values of k or more are rejected, so
+    every rank is exactly uniform and the stream is the same on every
+    Python and numpy version.  A read asks for enough words that it
+    usually accepts `size`; accepted words past `size` are dropped and a
+    short read is topped up by another."""
+    bits = (k - 1).bit_length()
+    word = np.dtype("<u1" if bits <= 8 else "<u2" if bits <= 16 else "<u4")
+    shift = 8 * word.itemsize - bits
+    parts = []
+    while size:
+        count = (size << bits) // k + 16
+        ranks = np.frombuffer(rng.randbytes(count * word.itemsize), word) >> shift
+        ranks = ranks[ranks < k][:size]
+        parts.append(ranks)
+        size -= len(ranks)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _random_parent_block(n: int, rng: random.Random, count: int) -> np.ndarray:
+    """`count` >= 1 independent uniform spanning trees of the Roberts graph by
+    cycle popping, as a (count, 2n) array of each facet's parent toward
+    facet 1 (-1 for facet 1 itself), in `_index_dtype(n)`.
+
+    Every facet but facet 1 points at a neighbour of uniform rank
+    (`_draw_ranks`).  Each round takes the live rows' flat successor array,
+    facet 1 its own, to its 2^L-th power by L = ceil(log2 2n) gathers
+    (`w = w[w]`); every walk of 2n-1 steps ends at facet 1 or on a cycle,
+    so the images are exactly facet 1 and the facets on cycles.  Those
+    facets draw again, in row-major order, and a row with none is a tree.
+    Wilson (STOC 1996) and Propp and Wilson (J. Algorithms 27, 1998) prove
+    that popping cycles gives an exactly uniform tree in whatever order they
+    are popped, so popping every cycle of every row at once is valid.  Every
+    row started is kept, in order, however many rounds it takes, so the
+    block is `count` independent draws."""
     two_n = 2 * n
     k = two_n - 2
-    bits = k.bit_length()
-    getrandbits = rng.getrandbits
-    neighbours = _neighbours(n)
-    in_tree = [False] * two_n
-    succ = [-1] * two_n
-    in_tree[0] = True
-    for v0 in range(1, two_n):
-        u = v0
-        while not in_tree[u]:
-            r = getrandbits(bits)
-            while r >= k:
-                r = getrandbits(bits)
-            succ[u] = u = neighbours[u][r]
-        u = v0
-        while not in_tree[u]:
-            in_tree[u] = True
-            u = succ[u]
-    return succ
+    table = _neighbour_table(n)
+    parents = np.zeros((count, two_n), _index_dtype(n))
+    parents[:, 1:] = table[
+        np.arange(k, k * two_n, k) + _draw_ranks(rng, k, count * (two_n - 1)).reshape(count, -1)
+    ]
+    live = np.arange(count)
+    # the live rows' successors, facet 1 its own, as flat offsets: live
+    # row j's facets sit at j*2n .. j*2n + 2n-1
+    offsets = np.arange(0, count * two_n, two_n)[:, None]
+    steps = (two_n - 2).bit_length()
+    while True:
+        w = offsets[: len(live)] + parents[live]
+        for _ in range(steps):
+            w = w.take(w)
+        cyclic = np.zeros(w.shape, bool)
+        cyclic.ravel()[w.ravel()] = True
+        cyclic[:, 0] = False
+        j, v = np.divmod(np.flatnonzero(cyclic), two_n)
+        if not len(v):
+            break
+        parents[live[j], v] = table[v * k + _draw_ranks(rng, k, len(v))]
+        live = live[cyclic.any(1)]
+    parents[:, 0] = -1
+    return parents
 
 
 def _tree_from_parents(parents: list[int]) -> SpanningSubgraph:
@@ -372,10 +417,22 @@ def _tree_from_parents(parents: list[int]) -> SpanningSubgraph:
     )
 
 
+def _sampled_parent_blocks(n: int, seed: int, samples: int):
+    """The parent blocks sampled verification checks: `samples` trees from
+    the one stream `random.Random(f"{seed}:0")`, drawn by
+    `_random_parent_block` in blocks of `tree_block_size(n)`, one block
+    alive at a time.  The trees depend on the block size, since a block
+    draws round by round."""
+    rng = random.Random(f"{seed}:0")
+    size = tree_block_size(n)
+    for start in range(0, samples, size):
+        yield _random_parent_block(n, rng, min(size, samples - start))
+
+
 def random_spanning_tree(n: int, rng: random.Random) -> SpanningSubgraph:
-    """Uniform spanning tree of the Roberts graph, drawing the stream
-    `_random_parents` draws."""
-    return _tree_from_parents(_random_parents(n, rng))
+    """Uniform spanning tree of the Roberts graph: a block of one from
+    `_random_parent_block`."""
+    return _tree_from_parents(_random_parent_block(n, rng, 1)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -530,27 +587,22 @@ def _check_tree(report: VerifyReport, tree: SpanningSubgraph) -> None:
     report.trees_checked += 1
 
 
-def _check_trees(report: VerifyReport, parent_rows) -> None:
-    """Check trees given as parent lists rooted at facet 1, in blocks of
-    `tree_block_size(n)`, one block's arrays alive at a time.
+def _check_trees(report: VerifyReport, parents: np.ndarray) -> None:
+    """Check a (B, 2n) array of trees given as parents rooted at facet 1.
 
-    A block is rolled by `develop_parent_block` and its boxes judged by
+    The block is rolled by `develop_parent_block` and its boxes judged by
     `nets.box_parts`, which decides `verify_development` for a rolled tree;
     the passing trees' partitions are counted.  Every other tree goes
-    through `_check_tree`, in stream order, for its exact failure entry or
+    through `_check_tree`, in row order, for its exact failure entry or
     error.
     """
-    n = report.n
-    start = initial_state(n, FacetLabel(1))
-    rows = iter(parent_rows)
-    while block := list(islice(rows, tree_block_size(n))):
-        cells, rolled = develop_parent_block(start, block)
-        passed, parts = box_parts(cells.max(1).astype(np.intp) - cells.min(1) + 1)
-        passed &= rolled
-        report.partition_counts.update(map(tuple, parts[passed].tolist()))
-        report.trees_checked += int(passed.sum())
-        for b in np.flatnonzero(~passed).tolist():
-            _check_tree(report, _tree_from_parents(block[b]))
+    cells, rolled = develop_parent_block(initial_state(report.n, FacetLabel(1)), parents)
+    passed, parts = box_parts(cells.max(1).astype(np.intp) - cells.min(1) + 1)
+    passed &= rolled
+    report.partition_counts.update(map(tuple, parts[passed].tolist()))
+    report.trees_checked += int(passed.sum())
+    for b in np.flatnonzero(~passed).tolist():
+        _check_tree(report, _tree_from_parents(parents[b].tolist()))
 
 
 def verify_unfoldings(
@@ -573,17 +625,17 @@ def verify_unfoldings(
     _check_dim(n)
     if exhaustive:
         report = VerifyReport(n, "exhaustive")
-        # each class's parents toward facet 1, read off its mask: no
-        # per-class object
+        # each class's parents toward facet 1, read off its mask and
+        # stacked a block at a time: no per-class object
         edges = roberts_edges(n)
         masks = _class_masks("trees", n)
         rows = (_tree_walk(n, [edges[r] for r in _mask_ranks(m)], 0)[0] for m in masks)
-        _check_trees(report, rows)
+        while block := list(islice(rows, tree_block_size(n))):
+            _check_trees(report, np.array(block, _index_dtype(n)))
         return report
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
-    # "{seed}:0" is the stream every pinned seed's output was printed from
-    rng = random.Random(f"{seed}:0")
     report = VerifyReport(n, "samples", seed)
-    _check_trees(report, (_random_parents(n, rng) for _ in range(samples)))
+    for block in _sampled_parent_blocks(n, seed, samples):
+        _check_trees(report, block)
     return report

@@ -235,20 +235,32 @@ def _index_dtype(n: int):
 
 
 def _tree_bytes(n: int) -> int:
-    """Bytes `develop_parent_block` holds per tree: each of its 2n facet
-    rows keeps five intp row indices, 2n+3 entries of the index type (its
-    parent, orientation, cell, slot and two flags) and a placed flag."""
+    """Bytes a tree holds while `verify` samples and checks it in blocks.
+    In `develop_parent_block` each of its 2n facet rows keeps five intp row
+    indices, 2n+3 entries of the index type (its parent, orientation, cell,
+    slot and two flags) and a placed flag.  In the cycle-popping sampler
+    (`enumeration._random_parent_block`) each facet keeps at most three
+    intp (its successor's image, the image's next gather, and its redraw's
+    index), two entries of the index type (its parent, and the live rows'
+    copy of it) and a flag (on a cycle)."""
     entry = np.dtype(_index_dtype(n)).itemsize
-    return 2 * n * (5 * np.dtype(np.intp).itemsize + (2 * n + 3) * entry + 1)
+    intp = np.dtype(np.intp).itemsize
+    kernel = 5 * intp + (2 * n + 3) * entry + 1
+    sampler = 3 * intp + 2 * entry + 1
+    return 2 * n * (kernel + sampler)
 
 
 def tree_block_size(n: int) -> int:
-    """Trees per `develop_parent_block` call whose rows fill about 192 KB,
-    so a block's memory does not grow with the number of trees.  (At n=12,
-    `verify` with blocks of 120 trees peaked within 0.1 MB at 4000 and at
-    200000 samples; with blocks of 160, 0.4 MB apart, for a few percent
-    less time.)"""
-    return max(1, (192 << 10) // _tree_bytes(n))
+    """Trees per sampled block and per `develop_parent_block` call: the
+    trees whose bytes (`_tree_bytes`) fill about 1 MB, so a block's memory
+    does not grow with the number of trees.  The sampler pops every cycle
+    of a block in one round, so each round's fixed numpy cost is shared by
+    more trees in a larger block.  At n=12, blocks of 459 trees: a whole
+    `verify --samples 4000` process peaked 0.6-0.8 MB above the per-tree
+    loop-erased walk with kernel blocks of 120 trees (30.9-31.1 against
+    30.3 MB, five runs each); blocks of 344 peaked 0.5 MB above it, and
+    blocks of 720 1.2 MB."""
+    return max(1, (1 << 20) // _tree_bytes(n))
 
 
 @cache

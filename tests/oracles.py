@@ -6,8 +6,9 @@ from the side: the immutable roll engine, the tree block on a full slot
 table, the token board played one partition and one slide at a time,
 brute-force shape and diagram canonicalisation, the cycle/path <->
 chord-diagram bijections, the group element by element and orbits and
-stabilizers over its full expansion, the recursive Hamiltonian walk, and
-the JSON readers.
+stabilizers over its full expansion, the recursive Hamiltonian walk, the
+loop-erased walk and cycle popping one tree at a time, and the JSON
+readers.
 Each keeps the checks it raises on, so a test can still drive it into
 them.
 """
@@ -164,6 +165,80 @@ def recursive_walk_masks(n: int, close: bool):
                 yield from rec(u, visited | bit, depth + 1, mask | (1 << row[u]))
 
     return rec(1, 0b11, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# the loop-erased walk and cycle popping, one tree at a time
+
+
+def loop_erased_parents(n: int, next_rank) -> list[int]:
+    """Wilson's loop-erased walks toward facet 1, one tree at a time: each
+    facet's parent (-1 for facet 1).  Every step out of facet u goes to
+    u's neighbour of rank `next_rank(u)`, and a walk that comes back to a
+    facet overwrites the step it took there, which erases the loop.  With
+    `next_rank` reading each facet's own stack of ranks, the walks pop the
+    cycles that any order of cycle popping pops from those stacks, and
+    leave the same tree (Propp and Wilson, J. Algorithms 27, 1998)."""
+    two_n = 2 * n
+    neighbours = _neighbours(n)
+    in_tree = [False] * two_n
+    succ = [-1] * two_n
+    in_tree[0] = True
+    for v0 in range(1, two_n):
+        u = v0
+        while not in_tree[u]:
+            succ[u] = u = neighbours[u][next_rank(u)]
+        u = v0
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = succ[u]
+    return succ
+
+
+def cycle_facets(parents) -> list[int]:
+    """The facets on cycles of the successor function `parents`, whose
+    facet 0 is its own successor, in ascending order."""
+    on = set()
+    for v in range(1, len(parents)):
+        walk = []
+        u = v
+        while u and u not in walk:
+            walk.append(u)
+            u = parents[u]
+        if u:
+            on.update(walk[walk.index(u):])
+    return sorted(on)
+
+
+def popped_stacks(n: int, count: int, draws) -> tuple[list[list[int]], list[dict]]:
+    """Replay cycle popping by rounds over `count` trees from the rank
+    arrays `draws`, in the order a block sampler reads them: the first
+    array points facets 1..2n-1 of every row, row by row, and each later
+    one redraws the facets on cycles of the rows that have any, row by row
+    and facet by facet.  Returns the trees as parent lists (-1 for facet
+    1) and, per tree, each facet's stack of the ranks it drew."""
+    two_n = 2 * n
+    neighbours = _neighbours(n)
+    draws = iter(draws)
+    parents = [[0] * two_n for _ in range(count)]
+    stacks = [{v: [] for v in range(1, two_n)} for _ in range(count)]
+    redraw = [(b, v) for b in range(count) for v in range(1, two_n)]
+    ranks = iter(next(draws).tolist())
+    while redraw:
+        for b, v in redraw:
+            r = next(ranks)
+            stacks[b][v].append(r)
+            parents[b][v] = neighbours[v][r]
+        if next(ranks, None) is not None:
+            raise AssertionError("a draw was left over")
+        redraw = [(b, v) for b in range(count) for v in cycle_facets(parents[b])]
+        if redraw:
+            ranks = iter(next(draws).tolist())
+    if next(draws, None) is not None:
+        raise AssertionError("a round of draws was left over")
+    for row in parents:
+        row[0] = -1
+    return parents, stacks
 
 
 # ---------------------------------------------------------------------------

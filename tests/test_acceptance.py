@@ -13,7 +13,13 @@ import pytest
 
 from cubenets.chords import edge_orbit_count, enumerate_diagrams
 from cubenets.core import FacetLabel, SpanningSubgraph, canonical_mask
-from cubenets.enumeration import build_table, enumerate_trees, random_spanning_tree
+from cubenets.enumeration import (
+    _random_parent_block,
+    _tree_from_parents,
+    build_table,
+    enumerate_trees,
+    random_spanning_tree,
+)
 from cubenets.nets import CubePartition, collision, cube_partition_of
 from cubenets.partitions import enumerate_cube_partitions, realize_partition
 from cubenets.rolling import (
@@ -80,7 +86,8 @@ def block_developments(n, trees, base=FacetLabel(1)):
 @pytest.fixture(scope="module")
 def development_sweep():
     """Shared by criteria 2 and 3: every n=4 class plus 10,000 sampled trees
-    at each of n=5..8, developed once in blocks, with every defect kept."""
+    at each of n=5..8, each n's drawn as one block by the sampler, developed
+    once in blocks, with every defect kept."""
     t0 = time.perf_counter()
     collisions = []
     bad_boxes = []
@@ -101,8 +108,8 @@ def development_sweep():
 
     sweeps = {4: list(enumerate_trees(4))}
     for n in (5, 6, 7, 8):
-        rng = random.Random(f"{SAMPLE_SEED}:{n}")
-        sweeps[n] = [random_spanning_tree(n, rng) for _ in range(10_000)]
+        block = _random_parent_block(n, random.Random(f"{SAMPLE_SEED}:{n}"), 10_000)
+        sweeps[n] = [_tree_from_parents(row) for row in block.tolist()]
     for n, trees in sweeps.items():
         for tree, dev in zip(trees, block_developments(n, trees)):
             check(n, tree, dev)

@@ -28,6 +28,19 @@ from oracles import (
 )
 
 
+def same_text(got, want):
+    """Fail with the first offset at which two documents differ and a short
+    window around it: pytest's own report diffs the whole strings, which
+    takes minutes on documents of 10**5 characters."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        window = slice(max(0, at - 40), at + 40)
+        pytest.fail(
+            f"documents of {len(got)} and {len(want)} characters differ at offset "
+            f"{at}: {got[window]!r} against {want[window]!r}"
+        )
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -310,6 +323,31 @@ def test_verify_samples_deterministic(capsys):
     assert json.loads(out1)["trees_checked"] == 40
 
 
+def test_verify_takes_a_negative_seed(capsys):
+    # every int seed the CLI ever took still names one stream
+    runs = [run(capsys, "verify", "--dim", "4", "--samples", "5", "--seed", "-5") for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] == -5
+
+
+def test_sampled_verify_leaves_numpy_random_unimported():
+    # the sampler reads Python's generator; importing numpy.random would
+    # cost every run about 10 ms and 6 MB
+    script = (
+        "import sys; from cubenets.cli import main; "
+        "code = main(['verify', '--dim', '12', '--samples', '50', '--seed', '3']); "
+        "print(code, 'numpy.random' in sys.modules, file=sys.stderr)"
+    )
+    src = str(Path(enumeration.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert done.stderr == "0 False\n"
+
+
 def test_verify_names_drawn_seed(capsys):
     runs = [run(capsys, "verify", "--dim", "5", "--samples", "20") for _ in range(2)]
     seeds = [json.loads(out)["seed"] for _code, out, _err in runs]
@@ -559,7 +597,7 @@ def test_enumerate_lists_what_the_object_route_lists(kind, n, capsys):
         classes = [sub.to_json() for sub in subs]
     doc = {"n": n, "kind": kind, "count": len(subs), "classes": classes}
     out = _cli_stdout(capsys, "enumerate", "--dim", str(n), "--kind", kind)
-    assert out == json.dumps(doc, indent=2) + "\n"
+    same_text(out, json.dumps(doc, indent=2) + "\n")
 
 
 def test_a_tree_listing_builds_no_subgraph_and_labels_each_facet_once(
@@ -653,10 +691,11 @@ def _golden_text(name, capsys):
 # package's public surface was cut down to the names the README uses, and the
 # tree listing before the tree walker moved to an explicit stack, and the
 # sampled verifications before one-job runs went through the shard merge, and
-# the diagram listings before they dropped the packed bulk expansion, and the
-# n=12 sampled verification before the sampler drew from getrandbits directly;
-# the SVG entry was taken again when stdout stopped adding a blank line after
-# the closing tag, so it now matches the bytes `--output` writes
+# the diagram listings before they dropped the packed bulk expansion; the
+# sampled verifications were taken again when the sampler began to pop
+# cycles a block at a time from `randbytes`, and the SVG entry when stdout
+# stopped adding a blank line after the closing tag, so it now matches the
+# bytes `--output` writes
 GOLDEN = {
     "trees4": "a94ce90f45a722064308f830d5d3904fc23b7dca54f629af811be8535ac8240a",
     "paths2": "e11e6846daf7e3d731f8816e54c75e57bdf7569d1087ec9f5edbcdd6e182d104",
@@ -678,8 +717,8 @@ GOLDEN = {
     "readme-partitions-realize": "88b5b2cec169c5263fafc626f74e13a561c6afac044c27eedfca1448c7cdd536",
     "readme-chords-net-counts": "8a581d201b14b80c18ef7e7ebbef118681768b47848c1add1b84c5451f7e1046",
     "readme-table": "1c055402c9fb33b3b6fd9000a2c1863f5e9849bc3bbc045150567e03cb7c2bd9",
-    "verify-samples": "8005e7dec6b83ed792ca1c1c7a7396acd2d1141240263f50d59a39ee0da78f77",
-    "verify-samples-dim12": "6e197c2cf29272d627a5ccacf9ced42c50059c9349fa5bce1edb4424a798ec82",
+    "verify-samples": "ea1f6b78a9923d780a55e75ad56c16849b4993023069a7d131f2bd3265465d20",
+    "verify-samples-dim12": "4e69dcc3a5d8c3a084267102c0708dba91ef50fa53d8aee57b5153c8874e8bfb",
     "diagrams16-loops0": "75e3bafa43fa2c74aa7dc6ae42c3dd881bb1fed8ec646e76a268363d95579294",
     "diagrams16-loops1": "a7b10e60fa1cb5c0841aca686fe74609cd36b27c112328adfd74d5261953c9ea",
     "chords7": "3b52f8353a74f821fd567b650c79e02dbd8afcc0091300412489f99c2bb4e560",
@@ -718,7 +757,7 @@ def _written(doc):
 
 @given(json_documents)
 def test_indented_json_matches_json_dumps(doc):
-    assert _written(doc) == json.dumps(doc, indent=2)
+    same_text(_written(doc), json.dumps(doc, indent=2))
 
 
 def test_indented_json_cases():
@@ -743,7 +782,7 @@ def test_indented_json_cases():
         [[["1", "2"]], {"edges": [["1", "2"]]}],  # one class shape at two depths
         {"null": None, "xnull": [None]},  # nulls beside keys that end like one
     ):
-        assert _written(doc) == json.dumps(doc, indent=2)
+        same_text(_written(doc), json.dumps(doc, indent=2))
 
 
 class _Pieces(list):
@@ -774,7 +813,7 @@ def test_a_large_document_is_written_in_short_pieces(monkeypatch):
         assert len(text) > size
         assert max(map(len, pieces)) <= 4096
         doc = json.loads(text)
-        assert text == json.dumps(doc, indent=2) + "\n"
+        same_text(text, json.dumps(doc, indent=2) + "\n")
         *scalars, rows = doc.values()
         assert len(pieces) == len(rows) + len(scalars) + 3, argv
 
@@ -871,15 +910,16 @@ def test_rows_are_written_as_their_list_of_dicts(rows, where):
         "in a dict": ({"n": 1, "partitions": rows}, {"n": 1, "partitions": _row_values(rows)}),
         "in a list": ([rows, 0], [_row_values(rows), 0]),
     }[where]
-    assert _written(doc) == json.dumps(equivalent, indent=2)
+    same_text(_written(doc), json.dumps(equivalent, indent=2))
 
 
 @pytest.mark.parametrize(
     "rows", _block_edges(), ids=["1x1", "one-block", "past-a-block", "constant", "table"]
 )
 def test_rows_across_block_edges(rows):
-    assert _written({"n": 2, "partitions": rows}) == json.dumps(
-        {"n": 2, "partitions": _row_values(rows)}, indent=2
+    same_text(
+        _written({"n": 2, "partitions": rows}),
+        json.dumps({"n": 2, "partitions": _row_values(rows)}, indent=2),
     )
 
 
@@ -888,11 +928,11 @@ def test_no_rows_are_an_empty_list(capsys):
         cli._Rows({"partition": [None] * 3}, (np.zeros((0, 3), int),)),
         cli._Rows([[None, None]], (np.zeros((0, 2), int),), ('"1"', '"2"')),
     ):
-        assert _written({"partitions": rows}) == json.dumps({"partitions": []}, indent=2)
+        same_text(_written({"partitions": rows}), json.dumps({"partitions": []}, indent=2))
     # the 4-gon's matchings have no loop or two, so none has exactly one
     out = _cli_stdout(capsys, "chords", "--dim", "2", "--loops", "1")
     doc = {"n": 2, "loops": 1, "count": 0, "diagrams": []}
-    assert out == json.dumps(doc, indent=2) + "\n"
+    same_text(out, json.dumps(doc, indent=2) + "\n")
 
 
 @pytest.mark.parametrize("realize", [True, False], ids=["realize", "plain"])
@@ -910,4 +950,4 @@ def test_partition_documents_equal_their_dict_layout(capsys, realize):
         rows = [{"partition": p} for p in parts.tolist()]
     code, out, err = run(capsys, "partitions", "--dim", "20", *["--realize"] * realize)
     assert (code, err) == (0, "")
-    assert out == json.dumps({"n": 20, "partitions": rows}, indent=2) + "\n"
+    same_text(out, json.dumps({"n": 20, "partitions": rows}, indent=2) + "\n")

@@ -9,8 +9,10 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cubenets import enumeration
 from cubenets.core import (
     FacetLabel,
     SpanningSubgraph,
@@ -35,6 +37,7 @@ from cubenets.enumeration import (
     _certify,
     _diagram_classes,
     _labelled_count,
+    _random_parent_block,
     _raw_tree_masks,
     _tree_from_parents,
     build_table,
@@ -46,10 +49,12 @@ from cubenets.enumeration import (
     verify_unfoldings,
 )
 from cubenets.nets import cube_partition_of
-from cubenets.rolling import _tree_bytes, develop_tree, tree_block_size
+from cubenets.rolling import _index_dtype, _tree_bytes, develop_tree, tree_block_size
 from oracles import (
     apply_subgraph,
+    loop_erased_parents,
     orbit_masks,
+    popped_stacks,
     random_signed_permutation,
     stabilizer_order,
 )
@@ -345,48 +350,121 @@ def test_a_dedup_that_loses_or_invents_a_class_fails_the_check(monkeypatch, caps
     assert err.startswith("orbit-stabilizer check at n=4 on paths: ")
 
 
-def reference_random_spanning_tree(n, rng):
-    """The sampler as first written, one `randrange` per walk step: the
-    oracle for the stream the package's sampler must draw."""
-    two_n = 2 * n
-    in_tree = [False] * two_n
-    succ = [-1] * two_n
-    in_tree[0] = True
+def recorded_draws(monkeypatch):
+    """Patch the sampler's rank source to keep each array it returns."""
+    draws = []
+    draw = enumeration._draw_ranks
 
-    def step(u):
-        a, b = sorted((u, antipode_index(u, n)))
-        v = rng.randrange(two_n - 2)
-        if v >= a:
-            v += 1
-        if v >= b:
-            v += 1
-        return v
+    def recording(rng, k, size):
+        ranks = draw(rng, k, size)
+        draws.append(ranks.copy())
+        return ranks
 
-    edges = []
-    for v0 in range(1, two_n):
-        u = v0
-        while not in_tree[u]:
-            succ[u] = step(u)
-            u = succ[u]
-        u = v0
-        while not in_tree[u]:
-            in_tree[u] = True
-            edges.append((u, succ[u]))
-            u = succ[u]
-    return SpanningSubgraph(n, "tree", tuple(edges))
+    monkeypatch.setattr(enumeration, "_draw_ranks", recording)
+    return draws
 
 
 @pytest.mark.parametrize("n", range(2, 14))
-def test_random_spanning_tree_draws_the_reference_stream(n):
-    # same trees and the same generator state after every tree, so the
-    # sampler takes neither one draw more nor one fewer than randrange would
+def test_random_spanning_tree_draws_the_reference_stream(n, monkeypatch):
+    # the block sampler's draws, replayed round by round one tree at a
+    # time, give its trees; fed to the loop-erased walk as each facet's
+    # stack, they give the same trees, and the walk reads every draw
+    draws = recorded_draws(monkeypatch)
     for seed in range(24):
+        for count in (1, 5):
+            draws.clear()
+            block = _random_parent_block(n, random.Random(seed), count)
+            trees, stacks = popped_stacks(n, count, draws)
+            assert block.tolist() == trees
+            for tree, stack in zip(trees, stacks):
+                walked = loop_erased_parents(n, lambda u: stack[u].pop(0))
+                assert walked == tree
+                assert not any(stack.values())
+        # a single tree is a block of one, drawn from the same stream
         ours, ref = random.Random(seed), random.Random(seed)
-        for _ in range(5):
-            assert random_spanning_tree(n, ours).edges == (
-                reference_random_spanning_tree(n, ref).edges
-            )
-            assert ours.getstate() == ref.getstate()
+        for _ in range(3):
+            row = _random_parent_block(n, ref, 1)[0].tolist()
+            assert random_spanning_tree(n, ours) == _tree_from_parents(row)
+        assert ours.getstate() == ref.getstate()
+
+
+def test_a_sampled_block_holds_trees_in_the_kernels_dtype():
+    # the last dimension whose labels fit int8, the first past it, and one
+    # whose ranks take a two-byte word
+    for n in (2, 3, 63, 64, 70, 130):
+        block = _random_parent_block(n, random.Random(n), 7)
+        assert block.dtype == _index_dtype(n)
+        assert block.shape == (7, 2 * n)
+        assert (block[:, 0] == -1).all()
+        for row in block.tolist():
+            assert validate(_tree_from_parents(row)) is None
+
+
+# chi-squared critical values at tail probability 1e-6, fixed in advance
+# (no scipy): 383 degrees of freedom for the 384 labelled trees at n=3, and
+# 3 for the four box partitions at n=4
+CHI2_383 = 529.23
+CHI2_3 = 30.66
+# the labelled trees at n=4 whose development from facet 1 has each box,
+# out of 82,944: orbit sizes |B_4| / |Stab| summed over the 261 classes
+BOX_WEIGHTS_4 = {(4, 3, 3): 67584, (4, 4, 2): 8064, (5, 3, 2): 7104, (6, 2, 2): 192}
+
+
+def chi2(observed, expected):
+    return sum((observed.get(key, 0) - e) ** 2 / e for key, e in expected.items())
+
+
+def labelled_tree_statistic():
+    """Chi-squared of 38,400 trees that sampled verification draws at n=3
+    from seed 1996, against the uniform law on the 384 labelled trees."""
+    blocks = list(enumeration._sampled_parent_blocks(3, 1996, 38_400))
+    freq = Counter(map(tuple, np.concatenate(blocks).tolist()))
+    assert sum(freq.values()) == 38_400
+    assert len(freq) <= enumeration._labelled_count("trees", 3) == 384
+    for parents in freq:
+        assert validate(_tree_from_parents(list(parents))) is None
+    expected = dict.fromkeys(freq, 100.0)
+    missing = 384 - len(freq)
+    return chi2(freq, expected) + missing * 100.0
+
+
+def box_statistic():
+    """Chi-squared of the box histogram of 20,000 trees sampled at n=4
+    from seed 1998, against the exact weights."""
+    report = verify_unfoldings(4, samples=20_000, seed=1998)
+    assert report.ok and sum(BOX_WEIGHTS_4.values()) == 82_944
+    expected = {box: 20_000 * w / 82_944 for box, w in BOX_WEIGHTS_4.items()}
+    assert set(report.partition_counts) <= set(expected)
+    return chi2(report.partition_counts, expected)
+
+
+def test_sampled_trees_are_uniform_over_the_labelled_trees():
+    assert labelled_tree_statistic() < CHI2_383
+
+
+def test_sampled_boxes_follow_the_exact_weights():
+    # the weights are the listing's: each class's box, counted |B_4|/|Stab|
+    weights = Counter()
+    for rep, stab in enumeration._stream_classes("trees", 4):
+        tree = subgraph_from_mask(4, rep, "tree")
+        weights[cube_partition_of(develop_tree(tree, FacetLabel(1))).parts] += 384 // stab
+    assert weights == BOX_WEIGHTS_4
+    assert box_statistic() < CHI2_3
+
+
+def test_a_planted_bias_fails_the_labelled_tree_test(monkeypatch):
+    # rank 0 drawn twice as often as any other rank.  The n=4 box test,
+    # with four cells, does not see this bias (its statistic reads about
+    # 12.7 with it), so it is not asked to
+    draw = enumeration._draw_ranks
+
+    def biased(rng, k, size):
+        ranks = draw(rng, k + 1, size)
+        ranks[ranks == k] = 0
+        return ranks
+
+    monkeypatch.setattr(enumeration, "_draw_ranks", biased)
+    assert labelled_tree_statistic() > CHI2_383
 
 
 def test_random_spanning_tree_valid():
@@ -440,8 +518,6 @@ def test_counts_equal_the_listings(n):
 
 @pytest.fixture
 def fresh_listings():
-    from cubenets import enumeration
-
     enumeration._listing.cache_clear()
     yield enumeration
     enumeration._listing.cache_clear()
@@ -611,19 +687,22 @@ def test_verify_histograms_match_a_separate_box():
     }
     for n in range(2, 7):
         report = verify_unfoldings(n, samples=200, seed=n)
-        rng = random.Random(f"{n}:0")  # the sampler's one stream
-        trees = [random_spanning_tree(n, rng) for _ in range(200)]
         assert report.ok
-        assert report.partition_counts == box_histogram(trees)
+        assert report.partition_counts == box_histogram(sampled_trees(n, 200, n))
+
+
+def sampled_trees(n, count, seed):
+    """The trees sampled verification draws, as subgraphs."""
+    blocks = enumeration._sampled_parent_blocks(n, seed, count)
+    return [_tree_from_parents(row) for block in blocks for row in block.tolist()]
 
 
 def scalar_report(n, count, seed):
     """The sampled report as it was built before blocks: the trees drawn,
     developed and checked one at a time."""
     report = VerifyReport(n, "samples", seed)
-    rng = random.Random(f"{seed}:0")
-    for _ in range(count):
-        _check_tree(report, random_spanning_tree(n, rng))
+    for tree in sampled_trees(n, count, seed):
+        _check_tree(report, tree)
     return report
 
 
@@ -652,10 +731,10 @@ def test_verify_memory_stays_flat_in_the_sample_count():
 def test_exhaustive_parent_arrays_are_the_listed_trees(monkeypatch):
     # the exhaustive route reads each class's parents off its mask, with no
     # per-class object: they are the listed trees
-    from cubenets import enumeration
-
     rows = []
-    monkeypatch.setattr(enumeration, "_check_trees", lambda report, walk: rows.extend(walk))
+    monkeypatch.setattr(
+        enumeration, "_check_trees", lambda report, block: rows.extend(block.tolist())
+    )
     for n in (2, 3, 4):
         rows.clear()
         verify_unfoldings(n, exhaustive=True)
@@ -663,8 +742,6 @@ def test_exhaustive_parent_arrays_are_the_listed_trees(monkeypatch):
 
 
 def test_an_exhaustive_failure_names_its_listed_tree(monkeypatch):
-    from cubenets import enumeration
-
     monkeypatch.setattr(
         enumeration, "verify_development", lambda dev: (["planted problem"], None)
     )
@@ -683,8 +760,6 @@ def test_an_exhaustive_failure_names_its_listed_tree(monkeypatch):
 
 
 def test_a_tree_the_block_refuses_takes_the_scalar_route(monkeypatch):
-    from cubenets import enumeration
-
     kernel = enumeration.develop_parent_block
 
     def refuse_row_3(start, parents):
@@ -701,8 +776,7 @@ def test_a_tree_the_block_refuses_takes_the_scalar_route(monkeypatch):
         enumeration, "verify_development", lambda dev: (["planted problem"], None)
     )
     report = verify_unfoldings(6, samples=20, seed=4)
-    rng = random.Random("4:0")
-    trees = [random_spanning_tree(6, rng) for _ in range(20)]
+    trees = sampled_trees(6, 20, 4)
     assert report.trees_checked == 20
     assert report.failures == [{"tree": trees[3].to_json(), "problems": ["planted problem"]}]
     assert report.partition_counts == box_histogram(trees[:3] + trees[4:])
@@ -720,7 +794,7 @@ def test_parent_arrays_that_are_not_trees_raise_develop_trees_error(parents):
     with pytest.raises(ValueError) as scalar:
         develop_tree(_tree_from_parents(parents), FacetLabel(1))
     with pytest.raises(ValueError) as block:
-        _check_trees(VerifyReport(3, "samples", 0), [parents])
+        _check_trees(VerifyReport(3, "samples", 0), np.array([parents], np.int8))
     assert str(block.value) == str(scalar.value)
     assert str(block.value).startswith("not a spanning tree: ")
 

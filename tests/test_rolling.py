@@ -569,13 +569,14 @@ def test_parent_block_matches_the_slot_table_oracle(n):
     assert cells[ok].tolist() == want_cells[ok].tolist()
 
 
-def test_tree_blocks_hold_about_192_kb_of_rows():
-    # a facet row holds five 8-byte row indices, 2n+3 entries of one byte
-    # up to 2n = 127 and of two past it, and a placed flag
-    assert rolling._tree_bytes(12) == 24 * (5 * 8 + 27 + 1)
-    assert tree_block_size(12) == (192 << 10) // (24 * 68) == 120
-    assert tree_block_size(40) == (192 << 10) // (80 * (40 + 83 + 1))
-    assert tree_block_size(70) == (192 << 10) // (140 * (40 + 143 * 2 + 1)) == 4
+def test_tree_blocks_hold_about_1_mb_of_rows():
+    # a facet row holds, in the kernel, five 8-byte row indices, 2n+3
+    # entries of one byte up to 2n = 127 and of two past it, and a placed
+    # flag; in the sampler, three 8-byte indices, two entries and a flag
+    assert rolling._tree_bytes(12) == 24 * (5 * 8 + 27 + 1 + 3 * 8 + 2 + 1)
+    assert tree_block_size(12) == (1 << 20) // (24 * 95) == 459
+    assert tree_block_size(40) == (1 << 20) // (80 * (40 + 83 + 1 + 24 + 2 + 1))
+    assert tree_block_size(70) == (1 << 20) // (140 * (40 + 143 * 2 + 1 + 24 + 4 + 1)) == 21
 
 
 @st.composite
